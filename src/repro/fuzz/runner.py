@@ -129,8 +129,11 @@ def distributed_eligible(deck: Deck, n_ranks: int) -> str | None:
     """
     from repro.mpi.decomposition import CartDecomposition
     from repro.vpic.boundary import BoundaryKind
-    from repro.vpic.deck import FieldBoundaryKind
+    from repro.vpic.deck import DepositionKind, FieldBoundaryKind
 
+    if deck.deposition is not DepositionKind.CIC:
+        return (f"{deck.deposition.value} deposition (rank pushes "
+                f"deposit CIC only)")
     if deck.field_init is not None or deck.perturbation is not None:
         return "field_init/perturbation assumes a global grid"
     if deck.boundary is not BoundaryKind.PERIODIC:

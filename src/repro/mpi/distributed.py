@@ -77,6 +77,15 @@ class DistributedSimulation:
             raise ValueError(
                 "distributed driver supports plain decks (no field_init/"
                 "perturbation callables, which assume a global grid)")
+        if deck.deposition is not DepositionKind.CIC:
+            # The rank push kernels deposit CIC; running them here
+            # would silently swap the deck's scheme. Esirkepov's
+            # periodic-image node wrap assumes a single-ghost periodic
+            # box, which a brick with externally owned ghosts is not.
+            raise ValueError(
+                f"distributed driver deposits CIC only; deck "
+                f"{deck.name!r} declares {deck.deposition.value} "
+                f"deposition")
         if backend not in ("threads", "processes"):
             raise ValueError(
                 f"backend must be 'threads' or 'processes', got {backend!r}")
@@ -245,8 +254,7 @@ class DistributedSimulation:
         boundaries); deposited currents agree to 1 ulp (float64
         accumulation instead of the reference's float32).
         """
-        return (not self.plan.reference and self.plan.fused
-                and self.deck.deposition is DepositionKind.CIC)
+        return not self.plan.reference and self.plan.fused
 
     def _rank_push(self, rs: RankState) -> None:
         """One rank's particle phase.
@@ -284,8 +292,7 @@ class DistributedSimulation:
                 return "native-push", None
             return "numpy-fused", f"native lane unavailable: {native_status()}"
         if not self._fused_push_ok():
-            return "numpy-fused", ("fused push ineligible "
-                                   "(plan.fused off or non-CIC deposition)")
+            return "numpy-fused", "fused push ineligible (plan.fused off)"
         return "numpy-fused", "plan.native disabled"
 
     def rank_lanes(self) -> list[tuple[str, str | None]]:

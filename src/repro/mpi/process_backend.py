@@ -675,8 +675,7 @@ class ProcessBackend:
                 return "native-push", None
             return "numpy-fused", f"native lane unavailable: {native_status()}"
         if not self._fused:
-            return "numpy-fused", ("fused push ineligible "
-                                   "(plan.fused off or non-CIC deposition)")
+            return "numpy-fused", "fused push ineligible (plan.fused off)"
         return "numpy-fused", "plan.native disabled"
 
     # -- parent side ---------------------------------------------------------

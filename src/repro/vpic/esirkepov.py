@@ -41,6 +41,9 @@ __all__ = ["deposit_current_esirkepov", "continuity_residual"]
 
 #: Stencil nodes per axis (union of two adjacent CIC supports).
 STENCIL = 3
+#: Raised (by this kernel and its native twin) for a super-cell move.
+MULTI_CELL_MOVE = ("particle endpoints span more than one cell; Esirkepov "
+                   "deposition requires sub-cell moves (check dt)")
 
 
 def _cells_and_fracs(grid: Grid, pos: np.ndarray, lo: float, d: float,
@@ -75,10 +78,7 @@ def _stencil_shapes(cell: np.ndarray, frac: np.ndarray,
     """CIC shape factors on the 3-node stencil {base, base+1, base+2}."""
     m = cell - base
     if m.size and (m.min() < 0 or m.max() > 1):
-        raise ValueError(
-            "particle endpoints span more than one cell; Esirkepov "
-            "deposition requires sub-cell moves (check dt)"
-        )
+        raise ValueError(MULTI_CELL_MOVE)
     s = np.zeros((n, STENCIL), dtype=np.float64)
     rows = np.arange(n)
     # Each (row, col) pair is unique within a call, so plain indexed
@@ -153,21 +153,20 @@ def deposit_current_esirkepov(fields: FieldArrays,
     jx = fields.jx.data.reshape(-1)
     jy = fields.jy.data.reshape(-1)
     jz = fields.jz.data.reshape(-1)
-    def wrap(node, interior):
+    def nodes(base, interior):
         # A node one past the high ghost (endpoint in the high ghost
         # cell) is the periodic image of interior node 2 — deposit it
         # there directly (equivalent to a two-deep ghost fold).
-        return np.where(node > interior + 1, node - interior, node)
+        return [np.where(base + k > interior + 1, base + k - interior,
+                         base + k) for k in range(STENCIL)]
 
+    nx_i, ny_i, nz_i = nodes(bx, g.nx), nodes(by, g.ny), nodes(bz, g.nz)
     binned_keys: dict[int, list[np.ndarray]] = {0: [], 1: [], 2: []}
     binned_vals: dict[int, list[np.ndarray]] = {0: [], 1: [], 2: []}
     for a in range(STENCIL):
         for b in range(STENCIL):
             for c in range(STENCIL):
-                nx_i = wrap(bx + a, g.nx)
-                ny_i = wrap(by + b, g.ny)
-                nz_i = wrap(bz + c, g.nz)
-                vox = ((nx_i * sy + ny_i) * sz + nz_i)
+                vox = ((nx_i[a] * sy + ny_i[b]) * sz + nz_i[c])
                 # The last prefix slot along each flow axis is the
                 # total sum of W (zero by conservation): skip it, which
                 # also keeps writes within the single ghost layer.

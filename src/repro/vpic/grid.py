@@ -120,9 +120,13 @@ class Grid:
         xf = np.asarray(x, dtype=np.float64)
         yf = np.asarray(y, dtype=np.float64)
         zf = np.asarray(z, dtype=np.float64)
-        xi = np.clip((xf - self.x0) / self.dx, 0, self.nx - eps)
-        yi = np.clip((yf - self.y0) / self.dy, 0, self.ny - eps)
-        zi = np.clip((zf - self.z0) / self.dz, 0, self.nz - eps)
+        # fmax/fmin clip like np.clip for every non-NaN input but
+        # return the bound for NaN, so a blown-up position (the guard
+        # reports it after the step) bins into cell 1 instead of
+        # reaching the int cast as NaN.
+        xi = np.fmin(np.fmax((xf - self.x0) / self.dx, 0.0), self.nx - eps)
+        yi = np.fmin(np.fmax((yf - self.y0) / self.dy, 0.0), self.ny - eps)
+        zi = np.fmin(np.fmax((zf - self.z0) / self.dz, 0.0), self.nz - eps)
         return (xi.astype(np.int64) + 1,
                 yi.astype(np.int64) + 1,
                 zi.astype(np.int64) + 1)

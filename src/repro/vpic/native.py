@@ -5,7 +5,9 @@ module provides that lane for the hot loop at two scopes:
 
 - **push scope** (PR 5): a single-pass C kernel for the fused
   particle phase (gather -> Boris -> deposit -> advance -> wrap),
-  one trip through memory per particle;
+  one trip through memory per particle — and its charge-conserving
+  twin (gather -> Boris -> advance -> first-order Esirkepov deposit,
+  no wrap) for the decks that step kernel by kernel;
 - **step scope** (this PR): one C entry per *timestep* that also
   performs the Yee field solve (half ``advance_b``, ``advance_e``,
   half ``advance_b``), periodic ghost sync, the ghost-current fold,
@@ -25,9 +27,11 @@ also passes ``-fno-math-errno``: with errno-setting enabled the
 compiler must treat every ``sqrtf``/``floorf`` call as potentially
 writing errno and cannot vectorize the surrounding loop; disabling
 it changes *no* IEEE results (the bit-identity tests pin this), only
-an error-reporting channel nobody reads. Current deposition
+an error-reporting channel nobody reads. CIC current deposition
 accumulates in float64 (particle-major instead of numpy's
-corner-major, so the folded float32 currents agree to 1 ulp). The
+corner-major, so the folded float32 currents agree to 1 ulp); the
+Esirkepov deposit stages its increments and accumulates them in
+numpy's own slot-major order, so its currents are bit-identical. The
 counting sort is stable, so it reproduces
 ``np.argsort(voxels, kind="stable")`` — the ``SortKind.STANDARD``
 permutation — exactly.
@@ -139,19 +143,170 @@ static inline float wrapf_(float v, float L) {
     return r;
 }
 
+/* ---- Esirkepov (charge-conserving) deposition stage --------------- */
+
+/* Per-species staging for the first-order Esirkepov deposit. The tile
+ * stage writes every particle's float32 current increments slot-major
+ * ((component, stencil slot) rows of n); esk_replay then accumulates
+ * them row by row, which is exactly the order numpy's per-component
+ * bincount sees them in deposit_current_esirkepov(binned=True) — so
+ * the float64 sums, and J after the single float32 fold, come out
+ * bit-identical rather than merely within an ulp. */
+typedef struct {
+    int64_t nx, ny, nz;
+    double q, dt, vol;   /* f64 charge, timestep, cell volume */
+    float *inc;          /* (3, 18, n) increments: jx, jy, jz rows */
+    int32_t *node;       /* (3, n) stencil base node per axis */
+    int64_t ld;          /* row stride of inc / node (>= n) */
+    int err;             /* a move spanned more than one cell */
+} EskStage;
+
+/* One (b, c) entry of the W coefficient's transverse factor, in
+ * w_coeff's operation order. */
+static inline double esk_term(double s0b, double dsb, double s0c,
+                              double dsc)
+{
+    return s0b * s0c + 0.5 * dsb * s0c + 0.5 * s0b * dsc
+           + dsb * dsc / 3.0;
+}
+
+/* Stencil shapes, W coefficients and prefix sums for one tile, all in
+ * float64 like the numpy kernel. pc holds the tile's clipped
+ * pre-advance cell coordinates (the interior=True start endpoints);
+ * p1 the advanced, not yet wrapped float32 positions. */
+static void esk_stage(const NDeck *g, EskStage *e,
+                      double (*restrict pc)[TILE],
+                      float *restrict const p1[3],
+                      const float *restrict w, int64_t s, int64_t t)
+{
+    const double o[3] = { g->x0, g->y0, g->z0 };
+    const double d[3] = { g->dx, g->dy, g->dz };
+    const int64_t nc[3] = { e->nx, e->ny, e->nz };
+    const int64_t n = e->ld;
+    for (int64_t i = 0; i < t; i++) {
+        double s0[3][3] = {{ 0.0 }}, ds[3][3];
+        int bad = 0;
+        for (int a = 0; a < 3; a++) {
+            /* endpoints may sit up to one cell outside the box */
+            const double lo = -1.0 + 1e-9;
+            const double hi = (double)nc[a] + 1.0 - 1e-9;
+            double c0 = pc[a][i];
+            double c1 = ((double)p1[a][i] - o[a]) / d[a];
+            c1 = c1 < lo ? lo : (c1 > hi ? hi : c1);
+            int64_t cell0 = (int64_t)floor(c0) + 1;
+            int64_t cell1 = (int64_t)floor(c1) + 1;
+            int64_t b = cell0 < cell1 ? cell0 : cell1;
+            int64_t m0 = cell0 - b, m1 = cell1 - b;
+            if (m0 > 1 || m1 > 1) {
+                bad = 1;
+                break;
+            }
+            double f0 = c0 - (double)(cell0 - 1);
+            double f1 = c1 - (double)(cell1 - 1);
+            double s1[3] = { 0.0, 0.0, 0.0 };
+            s0[a][m0] = 1.0 - f0;
+            s0[a][m0 + 1] = f0;
+            s1[m1] = 1.0 - f1;
+            s1[m1 + 1] = f1;
+            for (int k = 0; k < 3; k++)
+                ds[a][k] = s1[k] - s0[a][k];
+            e->node[a * n + s + i] = (int32_t)b;
+        }
+        if (bad) {
+            e->err = 1;
+            continue;
+        }
+        const double wq = (double)w[i] * e->q;
+        const double fx = -(wq * g->dx / e->dt / e->vol);
+        const double fy = -(wq * g->dy / e->dt / e->vol);
+        const double fz = -(wq * g->dz / e->dt / e->vol);
+        float *restrict ix = e->inc + s + i;
+        float *restrict iy = ix + 18 * n;
+        float *restrict iz = iy + 18 * n;
+        /* The third prefix slot along the flow axis is the total of W
+         * (zero by conservation) and is never stored. */
+        for (int b = 0; b < 3; b++)
+            for (int c = 0; c < 3; c++) {
+                double tm = esk_term(s0[1][b], ds[1][b],
+                                     s0[2][c], ds[2][c]);
+                double w0 = ds[0][0] * tm, w1 = ds[0][1] * tm;
+                ix[(b * 3 + c) * n] = (float)(fx * w0);
+                ix[(9 + b * 3 + c) * n] = (float)(fx * (w0 + w1));
+            }
+        for (int a = 0; a < 3; a++)
+            for (int c = 0; c < 3; c++) {
+                double tm = esk_term(s0[0][a], ds[0][a],
+                                     s0[2][c], ds[2][c]);
+                double w0 = ds[1][0] * tm, w1 = ds[1][1] * tm;
+                iy[(a * 6 + c) * n] = (float)(fy * w0);
+                iy[(a * 6 + 3 + c) * n] = (float)(fy * (w0 + w1));
+            }
+        for (int a = 0; a < 3; a++)
+            for (int b = 0; b < 3; b++) {
+                double tm = esk_term(s0[0][a], ds[0][a],
+                                     s0[1][b], ds[1][b]);
+                double w0 = ds[2][0] * tm, w1 = ds[2][1] * tm;
+                iz[(a * 6 + b * 2) * n] = (float)(fz * w0);
+                iz[(a * 6 + b * 2 + 1) * n] = (float)(fz * (w0 + w1));
+            }
+    }
+}
+
+/* Accumulate the staged increments into acc, slot-major. A node one
+ * past the high ghost is the periodic image of interior node 2 and is
+ * deposited there directly (the numpy kernel's wrap()); every other
+ * ghost write folds through reduce_ghost_currents as usual. */
+static void esk_replay(const NDeck *g, const EskStage *e, int64_t n,
+                       double *restrict acc)
+{
+    const int64_t ld = e->ld, sy = g->sy, sz = g->sz;
+    const int32_t *restrict nbx = e->node, *restrict nby = nbx + ld,
+                  *restrict nbz = nby + ld;
+    const float *ix = e->inc, *iy = ix + 18 * ld, *iz = iy + 18 * ld;
+    for (int a = 0; a < 3; a++)
+        for (int b = 0; b < 3; b++)
+            for (int c = 0; c < 3; c++) {
+                const float *rx = a < 2 ? ix + (a * 9 + b * 3 + c) * ld
+                                        : 0;
+                const float *ry = b < 2 ? iy + (a * 6 + b * 3 + c) * ld
+                                        : 0;
+                const float *rz = c < 2 ? iz + (a * 6 + b * 2 + c) * ld
+                                        : 0;
+                for (int64_t i = 0; i < n; i++) {
+                    int64_t jx = nbx[i] + a, jy = nby[i] + b,
+                            jz = nbz[i] + c;
+                    if (jx > e->nx + 1) jx -= e->nx;
+                    if (jy > e->ny + 1) jy -= e->ny;
+                    if (jz > e->nz + 1) jz -= e->nz;
+                    double *restrict v = acc
+                        + ((jx * sy + jy) * sz + jz) * 4;
+                    if (rx) v[0] += (double)rx[i];
+                    if (ry) v[1] += (double)ry[i];
+                    if (rz) v[2] += (double)rz[i];
+                }
+            }
+}
+
 /* ---- fused particle push (tiled, SLP-friendly) ------------------- */
 
-/* Returns the number of periodic wrap events (particles that left
+/* The tiled push behind both deposition schemes. esk == NULL (a
+ * compile-time constant in push_core, so that instantiation carries
+ * no trace of the other) runs the CIC weight + deposit stages;
+ * otherwise the index stage also keeps its float64 cell coordinates
+ * and esk_stage runs on the advanced, unwrapped positions instead.
+ * Returns the number of periodic wrap events (particles that left
  * the domain on an axis) — pure counting in the existing escape
  * branch, so the float op sequence is untouched. */
-static int64_t push_core(const NDeck *g,
+static inline __attribute__((always_inline)) int64_t push_tiles(
+                         const NDeck *g,
                          float *restrict x, float *restrict y,
                          float *restrict z, float *restrict ux,
                          float *restrict uy, float *restrict uz,
                          const float *restrict w, int64_t n,
                          float qdt, float inv_vol,
                          const float *restrict tab,
-                         double *restrict acc, int do_wrap)
+                         double *restrict acc, int do_wrap,
+                         EskStage *esk)
 {
     int64_t wraps = 0;
     const int64_t gsy = g->sy, gsz = g->sz;
@@ -170,6 +325,7 @@ static int64_t push_core(const NDeck *g,
     float g2[TILE];
     float wt8[8][TILE];
     float jp[3][TILE];
+    double pc[3][TILE];
 
     for (int64_t s = 0; s < n; s += TILE) {
         int64_t t = n - s < TILE ? n - s : TILE;
@@ -199,6 +355,9 @@ static int64_t push_core(const NDeck *g,
             gr[0][i] = 1.0f - fr[0][i];
             gr[1][i] = 1.0f - fr[1][i];
             gr[2][i] = 1.0f - fr[2][i];
+            if (esk) {
+                pc[0][i] = px; pc[1][i] = py; pc[2][i] = pz;
+            }
         }
         /* gather + factored trilinear: 8-lane row ops (lanes 6,7 pad) */
         for (int64_t i = 0; i < t; i++) {
@@ -275,6 +434,7 @@ static int64_t push_core(const NDeck *g,
             }
         }
         /* CIC corner weights (cic_weights order) */
+        if (!esk)
         for (int64_t i = 0; i < t; i++) {
             float fx = fr[0][i], fy = fr[1][i], fz = fr[2][i];
             float gx = gr[0][i], gy = gr[1][i], gz = gr[2][i];
@@ -286,6 +446,7 @@ static int64_t push_core(const NDeck *g,
             wt8[6][i] = w2 * fz; wt8[7][i] = w3 * fz;
         }
         /* deposit: 4-lane f64 accumulate per corner */
+        if (!esk)
         for (int64_t i = 0; i < t; i++) {
             int64_t b = base[i];
             float jpx = jp[0][i], jpy = jp[1][i], jpz = jp[2][i];
@@ -307,6 +468,8 @@ static int64_t push_core(const NDeck *g,
                 for (int64_t i = 0; i < t; i++)
                     p[i] += u[i] * (fdt / g2[i]);
             }
+            if (esk)
+                esk_stage(g, esk, pc, ps, ws, s, t);
             if (do_wrap) {
                 /* fmodf only for escaped particles: for 0 <= r < L
                  * the reference's mod is the identity, so skipping
@@ -328,6 +491,19 @@ static int64_t push_core(const NDeck *g,
         }
     }
     return wraps;
+}
+
+static int64_t push_core(const NDeck *g,
+                         float *restrict x, float *restrict y,
+                         float *restrict z, float *restrict ux,
+                         float *restrict uy, float *restrict uz,
+                         const float *restrict w, int64_t n,
+                         float qdt, float inv_vol,
+                         const float *restrict tab,
+                         double *restrict acc, int do_wrap)
+{
+    return push_tiles(g, x, y, z, ux, uy, uz, w, n, qdt, inv_vol,
+                      tab, acc, do_wrap, 0);
 }
 
 static void fold_core(const NDeck *g) {
@@ -387,6 +563,43 @@ void fused_push(
     push_core(&g, x, y, z, ux, uy, uz, w, n, qdt, inv_vol, tab, acc,
               do_wrap);
     fold_core(&g);
+}
+
+/* Esirkepov twin of fused_push: same index / gather / Boris / advance
+ * stages, then the charge-conserving deposit of the move. Positions
+ * are left unwrapped (the caller's boundary pass runs next, as after
+ * the numpy kernel). Returns nonzero — with J untouched — when a
+ * particle moved more than one cell. */
+int fused_push_esirkepov(
+    float *x, float *y, float *z, float *ux, float *uy, float *uz,
+    const float *w, int64_t n, const float *tab, double *acc,
+    float *jx, float *jy, float *jz,
+    int64_t nx, int64_t ny, int64_t nz,
+    double x0, double y0, double z0,
+    double dx, double dy, double dz,
+    double q, double dt, double vol, float qdt, float fdt,
+    float *inc, int32_t *node, int64_t ld)
+{
+    NDeck g;
+    EskStage e = { nx, ny, nz, q, dt, vol, inc, node, ld, 0 };
+    memset(&g, 0, sizeof(g));
+    g.sy = ny + 2; g.sz = nz + 2; g.nv = (nx + 2) * g.sy * g.sz;
+    g.hx = (double)nx - 1e-9;
+    g.hy = (double)ny - 1e-9;
+    g.hz = (double)nz - 1e-9;
+    g.x0 = x0; g.y0 = y0; g.z0 = z0;
+    g.dx = dx; g.dy = dy; g.dz = dz;
+    g.fdt = fdt;
+    g.jx = jx; g.jy = jy; g.jz = jz;
+    g.acc = acc;
+    memset(acc, 0, (size_t)g.nv * 4 * sizeof(double));
+    push_tiles(&g, x, y, z, ux, uy, uz, w, n, qdt, 0.0f, tab, acc, 0,
+               &e);
+    if (e.err)
+        return 1;
+    esk_replay(&g, &e, n, acc);
+    fold_core(&g);
+    return 0;
 }
 
 /* ---- Yee field solve + ghost handling ---------------------------- */
@@ -752,6 +965,11 @@ class _NativeLib:
             [_pf] * 6 + [_pf, _i64, _pf, _pd] + [_pf] * 3
             + [_i64] * 3 + [_f64] * 9 + [_f32] * 12 + [ctypes.c_int])
         lib.fused_push.restype = None
+        lib.fused_push_esirkepov.argtypes = (
+            [_pf] * 6 + [_pf, _i64, _pf, _pd] + [_pf] * 3
+            + [_i64] * 3 + [_f64] * 9 + [_f32] * 2
+            + [_pf, ctypes.POINTER(ctypes.c_int32), _i64])
+        lib.fused_push_esirkepov.restype = ctypes.c_int
         lib.build_table.argtypes = [_pf] * 7 + [_i64]
         lib.build_table.restype = None
         lib.field_sync.argtypes = [_pf] + [_i64] * 3
@@ -821,6 +1039,59 @@ class _NativeLib:
                 ctypes.c_int(1 if wrap else 0))
         default_registry().histogram("native/step_seconds").observe(
             time.perf_counter() - t0)
+
+    def push_species_esirkepov(self, fields, sp, arena) -> None:
+        """Charge-conserving twin of :meth:`push_species`: gather ->
+        Boris -> advance -> first-order Esirkepov deposit of the move,
+        all native. Positions are left unwrapped for the caller's
+        boundary pass.
+
+        Positions, momenta and J are bit-identical to the numpy
+        kernel-by-kernel sequence with ``binned=True`` (the deposit
+        replays its increments in bincount order). Raises the numpy
+        kernel's ``ValueError`` when a particle moved more than one
+        cell; the momenta and positions are already advanced then,
+        J is untouched.
+        """
+        g = sp.grid
+        nv = g.n_voxels
+        n = sp.n
+        tab = arena.buf("field_table8", (nv, 8), np.float32)
+        acc = arena.buf("j_acc4", (nv, 4), np.float64)
+        # Row stride of the staging buffers: 16 floats past a multiple
+        # of 1024, so the 54 rows a particle writes land in 54
+        # different cache sets (a power-of-two capacity would alias
+        # them all onto one). Per-species names: two species of
+        # different capacity must not evict each other every step.
+        ld = (sp.capacity | 1023) + 17
+        inc = arena.buf(f"esirkepov_inc/{sp.name}", (54 * ld,),
+                        np.float32)
+        node = arena.buf(f"esirkepov_node/{sp.name}", (3 * ld,),
+                         np.int32)
+        x, y, z = sp.positions()
+        ux, uy, uz = sp.momenta()
+        self._lib.build_table(
+            _fptr(fields.ex.data), _fptr(fields.ey.data),
+            _fptr(fields.ez.data), _fptr(fields.bx.data),
+            _fptr(fields.by.data), _fptr(fields.bz.data),
+            _fptr(tab), _i64(nv))
+        err = self._lib.fused_push_esirkepov(
+            _fptr(x), _fptr(y), _fptr(z),
+            _fptr(ux), _fptr(uy), _fptr(uz), _fptr(sp.live("w")),
+            _i64(n), _fptr(tab), acc.ctypes.data_as(_pd),
+            _fptr(fields.jx.data), _fptr(fields.jy.data),
+            _fptr(fields.jz.data),
+            _i64(g.nx), _i64(g.ny), _i64(g.nz),
+            _f64(g.x0), _f64(g.y0), _f64(g.z0),
+            _f64(g.dx), _f64(g.dy), _f64(g.dz),
+            _f64(sp.q), _f64(g.dt), _f64(g.cell_volume),
+            _f32(np.float32(0.5 * sp.q * g.dt / sp.m)),
+            _f32(np.float32(g.dt)),
+            _fptr(inc), node.ctypes.data_as(
+                ctypes.POINTER(ctypes.c_int32)), _i64(ld))
+        if err:
+            from repro.vpic.esirkepov import MULTI_CELL_MOVE
+            raise ValueError(MULTI_CELL_MOVE)
 
     # -- field scope (per-rank use and the Yee bit-identity tests) ---
 

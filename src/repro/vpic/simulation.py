@@ -162,12 +162,23 @@ class Simulation:
         reference plan, and by decks the fused path does not cover
         (Esirkepov deposition, reflecting boundaries). A non-reference
         plan still shares the post-push gamma between deposition and
-        the position advance and may bin-reduce the deposition.
+        the position advance and may bin-reduce the deposition; on
+        Esirkepov decks it hands the whole push to the native
+        Esirkepov kernel when :meth:`_esirkepov_kernel_off` finds no
+        objection (bit-identical, the numpy sequence below stays as
+        the no-compiler fallback and the oracle).
         """
         if sp.n == 0:
             return
         g = self.grid
         plan = self.step_plan
+        if (self.deposition is DepositionKind.ESIRKEPOV
+                and self._esirkepov_kernel_off() is None):
+            from repro.vpic import native
+            with record_kernel(f"push/{sp.name}"):
+                native.native_push_kernel().push_species_esirkepov(
+                    self.fields, sp, self._arena)
+            return
         binned = plan.bin_deposit and not plan.reference
         x, y, z = sp.positions()
         ux, uy, uz = sp.momenta()
@@ -243,6 +254,34 @@ class Simulation:
                 and self.boundary is BoundaryKind.PERIODIC
                 and g.x0 == 0.0 and g.y0 == 0.0 and g.z0 == 0.0)
 
+    def _esirkepov_kernel_off(self) -> "str | None":
+        """Why the native Esirkepov kernel is *not* carrying this
+        deck's particle push — ``None`` when it is.
+
+        The one gate list behind both :meth:`push_species`'s dispatch
+        and the wording of :meth:`native_fallback_reason`. The kernel
+        leaves positions unwrapped for the Python boundary pass, so it
+        needs no zero origin; a reflecting deck must fold the bounce
+        between advance and deposit, which only the numpy sequence
+        does.
+        """
+        from repro.vpic import native
+
+        plan = self.step_plan
+        if plan.reference:
+            return "reference StepPlan pinned"
+        if not plan.native:
+            return "StepPlan disables native kernels"
+        if self.boundary is not BoundaryKind.PERIODIC:
+            return f"{self.boundary.value} particles"
+        if np.dtype(self.fields.dtype) != np.float32:
+            return f"{np.dtype(self.fields.dtype).name} fields"
+        if accounting_enabled():
+            return "atomics accounting enabled"
+        if not native.native_available():
+            return f"no compiled kernel ({native.native_status()})"
+        return None
+
     def _native_step_ok(self) -> bool:
         """Whether the whole-step native lane may run this step.
 
@@ -287,9 +326,18 @@ class Simulation:
             return "StepPlan disables native kernels"
         if plan.native_scope != "step":
             return f"StepPlan native_scope={plan.native_scope!r}"
-        if not self._fast_step_ok():
-            return ("fused-lane gates failed (deposition kind, "
-                    "particle boundary, or nonzero origin)")
+        if not plan.fused:
+            return "StepPlan disables the fused push"
+        if self.deposition is DepositionKind.ESIRKEPOV:
+            off = self._esirkepov_kernel_off()
+            return ("esirkepov deposition steps kernel by kernel; "
+                    + ("push on the native Esirkepov kernel"
+                       if off is None else f"push on numpy ({off})"))
+        if self.boundary is not BoundaryKind.PERIODIC:
+            return f"{self.boundary.value} particle boundary"
+        g = self.grid
+        if (g.x0, g.y0, g.z0) != (0.0, 0.0, 0.0):
+            return f"nonzero grid origin ({g.x0}, {g.y0}, {g.z0})"
         if self.sources:
             names = ", ".join(sorted({type(s).__name__
                                       for s in self.sources}))

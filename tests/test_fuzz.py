@@ -122,6 +122,7 @@ class TestMinimizerOracle:
         # redistribution clears the 1e-3 floor on ordinary thermal
         # decks within one check cadence.
         import repro.vpic.simulation as simulation
+        from repro.vpic import native
         real = simulation.deposit_current_esirkepov
 
         def buggy(fields, x0, y0, z0, x1, y1, z1, w, q, dt, **kw):
@@ -129,6 +130,9 @@ class TestMinimizerOracle:
 
         monkeypatch.setattr(simulation,
                             "deposit_current_esirkepov", buggy)
+        # The bug is seeded in the numpy kernel, so keep periodic
+        # Esirkepov decks on it (no native Esirkepov kernel).
+        monkeypatch.setattr(native, "native_push_kernel", lambda: None)
 
     def test_fuzzer_finds_and_minimizer_shrinks(
             self, seeded_continuity_bug):
@@ -239,7 +243,21 @@ class TestDegenerateLaneIdentity:
     @pytest.mark.parametrize("name,shape",
                              DECKS, ids=[n for n, _ in DECKS])
     def test_lanes_bit_identical(self, name, shape):
+        self._check_lanes(name, shape, DepositionKind.CIC)
+
+    @pytest.mark.parametrize("name,shape",
+                             DECKS, ids=[n for n, _ in DECKS])
+    def test_esirkepov_kernel_on_off_bit_identical(self, name, shape):
+        # Same audit on the charge-conserving decks: "numpy" is the
+        # kernel-by-kernel oracle (native Esirkepov kernel off), the
+        # other two plans both hand the push to the kernel. Thin axes
+        # put every stencil on the one-past-the-ghost node wrap.
+        sim = self._check_lanes(name, shape, DepositionKind.ESIRKEPOV)
+        assert "native Esirkepov kernel" in sim.native_fallback_reason()
+
+    def _check_lanes(self, name, shape, deposition):
         deck = Deck(name=name, num_steps=10, seed=3, **shape,
+                    deposition=deposition,
                     species=(SpeciesConfig(
                         name="e", q=-1.0, m=1.0, ppc=4, uth=0.02,
                         drift=(0.2, 0.0, 0.0)),))
@@ -262,6 +280,7 @@ class TestDegenerateLaneIdentity:
             for attr in rp:
                 assert np.array_equal(rp[attr], p[attr]), \
                     f"{name}: particle {attr} differs numpy vs {lane}"
+        return sim
 
     def test_one_particle_species_on_edge(self):
         # A single cold drifting particle exercises the box-edge

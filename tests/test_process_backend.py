@@ -36,8 +36,10 @@ from repro.mpi.shm import SharedArena, SharedSpecies
 from repro.vpic.fields import interior_split
 from repro.vpic.workloads import make_deck
 
-#: Zoo decks that can run distributed (plain periodic, even grids).
-ELIGIBLE_ZOO = ("uniform", "two-stream", "weibel", "beam-plasma")
+#: Zoo decks that can run distributed (plain periodic CIC decks on
+#: even grids; beam-plasma is Esirkepov and refused, see
+#: TestDistributedFuzz.test_esirkepov_deck_refused).
+ELIGIBLE_ZOO = ("uniform", "two-stream", "weibel")
 
 
 def fingerprint(dsim: DistributedSimulation) -> str:
@@ -328,6 +330,18 @@ class TestDistributedFuzz:
         odd = dataclasses.replace(make_deck("uniform", steps=1, seed=0),
                                   nx=7, ny=7, nz=7)
         assert distributed_eligible(odd, 8) is not None
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_esirkepov_deck_refused(self, backend):
+        """Regression: the rank push kernels deposit CIC, so an
+        Esirkepov deck used to run a different scheme than it
+        declared. It is now refused, by name, at every entry."""
+        from repro.fuzz import distributed_eligible
+
+        deck = make_deck("beam-plasma", steps=2, seed=0)
+        assert "esirkepov" in distributed_eligible(deck, 2)
+        with pytest.raises(ValueError, match="esirkepov deposition"):
+            DistributedSimulation(deck, 2, backend=backend)
 
     def test_run_deck_distributed_ok(self):
         from repro.fuzz import run_deck_distributed

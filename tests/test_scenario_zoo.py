@@ -95,6 +95,18 @@ class TestBeamPlasma:
         beam = next(s for s in deck.species if s.name == "beam")
         assert beam.drift[0] == 2.0
 
+    def test_native_lane_demoted_with_reason(self):
+        # The reason names the tripped gate (the deposition scheme)
+        # and which kernel carries the push: the native Esirkepov
+        # kernel, or numpy plus why.
+        sim = beam_plasma_deck().build()
+        reason = sim.native_fallback_reason()
+        assert reason.startswith("esirkepov deposition steps kernel "
+                                 "by kernel; push on ")
+        sim.step_plan = StepPlan(native=False)
+        assert sim.native_fallback_reason() == \
+            "StepPlan disables native kernels"
+
 
 class TestWakefield:
     def test_window_waits_out_the_launch(self):

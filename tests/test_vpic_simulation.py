@@ -147,6 +147,33 @@ class TestSortStep:
             s.apply(sim.species[0])
 
 
+class TestNativeFallbackReason:
+    """``native_fallback_reason`` names the one gate that tripped
+    (it used to answer "deposition kind, particle boundary, or
+    nonzero origin" for all three)."""
+
+    def test_each_fused_lane_gate_is_named(self, small_deck):
+        import dataclasses
+
+        from repro.core.tuning import StepPlan
+        from repro.vpic.boundary import BoundaryKind
+        from repro.vpic.fields import FieldArrays
+        from repro.vpic.grid import Grid
+
+        sim = small_deck.build()
+        sim.step_plan = StepPlan(fused=False)
+        assert sim.native_fallback_reason() == \
+            "StepPlan disables the fused push"
+        sim = dataclasses.replace(
+            small_deck, boundary=BoundaryKind.REFLECTING).build()
+        assert sim.native_fallback_reason() == \
+            "reflecting particle boundary"
+        grid = Grid(4, 4, 4, x0=1.0)
+        sim = Simulation(grid=grid, fields=FieldArrays(grid), species=[])
+        assert sim.native_fallback_reason() == \
+            "nonzero grid origin (1.0, 0.0, 0.0)"
+
+
 class TestPhysicsBenchmarks:
     def test_two_stream_growth_rate(self):
         deck = two_stream_deck(nx=32, ppc=64, drift=0.1, num_steps=800)
