@@ -23,17 +23,16 @@ from repro.vpic.workloads import laser_wakefield_deck
 def main() -> None:
     deck = laser_wakefield_deck(a0=1.0, omega=3.0, num_steps=160)
     sim = deck.build()
-    antenna, gated = sim.sources
+    antenna, window = sim.sources
     print(f"wakefield: {sim.grid.nx}x{sim.grid.ny}x{sim.grid.nz} "
           f"cells, {sim.total_particles} particles, "
           f"a0={antenna.amplitude}, omega={antenna.omega}")
-    print(f"window starts after step {gated.start} "
+    print(f"window starts after step {window.start} "
           f"(pulse launch takes {antenna.duration:.1f}/c)")
 
     diag = EnergyDiagnostic()
     sim.run(deck.num_steps, diag, sample_every=10)
 
-    window = gated.inner
     print(f"\nwindow shifts applied: {window.shifts_applied} "
           f"(box has moved {window.shifts_applied * sim.grid.dx:.1f} "
           f"of {sim.grid.nx * sim.grid.dx:.1f} box lengths worth)")

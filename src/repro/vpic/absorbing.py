@@ -33,7 +33,15 @@ _TANGENTIAL_B = {0: ("by", "bz"), 1: ("bx", "bz"), 2: ("bx", "by")}
 
 
 class MurBoundary:
-    """First-order Mur ABC state for selected axes."""
+    """First-order Mur ABC state for selected axes.
+
+    The one-step history (last step's boundary-adjacent planes) lives
+    in one contiguous float32 block, laid out ``[axis][component: E
+    tangential pair, then B pair][side: low, high][plane]`` and only
+    ever written in place — by the update itself,
+    :meth:`refresh_history` and :meth:`load_history` — so the native
+    kernel can be handed its address.
+    """
 
     def __init__(self, fields: FieldArrays, axes: tuple[int, ...] = (0,)):
         for a in axes:
@@ -42,16 +50,24 @@ class MurBoundary:
         self.fields = fields
         self.grid = fields.grid
         self.axes = tuple(sorted(set(axes)))
-        g = self.grid
         self._k = {a: self._coefficient(a) for a in self.axes}
-        # Previous-step boundary-adjacent values per (axis, side, comp).
+        keys = [(a, high, comp) for a in self.axes
+                for comp in _TANGENTIAL[a] + _TANGENTIAL_B[a]
+                for high in (False, True)]
+        shapes = [self._slab(comp, a, high, ghost=False).shape
+                  for a, high, comp in keys]
+        self._history = np.empty(sum(int(np.prod(s)) for s in shapes),
+                                 dtype=np.float32)
+        # Previous-step boundary-adjacent values per (axis, side,
+        # comp): views into the block.
         self._prev: dict[tuple[int, bool, str], np.ndarray] = {}
-        for a in self.axes:
-            for high in (False, True):
-                for comp in _TANGENTIAL[a] + _TANGENTIAL_B[a]:
-                    self._prev[(a, high, comp)] = np.array(
-                        self._slab(comp, a, high, ghost=False),
-                        dtype=np.float32)
+        offset = 0
+        for key, shape in zip(keys, shapes):
+            size = int(np.prod(shape))
+            self._prev[key] = \
+                self._history[offset:offset + size].reshape(shape)
+            offset += size
+        self.refresh_history()
 
     def _coefficient(self, axis: int) -> float:
         d = (self.grid.dx, self.grid.dy, self.grid.dz)[axis]
@@ -66,32 +82,55 @@ class MurBoundary:
         sl[axis] = idx
         return getattr(self.fields, comp).data[tuple(sl)]
 
-    def _set_slab(self, comp: str, axis: int, high: bool, ghost: bool,
-                  values: np.ndarray) -> None:
-        g = self.grid
-        n = (g.nx, g.ny, g.nz)[axis]
-        idx = (n + 1 if high else 0) if ghost else (n if high else 1)
-        sl = [slice(None)] * 3
-        sl[axis] = idx
-        getattr(self.fields, comp).data[tuple(sl)] = values
+    # -- history ----------------------------------------------------------------
+
+    def history_items(self):
+        """``((axis, high, comp), plane)`` pairs in sorted key order
+        (the checkpoint format's); the planes are live views."""
+        return sorted(self._prev.items())
+
+    def refresh_history(self) -> None:
+        """Re-read every history plane from the current fields (after
+        a moving-window shift: the old planes refer to pre-shift
+        cells)."""
+        for (a, high, comp), prev in self._prev.items():
+            prev[...] = self._slab(comp, a, high, ghost=False)
+
+    def load_history(self, arrays) -> None:
+        """Overwrite history planes from a ``{(axis, high, comp):
+        array}`` mapping (checkpoint restore); keys it lacks keep
+        their current values."""
+        for key, prev in self._prev.items():
+            if key in arrays:
+                prev[...] = arrays[key]
+
+    def native_args(self, magnetic: bool):
+        """``(component 0, component 1, history, k)`` for the native
+        x-axis update of the tangential E (or, *magnetic*, B) pair:
+        the two field arrays, the pair's ``(2 components, 2 sides,
+        plane)`` run of the history block and the float32
+        coefficient. Axis 0 sorts first, so its planes open the
+        block."""
+        names = (_TANGENTIAL_B if magnetic else _TANGENTIAL)[0]
+        run = 4 * self._prev[(0, False, names[0])].size
+        start = run if magnetic else 0
+        return (getattr(self.fields, names[0]).data,
+                getattr(self.fields, names[1]).data,
+                self._history[start:start + run],
+                np.float32(self._k[0]))
+
+    # -- the update -------------------------------------------------------------
 
     def _apply_components(self, table) -> None:
         for a in self.axes:
             k = np.float32(self._k[a])
             for high in (False, True):
                 for comp in table[a]:
-                    ghost_old = np.array(
-                        self._slab(comp, a, high, ghost=True),
-                        dtype=np.float32)
-                    boundary_new = np.array(
-                        self._slab(comp, a, high, ghost=False),
-                        dtype=np.float32)
-                    boundary_old = self._prev[(a, high, comp)]
-                    ghost_new = boundary_old + k * (boundary_new
-                                                    - ghost_old)
-                    self._set_slab(comp, a, high, ghost=True,
-                                   values=ghost_new)
-                    self._prev[(a, high, comp)] = boundary_new
+                    ghost = self._slab(comp, a, high, ghost=True)
+                    boundary = self._slab(comp, a, high, ghost=False)
+                    prev = self._prev[(a, high, comp)]
+                    ghost[...] = prev + k * (boundary - ghost)
+                    prev[...] = boundary
 
     def apply(self) -> None:
         """Update ghost tangential E on the absorbing faces.
@@ -114,7 +153,9 @@ class AbsorbingFieldSolver(FieldSolver):
 
     The periodic ghost sync is suppressed on absorbing axes (it would
     overwrite the ABC ghosts); the Mur update runs after every E
-    advance.
+    advance. With :attr:`~FieldSolver.kernels` set (absorbing x only
+    — the owner's gate) the inherited advances sync y and z natively
+    and the Mur update is native too.
     """
 
     def __init__(self, fields: FieldArrays, axes: tuple[int, ...] = (0,)):
@@ -136,10 +177,26 @@ class AbsorbingFieldSolver(FieldSolver):
                 arr[:, :, 0] = arr[:, :, g.nz]
                 arr[:, :, g.nz + 1] = arr[:, :, 1]
 
+    @property
+    def native_sync(self) -> int:
+        """2 — periodic in y and z only; the x ghosts belong to the
+        Mur update. The native kernels cover no other axis set."""
+        if self._absorbing_axes != (0,):
+            raise ValueError(
+                f"native kernels cover absorbing axes (0,) only, "
+                f"got {self._absorbing_axes}")
+        return 2
+
     def advance_b(self, frac: float = 0.5, sync: bool = True) -> None:
         super().advance_b(frac, sync=sync)
-        self.mur.apply_b()
+        if self.kernels is not None:
+            self._native().mur_apply(magnetic=True)
+        else:
+            self.mur.apply_b()
 
     def advance_e(self, frac: float = 1.0) -> None:
         super().advance_e(frac)
-        self.mur.apply()
+        if self.kernels is not None:
+            self._native().mur_apply(magnetic=False)
+        else:
+            self.mur.apply()

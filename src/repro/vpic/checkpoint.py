@@ -66,8 +66,12 @@ def _mur_entries(sim: Simulation):
     mur = getattr(sim.solver, "mur", None)
     if mur is None:
         return []
-    return [(f"mur_{axis}_{int(high)}_{comp}", arr)
-            for (axis, high, comp), arr in sorted(mur._prev.items())]
+    return [(_mur_name(key), arr) for key, arr in mur.history_items()]
+
+
+def _mur_name(key) -> str:
+    axis, high, comp = key
+    return f"mur_{axis}_{int(high)}_{comp}"
 
 
 def save_checkpoint(sim: Simulation, path: str | Path,
@@ -163,12 +167,9 @@ def load_checkpoint(path: str | Path) -> Simulation:
         sim._energy0 = meta.get("energy0")
         mur = getattr(sim.solver, "mur", None)
         if mur is not None:
-            for key_tuple in mur._prev:
-                axis, high, comp = key_tuple
-                name = f"mur_{axis}_{int(high)}_{comp}"
-                if name in data.files:
-                    mur._prev[key_tuple] = np.array(data[name],
-                                                    dtype=np.float32)
+            mur.load_history({key: data[_mur_name(key)]
+                              for key, _ in mur.history_items()
+                              if _mur_name(key) in data.files})
         return sim
 
 
@@ -209,6 +210,5 @@ def restore_state_into(sim: Simulation, path: str | Path) -> int:
     mur = getattr(sim.solver, "mur", None)
     restored_mur = getattr(restored.solver, "mur", None)
     if mur is not None and restored_mur is not None:
-        for key_tuple in mur._prev:
-            mur._prev[key_tuple] = restored_mur._prev[key_tuple]
+        mur.load_history(dict(restored_mur.history_items()))
     return sim.step_count

@@ -131,6 +131,34 @@ class FieldSolver:
         #: external halo exchange and the solver must not overwrite
         #: them with local periodic images.
         self.external_ghosts = external_ghosts
+        #: The compiled library (:mod:`repro.vpic.native`) that
+        #: full-interior ``advance_b`` / ``advance_e`` /
+        #: ``reduce_ghost_currents`` calls run on, bit-identical to
+        #: the numpy code below — or ``None``: numpy. The owning
+        #: :class:`~repro.vpic.simulation.Simulation` sets it at the
+        #: top of every kernel-by-kernel step from its one gate
+        #: (``Simulation._step_kernels_off``), which is what vouches
+        #: for this exact solver class. The calls are marshalled once
+        #: per library, so the field arrays must not be replaced
+        #: while it is set (a Simulation's never are).
+        self.kernels = None
+        self._prepared = None
+
+    @property
+    def native_sync(self) -> int:
+        """:meth:`sync_periodic` as the native advances' ``sync``
+        argument: 0 ghosts owned by a halo exchange, 1 periodic on
+        all three axes."""
+        return 0 if self.external_ghosts else 1
+
+    def _native(self):
+        """The pre-marshalled calls into :attr:`kernels`."""
+        prepared = self._prepared
+        if prepared is None or prepared.lib is not self.kernels:
+            from repro.vpic.native import PreparedFieldAdvance
+            prepared = self._prepared = PreparedFieldAdvance(
+                self.kernels, self)
+        return prepared
 
     # -- ghost handling -----------------------------------------------------------
 
@@ -167,6 +195,9 @@ class FieldSolver:
     def reduce_ghost_currents(self) -> None:
         """Fold ghost-cell current contributions back into the
         periodic interior (deposition scatters into ghosts)."""
+        if self.kernels is not None:
+            self._native().reduce_ghost_currents()
+            return
         g = self.grid
         for name in ("jx", "jy", "jz"):
             a = getattr(self.fields, name).data
@@ -197,6 +228,9 @@ class FieldSolver:
         whole interior); the update is elementwise per grid point, so
         partitioned updates are bit-identical to the full one.
         """
+        if self.kernels is not None and box is None:
+            self._native().advance_b(frac, sync)
+            return
         g = self.grid
         dt = frac * g.dt
         f = self.fields
@@ -232,6 +266,9 @@ class FieldSolver:
         *box* restricts the update to a half-open sub-brick in
         ghost-inclusive indices (see :meth:`advance_b`).
         """
+        if self.kernels is not None and box is None:
+            self._native().advance_e(frac)
+            return
         g = self.grid
         dt = frac * g.dt
         f = self.fields

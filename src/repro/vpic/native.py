@@ -13,7 +13,13 @@ module provides that lane for the hot loop at two scopes:
   half ``advance_b``), periodic ghost sync, the ghost-current fold,
   and the in-place counting sort when the sort policy says so — so
   the residual numpy passes BENCH_5 exposed (``step/field_solve``,
-  ``step/sort/*``) disappear from the per-step budget.
+  ``step/sort/*``) disappear from the per-step budget;
+- **kernel scope**: the step that stays Python (per-step sources, an
+  absorbing x boundary, Esirkepov deposition) calls the same Yee
+  cores phase by phase from ``FieldSolver``'s own methods — plus the
+  y/z-only ghost sync and the first-order Mur update an absorbing x
+  boundary needs — and the same counting sort from
+  ``SortStep.apply``, so only the sources stay numpy there.
 
 On top of the step scope sits :func:`step_batch`: N independent
 decks advanced in one native call over their packed arenas (the
@@ -604,13 +610,13 @@ int fused_push_esirkepov(
 
 /* ---- Yee field solve + ghost handling ---------------------------- */
 
-static void sync_core(float *restrict a, int64_t nx, int64_t ny,
-                      int64_t nz)
+/* The y and z ghost planes of sync_periodic, over every x plane
+ * (ghosts included). On its own this is AbsorbingFieldSolver's sync
+ * for axes=(0,): the x ghost planes belong to the Mur update. */
+static void sync_yz_core(float *restrict a, int64_t nx, int64_t ny,
+                         int64_t nz)
 {
-    /* FieldSolver.sync_periodic order: x planes, then y, then z */
     const int64_t sy = ny + 2, sz = nz + 2, ps = sy * sz;
-    memcpy(a, a + nx * ps, (size_t)ps * sizeof(float));
-    memcpy(a + (nx + 1) * ps, a + ps, (size_t)ps * sizeof(float));
     for (int64_t ix = 0; ix < nx + 2; ix++) {
         float *row = a + ix * ps;
         memcpy(row, row + ny * sz, (size_t)sz * sizeof(float));
@@ -625,8 +631,65 @@ static void sync_core(float *restrict a, int64_t nx, int64_t ny,
         }
 }
 
+static void sync_core(float *restrict a, int64_t nx, int64_t ny,
+                      int64_t nz)
+{
+    /* FieldSolver.sync_periodic order: x planes, then y, then z */
+    const int64_t ps = (ny + 2) * (nz + 2);
+    memcpy(a, a + nx * ps, (size_t)ps * sizeof(float));
+    memcpy(a + (nx + 1) * ps, a + ps, (size_t)ps * sizeof(float));
+    sync_yz_core(a, nx, ny, nz);
+}
+
 void field_sync(float *a, int64_t nx, int64_t ny, int64_t nz) {
     sync_core(a, nx, ny, nz);
+}
+
+/* The exported advances' sync argument: 0 ghosts are owned elsewhere
+ * (halo exchange, or unchanged since the last sync), 1 periodic on
+ * all three axes, 2 periodic in y and z only (absorbing x). */
+static void sync3(float *a, float *b, float *c, int64_t nx, int64_t ny,
+                  int64_t nz, int sync)
+{
+    float *comp[3] = { a, b, c };
+    for (int i = 0; i < 3; i++) {
+        if (sync == 1)
+            sync_core(comp[i], nx, ny, nz);
+        else if (sync == 2)
+            sync_yz_core(comp[i], nx, ny, nz);
+    }
+}
+
+/* First-order Mur update of one component's two x ghost planes
+ * (MurBoundary._apply_components, axis 0): ghost = prev + k *
+ * (boundary - ghost) in float32, then prev = boundary. prev holds the
+ * low-side plane followed by the high-side one and is updated in
+ * place. */
+static void mur_apply_core(float *restrict a, float *restrict prev,
+                           int64_t nx, int64_t ps, float k)
+{
+    const int64_t ghost[2] = { 0, nx + 1 }, inner[2] = { 1, nx };
+    for (int side = 0; side < 2; side++) {
+        float *restrict gh = a + ghost[side] * ps;
+        const float *restrict bd = a + inner[side] * ps;
+        float *restrict pv = prev + side * ps;
+        for (int64_t i = 0; i < ps; i++) {
+            float b = bd[i];
+            gh[i] = pv[i] + k * (b - gh[i]);
+            pv[i] = b;
+        }
+    }
+}
+
+/* Both tangential components of one table (E after advance_e, B after
+ * each advance_b); prev is their (2 components, 2 sides, plane)
+ * history. */
+void mur_apply(float *a0, float *a1, float *prev,
+               int64_t nx, int64_t ny, int64_t nz, float k)
+{
+    const int64_t ps = (ny + 2) * (nz + 2);
+    mur_apply_core(a0, prev, nx, ps, k);
+    mur_apply_core(a1, prev + 2 * ps, nx, ps, k);
 }
 
 static void advance_b_core(
@@ -664,11 +727,7 @@ void field_advance_b(float *ex, float *ey, float *ez,
                      float fdt, float fdx, float fdy, float fdz,
                      int sync)
 {
-    if (sync) {
-        sync_core(ex, nx, ny, nz);
-        sync_core(ey, nx, ny, nz);
-        sync_core(ez, nx, ny, nz);
-    }
+    sync3(ex, ey, ez, nx, ny, nz, sync);
     advance_b_core(ex, ey, ez, bx, by, bz, nx, ny, nz,
                    fdt, fdx, fdy, fdz);
 }
@@ -708,11 +767,7 @@ void field_advance_e(float *ex, float *ey, float *ez,
                      float fdt, float fdx, float fdy, float fdz,
                      int sync)
 {
-    if (sync) {
-        sync_core(bx, nx, ny, nz);
-        sync_core(by, nx, ny, nz);
-        sync_core(bz, nx, ny, nz);
-    }
+    sync3(bx, by, bz, nx, ny, nz, sync);
     advance_e_core(ex, ey, ez, bx, by, bz, jx, jy, jz, nx, ny, nz,
                    fdt, fdx, fdy, fdz);
 }
@@ -802,6 +857,34 @@ static void sort_one(NDeck *dk, NSpecies *sp) {
         for (int64_t j = 0; j < n; j++) s[j] = a[perm[j]];
         memcpy(a, s, (size_t)n * sizeof(int64_t));
     }
+}
+
+/* Flat-argument entry for SortStep.apply's STANDARD ordering: one
+ * species, scratch owned by the caller. */
+void sort_species(
+    float *x, float *y, float *z, float *ux, float *uy, float *uz,
+    float *w, int64_t *voxel, int64_t *tag, int64_t n,
+    int64_t nx, int64_t ny, int64_t nz,
+    double x0, double y0, double z0,
+    double dx, double dy, double dz,
+    int64_t *counts, int64_t *perm, int64_t *scr_i, float *scr_f)
+{
+    NDeck dk;
+    NSpecies sp;
+    memset(&dk, 0, sizeof(dk));
+    memset(&sp, 0, sizeof(sp));
+    dk.sy = ny + 2; dk.sz = nz + 2; dk.nv = (nx + 2) * dk.sy * dk.sz;
+    dk.hx = (double)nx - 1e-9;
+    dk.hy = (double)ny - 1e-9;
+    dk.hz = (double)nz - 1e-9;
+    dk.x0 = x0; dk.y0 = y0; dk.z0 = z0;
+    dk.dx = dx; dk.dy = dy; dk.dz = dz;
+    dk.counts = counts; dk.perm = perm;
+    dk.scr_i = scr_i; dk.scr_f = scr_f;
+    sp.x = x; sp.y = y; sp.z = z;
+    sp.ux = ux; sp.uy = uy; sp.uz = uz; sp.w = w;
+    sp.voxel = voxel; sp.tag = tag; sp.n = n;
+    sort_one(&dk, &sp);
 }
 
 /* ---- the whole step ---------------------------------------------- */
@@ -982,6 +1065,11 @@ class _NativeLib:
         lib.field_advance_e.restype = None
         lib.reduce_ghost_currents.argtypes = [_pf] * 3 + [_i64] * 3
         lib.reduce_ghost_currents.restype = None
+        lib.mur_apply.argtypes = [_pf] * 3 + [_i64] * 3 + [_f32]
+        lib.mur_apply.restype = None
+        lib.sort_species.argtypes = ([_pf] * 7 + [_pi] * 2 + [_i64] * 4
+                                     + [_f64] * 6 + [_pi] * 3 + [_pf])
+        lib.sort_species.restype = None
         lib.step_decks.argtypes = [ctypes.POINTER(_CDeck), _i64, _i64]
         lib.step_decks.restype = None
         self._lib = lib
@@ -1104,7 +1192,7 @@ class _NativeLib:
             _i64(g.nx), _i64(g.ny), _i64(g.nz),
             _f32(np.float32(frac * g.dt)),
             _f32(g.dx), _f32(g.dy), _f32(g.dz),
-            ctypes.c_int(0 if solver.external_ghosts else 1))
+            ctypes.c_int(solver.native_sync))
 
     def advance_e(self, solver, frac: float) -> None:
         f = solver.fields
@@ -1116,7 +1204,32 @@ class _NativeLib:
             _i64(g.nx), _i64(g.ny), _i64(g.nz),
             _f32(np.float32(frac * g.dt)),
             _f32(g.dx), _f32(g.dy), _f32(g.dz),
-            ctypes.c_int(0 if solver.external_ghosts else 1))
+            ctypes.c_int(solver.native_sync))
+
+    # -- sort scope --------------------------------------------------
+
+    def sort_species(self, sp, arena) -> np.ndarray:
+        """Native ``SortKind.STANDARD`` sort of one species: voxel
+        refresh from positions, stable counting sort, all nine arrays
+        permuted in place. Returns the permutation — a view of arena
+        scratch, valid until the next sort."""
+        g = sp.grid
+        n = sp.n
+        counts = arena.buf("sort_counts", (g.n_voxels + 1,), np.int64)
+        perm = arena.at_least("sort_perm", sp.capacity, np.int64)
+        scr_i = arena.at_least("sort_scr_i", sp.capacity, np.int64)
+        scr_f = arena.at_least("sort_scr_f", sp.capacity, np.float32)
+        self._lib.sort_species(
+            _fptr(sp.x), _fptr(sp.y), _fptr(sp.z),
+            _fptr(sp.ux), _fptr(sp.uy), _fptr(sp.uz), _fptr(sp.w),
+            sp.voxel.ctypes.data_as(_pi), sp.tag.ctypes.data_as(_pi),
+            _i64(n), _i64(g.nx), _i64(g.ny), _i64(g.nz),
+            _f64(g.x0), _f64(g.y0), _f64(g.z0),
+            _f64(g.dx), _f64(g.dy), _f64(g.dz),
+            counts.ctypes.data_as(_pi), perm.ctypes.data_as(_pi),
+            scr_i.ctypes.data_as(_pi), _fptr(scr_f))
+        sp.mark_voxels_fresh()
+        return perm[:n]
 
     # -- step scope --------------------------------------------------
 
@@ -1194,35 +1307,74 @@ class PreparedSpeciesPush:
 
 
 class PreparedFieldAdvance:
-    """Pre-marshalled half-B / full-E advances for a solver whose
-    field bricks never move (the distributed step only ever calls
-    ``advance_b(0.5)`` and ``advance_e(1.0)``). Bit-identical to
-    :meth:`_NativeLib.advance_b` / :meth:`_NativeLib.advance_e`."""
+    """Pre-marshalled field-solver calls for a solver whose field
+    bricks never move: the Yee advances, and for the kernel-by-kernel
+    step's solver (``FieldSolver.kernels``) the ghost-current fold and
+    the absorbing-x Mur updates. The advances are bit-identical to
+    :meth:`_NativeLib.advance_b` / :meth:`_NativeLib.advance_e` —
+    same argument values, same kernels — and default to the step's
+    own fractions (the distributed step only ever calls
+    ``advance_b()`` and ``advance_e()``)."""
 
-    __slots__ = ("_lib", "_b_args", "_e_args", "_keep")
+    __slots__ = ("lib", "_lib", "_solver", "_eb", "_j", "_dims",
+                 "_steps", "_args", "_mur")
 
-    def __init__(self, lib: "_NativeLib", solver,
-                 b_frac: float = 0.5, e_frac: float = 1.0):
+    def __init__(self, lib: "_NativeLib", solver):
         f = solver.fields
         g = f.grid
-        eg = ctypes.c_int(0 if solver.external_ghosts else 1)
-        ptrs = (_fptr(f.ex.data), _fptr(f.ey.data), _fptr(f.ez.data),
-                _fptr(f.bx.data), _fptr(f.by.data), _fptr(f.bz.data))
-        dims = (_i64(g.nx), _i64(g.ny), _i64(g.nz))
-        steps = (_f32(g.dx), _f32(g.dy), _f32(g.dz))
+        for name in ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz"):
+            a = getattr(f, name).data
+            if (a.dtype != np.float32 or a.shape != g.shape
+                    or not a.flags.c_contiguous):
+                raise ValueError(
+                    f"native field kernels need C-contiguous float32 "
+                    f"{g.shape} arrays; {name} is {a.dtype} {a.shape}")
+        #: The library these calls were marshalled for.
+        self.lib = lib
         self._lib = lib._lib
-        self._keep = f
-        self._b_args = ptrs + dims + (
-            _f32(np.float32(b_frac * g.dt)),) + steps + (eg,)
-        self._e_args = ptrs + (
-            _fptr(f.jx.data), _fptr(f.jy.data), _fptr(f.jz.data)
-        ) + dims + (_f32(np.float32(e_frac * g.dt)),) + steps + (eg,)
+        # The argument tuples hold raw addresses; the solver keeps the
+        # arrays they point into (fields, Mur history) alive.
+        self._solver = solver
+        self._eb = (_fptr(f.ex.data), _fptr(f.ey.data), _fptr(f.ez.data),
+                    _fptr(f.bx.data), _fptr(f.by.data), _fptr(f.bz.data))
+        self._j = (_fptr(f.jx.data), _fptr(f.jy.data), _fptr(f.jz.data))
+        self._dims = (_i64(g.nx), _i64(g.ny), _i64(g.nz))
+        self._steps = (_f32(g.dx), _f32(g.dy), _f32(g.dz))
+        # (advance_e?, frac, sync) / magnetic? -> argument tuple,
+        # built on first use.
+        self._args: dict = {}
+        self._mur: dict = {}
 
-    def advance_b(self) -> None:
-        self._lib.field_advance_b(*self._b_args)
+    def _advance_args(self, with_j: bool, frac: float, sync: bool):
+        key = (with_j, frac, sync)
+        args = self._args.get(key)
+        if args is None:
+            dt = _f32(np.float32(frac * self._solver.grid.dt))
+            mode = ctypes.c_int(self._solver.native_sync if sync else 0)
+            args = self._args[key] = (
+                self._eb + (self._j if with_j else ()) + self._dims
+                + (dt,) + self._steps + (mode,))
+        return args
 
-    def advance_e(self) -> None:
-        self._lib.field_advance_e(*self._e_args)
+    def advance_b(self, frac: float = 0.5, sync: bool = True) -> None:
+        self._lib.field_advance_b(*self._advance_args(False, frac, sync))
+
+    def advance_e(self, frac: float = 1.0) -> None:
+        self._lib.field_advance_e(*self._advance_args(True, frac, True))
+
+    def reduce_ghost_currents(self) -> None:
+        self._lib.reduce_ghost_currents(*self._j, *self._dims)
+
+    def mur_apply(self, magnetic: bool) -> None:
+        """The solver's Mur update (``mur.apply_b()`` when *magnetic*,
+        else ``mur.apply()``); the history block is fixed storage."""
+        args = self._mur.get(magnetic)
+        if args is None:
+            a0, a1, prev, k = self._solver.mur.native_args(magnetic)
+            args = self._mur[magnetic] = (
+                _fptr(a0), _fptr(a1), _fptr(prev), *self._dims,
+                _f32(k))
+        self._lib.mur_apply(*args)
 
 
 # -- build + cache ----------------------------------------------------

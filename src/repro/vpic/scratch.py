@@ -38,6 +38,17 @@ class ScratchArena:
             self._bufs[name] = arr
         return arr
 
+    def at_least(self, name: str, size: int, dtype) -> np.ndarray:
+        """The 1-D buffer registered under *name* if it already holds
+        *size* elements, else a fresh one of exactly *size*: callers
+        of different sizes (species of different capacity) share one
+        buffer instead of evicting each other."""
+        arr = self._bufs.get(name)
+        if (arr is not None and arr.ndim == 1 and arr.size >= size
+                and arr.dtype == dtype):
+            return arr
+        return self.buf(name, (size,), dtype)
+
     def zeros(self, name: str, shape, dtype) -> np.ndarray:
         """Like :meth:`buf` but cleared to zero on every call."""
         arr = self.buf(name, shape, dtype)

@@ -80,7 +80,8 @@ class Simulation:
     #: :class:`~repro.vpic.injection.LaserAntenna` or a
     #: :class:`~repro.vpic.window.MovingWindow`. Sources demote the
     #: whole-step native lane (the C step owns the field solve and
-    #: has no injection point); the push-scope lane is unaffected.
+    #: has no injection point); the push-scope lane is unaffected,
+    #: and the field solve and sort around it stay on native kernels.
     sources: list = field(default_factory=list)
 
     # -- construction -----------------------------------------------------------
@@ -282,6 +283,46 @@ class Simulation:
             return f"no compiled kernel ({native.native_status()})"
         return None
 
+    def _step_kernels_off(self) -> "str | None":
+        """Why the kernel-by-kernel step's field solve and sort are
+        *not* on the native kernels — ``None`` when they are.
+
+        The one gate behind :meth:`_step_kernels` (what
+        ``FieldSolver.kernels`` and ``SortStep.apply`` are handed each
+        step) and the closing words of
+        :meth:`native_fallback_reason`. Evaluated per step: the CLI
+        swaps ``step_plan`` after construction. A solver subclass may
+        override any method, so only the two exact classes whose
+        numpy code the kernels reproduce qualify.
+        """
+        from repro.vpic import native
+
+        plan = self.step_plan
+        if plan.reference:
+            return "reference StepPlan pinned"
+        if not plan.native:
+            return "StepPlan disables native kernels"
+        if np.dtype(self.fields.dtype) != np.float32:
+            return f"{np.dtype(self.fields.dtype).name} fields"
+        solver = self._solver
+        if type(solver) is not FieldSolver:
+            from repro.vpic.absorbing import AbsorbingFieldSolver
+            if type(solver) is not AbsorbingFieldSolver:
+                return f"custom field solver {type(solver).__name__}"
+            if solver.mur.axes != (0,):
+                return f"absorbing axes {solver.mur.axes}"
+        if not native.native_available():
+            return f"no compiled kernel ({native.native_status()})"
+        return None
+
+    def _step_kernels(self):
+        """The compiled library this step's field solve and sort run
+        on, or ``None`` for numpy (see :meth:`_step_kernels_off`)."""
+        if self._step_kernels_off() is not None:
+            return None
+        from repro.vpic import native
+        return native.native_push_kernel()
+
     def _native_step_ok(self) -> bool:
         """Whether the whole-step native lane may run this step.
 
@@ -328,11 +369,18 @@ class Simulation:
             return f"StepPlan native_scope={plan.native_scope!r}"
         if not plan.fused:
             return "StepPlan disables the fused push"
+        # The gates below leave a step that is still Python, kernel
+        # by kernel — so the reason closes with which kernels carry
+        # its field solve and sort.
+        why = self._step_kernels_off()
+        kernels = ("; fields and sort on native kernels" if why is None
+                   else f"; fields and sort on numpy ({why})")
         if self.deposition is DepositionKind.ESIRKEPOV:
             off = self._esirkepov_kernel_off()
             return ("esirkepov deposition steps kernel by kernel; "
                     + ("push on the native Esirkepov kernel"
-                       if off is None else f"push on numpy ({off})"))
+                       if off is None else f"push on numpy ({off})")
+                    + kernels)
         if self.boundary is not BoundaryKind.PERIODIC:
             return f"{self.boundary.value} particle boundary"
         g = self.grid
@@ -341,9 +389,10 @@ class Simulation:
         if self.sources:
             names = ", ".join(sorted({type(s).__name__
                                       for s in self.sources}))
-            return f"per-step field sources attached: {names}"
+            return f"per-step field sources attached: {names}{kernels}"
         if self.field_boundary is not FieldBoundaryKind.PERIODIC:
-            return f"field boundary {self.field_boundary.name.lower()}"
+            return (f"field boundary {self.field_boundary.name.lower()}"
+                    f"{kernels}")
         if type(self._solver) is not FieldSolver:
             return f"custom field solver {type(self._solver).__name__}"
         if self._solver.external_ghosts:
@@ -403,9 +452,11 @@ class Simulation:
             for sp in self.species:
                 sp.mark_voxels_stale()
             if self.sort_step.due(self.step_count):
+                kernels = self._step_kernels()
                 for sp in self.species:
                     with record_kernel(f"sort/{sp.name}"):
-                        self.sort_step.apply(sp, scratch=self._arena)
+                        self.sort_step.apply(sp, scratch=self._arena,
+                                             kernels=kernels)
         return pushed
 
     def step(self) -> None:
@@ -427,6 +478,7 @@ class Simulation:
             if native_pushed is not None:
                 pushed = native_pushed
             else:
+                kernels = self._solver.kernels = self._step_kernels()
                 self._solver.advance_b(0.5)
                 self.fields.clear_currents()
                 if self._fast_step_ok():
@@ -456,7 +508,8 @@ class Simulation:
                 if self.sort_step.due(self.step_count):
                     for sp in self.species:
                         with record_kernel(f"sort/{sp.name}"):
-                            self.sort_step.apply(sp, scratch=self._arena)
+                            self.sort_step.apply(sp, scratch=self._arena,
+                                                 kernels=kernels)
         step_seconds = time.perf_counter() - t0
         reg = default_registry()
         reg.counter("sim/steps").inc()

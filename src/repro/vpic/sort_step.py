@@ -67,13 +67,18 @@ class SortStep:
                               kind="stable")
         raise ValueError(f"no permutation for sort kind {self.kind}")
 
-    def apply(self, species: Species,
-              scratch=None) -> np.ndarray | None:
+    def apply(self, species: Species, scratch=None,
+              kernels=None) -> np.ndarray | None:
         """Reorder a species in place; returns the permutation.
 
         Pass a :class:`~repro.vpic.scratch.ScratchArena` to stage the
         permuted arrays in reused buffers instead of fresh
-        allocations (the fast step path does).
+        allocations (the fast step path does). With *kernels* (the
+        compiled :mod:`repro.vpic.native` library) as well, a
+        ``STANDARD`` sort runs as one native stable counting sort —
+        the same permutation as the ``argsort`` below, applied to the
+        same nine arrays — and the returned permutation is a view of
+        arena scratch, valid until the next sort.
         """
         if self.kind is SortKind.NONE or species.n == 0:
             return None
@@ -82,16 +87,20 @@ class SortStep:
         if detail:
             reg.gauge("sort/disorder_before").set(
                 disorder_fraction(species.live("voxel")))
-        perm = self.permutation_for(species.live("voxel"))
-        for name in Species._ARRAYS:
-            arr = species.live(name)
-            if scratch is None:
-                arr[...] = arr[perm]
-            else:
-                buf = scratch.buf(f"sort/{arr.dtype}", arr.shape,
-                                  arr.dtype)
-                np.take(arr, perm, out=buf)
-                arr[...] = buf
+        if (kernels is not None and scratch is not None
+                and self.kind is SortKind.STANDARD):
+            perm = kernels.sort_species(species, scratch)
+        else:
+            perm = self.permutation_for(species.live("voxel"))
+            for name in Species._ARRAYS:
+                arr = species.live(name)
+                if scratch is None:
+                    arr[...] = arr[perm]
+                else:
+                    buf = scratch.buf(f"sort/{arr.dtype}", arr.shape,
+                                      arr.dtype)
+                    np.take(arr, perm, out=buf)
+                    arr[...] = buf
         self.sorts_performed += 1
         reg.counter("sort/applied").inc()
         if detail:

@@ -89,7 +89,10 @@ class Species:
         self.update_voxels(s)
 
     def remove(self, indices: np.ndarray) -> None:
-        """Delete particles at *indices* (backfill from the tail)."""
+        """Delete particles at *indices* by stable compaction: the
+        survivors keep their relative order. That order is
+        load-bearing — the deposit accumulates in particle order, so
+        a backfill from the tail would change J in the last bits."""
         keep = np.ones(self.n, dtype=bool)
         keep[indices] = False
         k = int(keep.sum())

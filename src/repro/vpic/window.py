@@ -53,14 +53,22 @@ class MovingWindow:
         Base seed for the reload RNG; the per-shift stream is
         ``(seed, step)`` so reloads are deterministic functions of
         the step index.
+    start:
+        First step index at which the schedule applies: the window
+        stands still before it (a wakefield deck waits out the pulse
+        launch). The schedule's phase does not depend on it.
     """
 
     def __init__(self, interval: int,
                  reload: tuple[SpeciesConfig, ...] = (),
-                 seed: int = 0):
+                 seed: int = 0, start: int = 0):
         check_positive("interval", interval)
         if not isinstance(interval, int) or isinstance(interval, bool):
             raise ValueError(f"interval must be an int, got {interval!r}")
+        if (not isinstance(start, int) or isinstance(start, bool)
+                or start < 0):
+            raise ValueError(
+                f"start must be a non-negative int, got {start!r}")
         for cfg in reload:
             if not isinstance(cfg, SpeciesConfig):
                 raise ValueError(
@@ -68,7 +76,12 @@ class MovingWindow:
         self.interval = interval
         self.reload = tuple(reload)
         self.seed = seed
+        self.start = start
         self.shifts_applied = 0
+        # (ny, nz, ppc) -> the leading column's per-particle cell
+        # indices: a pure function of the key, built once instead of
+        # on every shift.
+        self._column_cells: dict = {}
 
     def bind(self, sim) -> None:
         """Validate the reload table against the built simulation."""
@@ -83,7 +96,7 @@ class MovingWindow:
                 f"moving window needs nx >= 2, got nx={sim.grid.nx}")
 
     def due(self, step: int) -> bool:
-        return (step + 1) % self.interval == 0
+        return step >= self.start and (step + 1) % self.interval == 0
 
     def apply(self, sim, step: int) -> None:
         """``Deck.sources`` hook: shift when the schedule says so."""
@@ -114,10 +127,7 @@ class MovingWindow:
         # each shift — negligible against the injected column).
         mur = getattr(sim.solver, "mur", None)
         if mur is not None:
-            for (axis, high, comp) in mur._prev:
-                mur._prev[(axis, high, comp)] = np.array(
-                    mur._slab(comp, axis, high, ghost=False),
-                    dtype=np.float32)
+            mur.refresh_history()
         dx = np.float32(g.dx)
         x_lo = np.float32(g.x0)
         reload_by_name = {cfg.name: cfg for cfg in self.reload}
@@ -138,10 +148,15 @@ class MovingWindow:
                      species_index: int) -> None:
         """Fresh stratified plasma in the leading-edge cell column."""
         rng = np.random.default_rng((self.seed, step, species_index))
-        iy, iz = np.meshgrid(np.arange(g.ny), np.arange(g.nz),
-                             indexing="ij")
-        cy = np.repeat(iy.ravel(), cfg.ppc).astype(np.float64)
-        cz = np.repeat(iz.ravel(), cfg.ppc).astype(np.float64)
+        key = (g.ny, g.nz, cfg.ppc)
+        cells = self._column_cells.get(key)
+        if cells is None:
+            iy, iz = np.meshgrid(np.arange(g.ny), np.arange(g.nz),
+                                 indexing="ij")
+            cells = self._column_cells[key] = (
+                np.repeat(iy.ravel(), cfg.ppc).astype(np.float64),
+                np.repeat(iz.ravel(), cfg.ppc).astype(np.float64))
+        cy, cz = cells
         n = cy.size
         x = g.x0 + (g.nx - 1 + rng.random(n)) * g.dx
         y = g.y0 + (cy + rng.random(n)) * g.dy
@@ -157,5 +172,6 @@ class MovingWindow:
 
     def __repr__(self) -> str:
         return (f"MovingWindow(interval={self.interval}, "
+                f"start={self.start}, "
                 f"reload={[c.name for c in self.reload]}, "
                 f"shifts={self.shifts_applied})")

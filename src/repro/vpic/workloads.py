@@ -401,30 +401,15 @@ def laser_wakefield_deck(nx: int = 96, ny: int = 8, nz: int = 8,
     dt = float(0.95 / np.sqrt(3.0) * dx)
     interval = max(1, int(np.ceil(dx / dt)))
     window = MovingWindow(interval=interval, reload=(electrons,),
-                          seed=seed)
-    launch_steps = int(np.ceil(antenna.duration / dt))
-
-    class _GatedWindow:
-        """Window that waits out the pulse launch (pure in step)."""
-
-        def __init__(self, inner, start: int):
-            self.inner = inner
-            self.start = start
-
-        def bind(self, sim):
-            self.inner.bind(sim)
-
-        def apply(self, sim, step: int) -> None:
-            if step >= self.start:
-                self.inner.apply(sim, step)
-
+                          seed=seed,
+                          start=int(np.ceil(antenna.duration / dt)))
     return Deck(
         name="laser_wakefield",
         nx=nx, ny=ny, nz=nz, dx=dx, dy=dx, dz=dx,
         num_steps=num_steps,
         species=(electrons,),
         field_boundary=FieldBoundaryKind.ABSORBING_X,
-        sources=(antenna, _GatedWindow(window, launch_steps)),
+        sources=(antenna, window),
         sort_interval=10,
         seed=seed,
     )

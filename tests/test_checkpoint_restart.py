@@ -141,7 +141,7 @@ class TestRestartDeterminism:
         drive(sim, 6)
         # The test is only meaningful if the ABC recursion has state.
         assert any(np.abs(arr).max() > 0
-                   for arr in sim.solver.mur._prev.values())
+                   for _, arr in sim.solver.mur.history_items())
         restored = load_checkpoint(save_checkpoint(sim, tmp_path / "c.npz"))
         drive(sim, 6)
         drive(restored, 6)

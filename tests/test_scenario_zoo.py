@@ -111,11 +111,12 @@ class TestBeamPlasma:
 class TestWakefield:
     def test_window_waits_out_the_launch(self):
         deck = laser_wakefield_deck()
-        antenna, gated = deck.sources
-        assert gated.start > 0
+        antenna, window = deck.sources
+        assert window.start > 0
         sim = deck.build()
         dt = sim.grid.dt
-        assert gated.start >= antenna.duration / dt - 1
+        assert window.start >= antenna.duration / dt - 1
+        assert not any(window.due(step) for step in range(window.start))
 
     def test_native_lane_demoted_with_reason(self):
         sim = laser_wakefield_deck().build()
@@ -126,8 +127,7 @@ class TestWakefield:
         deck = laser_wakefield_deck(num_steps=80)
         sim = deck.build()
         sim.run(deck.num_steps)
-        gated = sim.sources[1]
-        assert gated.inner.shifts_applied > 0
+        assert sim.sources[1].shifts_applied > 0
 
     def test_rejects_overdense_laser(self):
         with pytest.raises(ValueError, match="omega"):

@@ -46,6 +46,23 @@ class TestSpecies:
         assert electrons.n == 3
         assert set(electrons.live("w").tolist()) == {1, 3, 4}
 
+    def test_remove_is_a_stable_compaction(self, electrons):
+        """Survivors keep their relative order in all nine arrays:
+        the deposit accumulates in particle order, so a backfill from
+        the tail would change J in the last bits."""
+        n = 8
+        ramp = np.arange(n, dtype=np.float32)
+        electrons.append(ramp * 0.1, ramp * 0.2, ramp * 0.3,
+                         ramp + 10, ramp + 20, ramp + 30, ramp + 1)
+        electrons.tag[:n] = np.arange(n) * 7
+        before = {a: electrons.live(a).copy() for a in Species._ARRAYS}
+        electrons.remove(np.array([5, 0, 2]))
+        keep = [1, 3, 4, 6, 7]
+        assert electrons.n == len(keep)
+        for attr in Species._ARRAYS:
+            assert np.array_equal(electrons.live(attr),
+                                  before[attr][keep]), attr
+
     def test_gamma_and_energy(self, electrons):
         electrons.append([0.1], [0.1], [0.1], [3.0], [0.0], [4.0], [2.0])
         g = electrons.gamma()[0]
