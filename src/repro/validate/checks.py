@@ -177,8 +177,10 @@ class ParticleBoundsCheck(InvariantCheck):
                 pos = sp.live(attr)
                 lo = los[axis] - eps[axis]
                 hi = los[axis] + lens[axis] + eps[axis]
-                out = np.count_nonzero((pos < lo) | (pos > hi))
-                if out:
+                # fmin/fmax skip NaN, which the mask below compares
+                # false too (it is FiniteParticlesCheck's finding).
+                if np.fmin.reduce(pos) < lo or np.fmax.reduce(pos) > hi:
+                    out = np.count_nonzero((pos < lo) | (pos > hi))
                     worst = float(np.max(np.abs(
                         pos - np.clip(pos, lo, hi))))
                     return self._violation(

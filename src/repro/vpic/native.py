@@ -7,7 +7,12 @@ module provides that lane for the hot loop at two scopes:
   particle phase (gather -> Boris -> deposit -> advance -> wrap),
   one trip through memory per particle — and its charge-conserving
   twin (gather -> Boris -> advance -> first-order Esirkepov deposit,
-  no wrap) for the decks that step kernel by kernel;
+  no wrap) for the decks that step kernel by kernel. Both are the one
+  ``push_tiles`` body, whose CIC deposit works per *cell run*
+  (consecutive particles in one cell): after a sort the eight corner
+  accumulators of a cell are loaded once, summed into in registers
+  for all its particles and stored once; on unsorted input a run is
+  one particle and the traffic is the old per-particle traffic;
 - **step scope** (this PR): one C entry per *timestep* that also
   performs the Yee field solve (half ``advance_b``, ``advance_e``,
   half ``advance_b``), periodic ghost sync, the ghost-current fold,
@@ -35,7 +40,10 @@ writing errno and cannot vectorize the surrounding loop; disabling
 it changes *no* IEEE results (the bit-identity tests pin this), only
 an error-reporting channel nobody reads. CIC current deposition
 accumulates in float64 (particle-major instead of numpy's
-corner-major, so the folded float32 currents agree to 1 ulp); the
+corner-major, so the folded float32 currents agree to 1 ulp; holding
+a run's accumulators in registers changes when they are stored, not
+what is added to them or in which order, so J does not depend on how
+the particles fall into runs); the
 Esirkepov deposit stages its increments and accumulates them in
 numpy's own slot-major order, so its currents are bit-identical. The
 counting sort is stable, so it reproduces
@@ -85,17 +93,28 @@ _SOURCE = r"""
  * single ops in reference order; build with -fno-fast-math
  * -ffp-contract=off so the compiler contracts nothing into FMAs;
  * -fno-math-errno only unblocks vectorization of sqrtf/floorf and
- * changes no values). The push is staged over tiles so every
- * elementwise stage auto-vectorizes: padded 8-float field-table rows
- * for an SLP trilinear gather, an interleaved 4-double accumulator
- * for a 4-lane deposit.
+ * changes no values). The push is staged over tiles of 1024
+ * particles. The elementwise stages (index, Boris, weights, advance,
+ * wrap test) auto-vectorize across the tile; the gather is an SLP
+ * trilinear over padded 8-float field-table rows, per particle; the
+ * deposit walks the tile by cell runs — consecutive particles in one
+ * cell, which is what the STANDARD sort produces — and keeps the
+ * run's interleaved 4-double corner accumulators in registers,
+ * loading and storing them once per run instead of once per
+ * particle. Runs regroup memory traffic only: each accumulator
+ * element still sums the same addends in particle order (see
+ * push_tiles), so J is the same bytes on sorted and unsorted input.
  */
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
 #include <time.h>
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
 
 #define TILE 1024
+#define WRAP_CHUNK 64
 
 typedef struct {
     float *x, *y, *z, *ux, *uy, *uz, *w;
@@ -293,16 +312,88 @@ static void esk_replay(const NDeck *g, const EskStage *e, int64_t n,
             }
 }
 
-/* ---- fused particle push (tiled, SLP-friendly) ------------------- */
+/* ---- fused particle push (tiled, cell-run deposit) -------------- */
+
+/* The deposit's vectors, in the generic spelling the compiler lowers
+ * to whatever the target has (one ymm op, two xmm ops, ...): every
+ * operation on them is an elementwise IEEE op, so the values do not
+ * depend on the lowering. Loads and stores go through memcpy — numpy
+ * buffers are not 32-byte aligned. */
+typedef float v4f __attribute__((vector_size(16)));
+typedef double v4d __attribute__((vector_size(32)));
+
+/* float -> double of four lanes. Same conversion either way; GCC 12
+ * lowers the generic form to two half converts and an insert under
+ * AVX, which costs the deposit more than the runs save. */
+#if defined(__AVX__)
+#define CVT4D(v) ((v4d)_mm256_cvtps_pd((__m128)(v)))
+#else
+#define CVT4D(v) __builtin_convertvector((v), v4d)
+#endif
+
+/* Cell indices + in-cell fractions of one tile from ONE clipped f64
+ * chain (Grid.cell_of_position / cell_fraction): the fraction derives
+ * from the same coordinate as the cell so the pair stays consistent
+ * for particles sitting exactly on a box edge (float32 wrap
+ * artifact). The clip is two sequential selects — no nested branch —
+ * and pc (the Esirkepov start endpoints) is a compile-time NULL or
+ * not at each call site, so the loop is straight-line and vectorizes. */
+static inline __attribute__((always_inline)) void tile_index(
+    const NDeck *g, const float *restrict xs0, const float *restrict xs1,
+    const float *restrict xs2, int64_t t, int64_t *restrict base,
+    float (*restrict fr)[TILE], float (*restrict gr)[TILE],
+    double (*restrict pc)[TILE])
+{
+    const int64_t gsy = g->sy, gsz = g->sz;
+    const int64_t shift = (gsy + 1) * gsz + 1;
+    const double hx = g->hx, hy = g->hy, hz = g->hz;
+    const double x0 = g->x0, y0 = g->y0, z0 = g->z0;
+    const double dx = g->dx, dy = g->dy, dz = g->dz;
+    for (int64_t i = 0; i < t; i++) {
+        double px = ((double)xs0[i] - x0) / dx;
+        double py = ((double)xs1[i] - y0) / dy;
+        double pz = ((double)xs2[i] - z0) / dz;
+        px = px < 0.0 ? 0.0 : px; px = px > hx ? hx : px;
+        py = py < 0.0 ? 0.0 : py; py = py > hy ? hy : py;
+        pz = pz < 0.0 ? 0.0 : pz; pz = pz > hz ? hz : pz;
+        int64_t cx = (int64_t)px, cy = (int64_t)py, cz = (int64_t)pz;
+        base[i] = ((cx * gsy + cy) * gsz + cz) + shift;
+        fr[0][i] = (float)(px - (double)cx);
+        fr[1][i] = (float)(py - (double)cy);
+        fr[2][i] = (float)(pz - (double)cz);
+        gr[0][i] = 1.0f - fr[0][i];
+        gr[1][i] = 1.0f - fr[1][i];
+        gr[2][i] = 1.0f - fr[2][i];
+        if (pc) {
+            pc[0][i] = px; pc[1][i] = py; pc[2][i] = pz;
+        }
+    }
+}
 
 /* The tiled push behind both deposition schemes. esk == NULL (a
  * compile-time constant in push_core, so that instantiation carries
  * no trace of the other) runs the CIC weight + deposit stages;
  * otherwise the index stage also keeps its float64 cell coordinates
  * and esk_stage runs on the advanced, unwrapped positions instead.
+ *
+ * The CIC deposit walks each tile by *cell runs*: maximal stretches
+ * of consecutive particles in one cell (equal base[i]). A run loads
+ * its eight corner accumulators once, adds its particles in order
+ * into registers, and stores once — no store-to-load chain from one
+ * particle to the next. After a STANDARD sort a run is a whole cell's
+ * worth of particles; on unsorted input runs have length 1 and the
+ * traffic is the per-particle traffic. Either way every accumulator
+ * element receives the same (double)(wk * jp) addends in the same
+ * particle order as a particle-at-a-time loop (a run's eight corners
+ * are eight distinct voxels, and a run stores before the next one
+ * loads), so J does not depend on how the input falls into runs.
+ * (The gather stays per particle: it is bound by its 21 8-lane
+ * multiply/adds, and hoisting the row loads per run bought nothing.)
+ * Everything else is elementwise over the tile and auto-vectorizes.
+ *
  * Returns the number of periodic wrap events (particles that left
- * the domain on an axis) — pure counting in the existing escape
- * branch, so the float op sequence is untouched. */
+ * the domain on an axis) — pure counting in the escape fix-up, so the
+ * float op sequence is untouched. */
 static inline __attribute__((always_inline)) int64_t push_tiles(
                          const NDeck *g,
                          float *restrict x, float *restrict y,
@@ -316,10 +407,6 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
 {
     int64_t wraps = 0;
     const int64_t gsy = g->sy, gsz = g->sz;
-    const int64_t shift = (gsy + 1) * gsz + 1;
-    const double hx = g->hx, hy = g->hy, hz = g->hz;
-    const double x0 = g->x0, y0 = g->y0, z0 = g->z0;
-    const double dx = g->dx, dy = g->dy, dz = g->dz;
     const float fdt = g->fdt;
     const int64_t coff[8] = {
         0, gsy * gsz, gsz, gsy * gsz + gsz,
@@ -328,7 +415,7 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
     float fr[3][TILE], gr[3][TILE];
     float ebaos[TILE][8] __attribute__((aligned(64)));
     float eb[6][TILE];
-    float g2[TILE];
+    float rg[TILE];
     float wt8[8][TILE];
     float jp[3][TILE];
     double pc[3][TILE];
@@ -340,31 +427,8 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
         float *restrict u0 = ux + s, *restrict u1 = uy + s,
               *restrict u2 = uz + s;
         const float *restrict ws = w + s;
-        /* cell indices + in-cell fractions from ONE clipped f64
-         * chain (Grid.cell_of_position / cell_fraction): the
-         * fraction derives from the same coordinate as the cell so
-         * the pair stays consistent for particles sitting exactly
-         * on a box edge (float32 wrap artifact). */
-        for (int64_t i = 0; i < t; i++) {
-            double px = ((double)xs0[i] - x0) / dx;
-            double py = ((double)xs1[i] - y0) / dy;
-            double pz = ((double)xs2[i] - z0) / dz;
-            px = px < 0.0 ? 0.0 : (px > hx ? hx : px);
-            py = py < 0.0 ? 0.0 : (py > hy ? hy : py);
-            pz = pz < 0.0 ? 0.0 : (pz > hz ? hz : pz);
-            int64_t cx = (int64_t)px, cy = (int64_t)py,
-                    cz = (int64_t)pz;
-            base[i] = ((cx * gsy + cy) * gsz + cz) + shift;
-            fr[0][i] = (float)(px - (double)cx);
-            fr[1][i] = (float)(py - (double)cy);
-            fr[2][i] = (float)(pz - (double)cz);
-            gr[0][i] = 1.0f - fr[0][i];
-            gr[1][i] = 1.0f - fr[1][i];
-            gr[2][i] = 1.0f - fr[2][i];
-            if (esk) {
-                pc[0][i] = px; pc[1][i] = py; pc[2][i] = pz;
-            }
-        }
+        /* cell indices + in-cell fractions */
+        tile_index(g, xs0, xs1, xs2, t, base, fr, gr, esk ? pc : 0);
         /* gather + factored trilinear: 8-lane row ops (lanes 6,7 pad) */
         for (int64_t i = 0; i < t; i++) {
             int64_t b8 = base[i] * 8;
@@ -432,7 +496,9 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
                 u0[i] = nux; u1[i] = nuy; u2[i] = nuz;
                 float gam2 = sqrtf(1.0f + nux * nux + nuy * nuy
                                    + nuz * nuz);
-                g2[i] = gam2;
+                /* the advance's dt / gamma, divided once for the
+                 * three axes */
+                rg[i] = fdt / gam2;
                 float wi = ws[i];
                 jp0[i] = wi * nux / gam2 * inv_vol;
                 jp1[i] = wi * nuy / gam2 * inv_vol;
@@ -451,18 +517,23 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
             wt8[4][i] = w0 * fz; wt8[5][i] = w1 * fz;
             wt8[6][i] = w2 * fz; wt8[7][i] = w3 * fz;
         }
-        /* deposit: 4-lane f64 accumulate per corner */
+        /* deposit: 4-lane f64 accumulate per corner (lane 3 pads and
+         * is never read), the eight corners in registers for the run */
         if (!esk)
-        for (int64_t i = 0; i < t; i++) {
-            int64_t b = base[i];
-            float jpx = jp[0][i], jpy = jp[1][i], jpz = jp[2][i];
-            for (int k = 0; k < 8; k++) {
-                double *restrict a = acc + (b + coff[k]) * 4;
-                float wk = wt8[k][i];
-                a[0] += (double)(wk * jpx);
-                a[1] += (double)(wk * jpy);
-                a[2] += (double)(wk * jpz);
-            }
+        for (int64_t i = 0; i < t; ) {
+            const int64_t b = base[i];
+            double *restrict ab = acc + b * 4;
+            v4d a[8];
+            for (int k = 0; k < 8; k++)
+                memcpy(&a[k], ab + coff[k] * 4, sizeof(v4d));
+            do {
+                const v4f jv = { jp[0][i], jp[1][i], jp[2][i], 0.0f };
+                for (int k = 0; k < 8; k++)
+                    a[k] += CVT4D(jv * wt8[k][i]);
+                i++;
+            } while (i < t && base[i] == b);
+            for (int k = 0; k < 8; k++)
+                memcpy(ab + coff[k] * 4, &a[k], sizeof(v4d));
         }
         /* advance + (optional) periodic wrap */
         {
@@ -472,24 +543,37 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
                 float *restrict p = ps[a];
                 const float *restrict u = us[a];
                 for (int64_t i = 0; i < t; i++)
-                    p[i] += u[i] * (fdt / g2[i]);
+                    p[i] += u[i] * rg[i];
             }
             if (esk)
                 esk_stage(g, esk, pc, ps, ws, s, t);
             if (do_wrap) {
                 /* fmodf only for escaped particles: for 0 <= r < L
                  * the reference's mod is the identity, so skipping
-                 * it is bit-exact (callers guarantee a zero origin). */
+                 * it is bit-exact (callers guarantee a zero origin).
+                 * The escape test is a vector compare over a chunk;
+                 * only a chunk with an escapee takes the scalar pass. */
                 const float L[3] = { g->flx, g->fly, g->flz };
                 const float o[3] = { g->fx0, g->fy0, g->fz0 };
                 for (int a = 0; a < 3; a++) {
                     float *restrict p = ps[a];
                     const float oo = o[a], len = L[a];
-                    for (int64_t i = 0; i < t; i++) {
-                        float r = p[i] - oo;
-                        if (r < 0.0f || r >= len) {
-                            p[i] = wrapf_(r, len) + oo;
-                            wraps++;
+                    for (int64_t c = 0; c < t; c += WRAP_CHUNK) {
+                        const int64_t ce = c + WRAP_CHUNK < t
+                                           ? c + WRAP_CHUNK : t;
+                        int esc = 0;
+                        for (int64_t i = c; i < ce; i++) {
+                            float r = p[i] - oo;
+                            esc |= (r < 0.0f) | (r >= len);
+                        }
+                        if (!esc)
+                            continue;
+                        for (int64_t i = c; i < ce; i++) {
+                            float r = p[i] - oo;
+                            if (r < 0.0f || r >= len) {
+                                p[i] = wrapf_(r, len) + oo;
+                                wraps++;
+                            }
                         }
                     }
                 }

@@ -139,31 +139,58 @@ class Species:
         refreshes them from positions before permuting)."""
         self._voxels_stale = False
 
+    #: (2, capacity) float64 scratch for the reductions below, made on
+    #: first use (a class default, so subclasses that adopt storage
+    #: without ``__post_init__`` get it too).
+    _rows = None
+
+    def _scratch_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two reusable float64 rows of length ``n``."""
+        if self._rows is None or self._rows.shape[1] < self.capacity:
+            self._rows = np.empty((2, self.capacity), dtype=np.float64)
+        return self._rows[0, :self.n], self._rows[1, :self.n]
+
+    def _gamma_into(self, g: np.ndarray, t: np.ndarray) -> None:
+        """``sqrt(1 + ux^2 + uy^2 + uz^2)`` in float64 into *g*, *t* as
+        the temporary: the elementwise operations of the plain
+        expression, in its order, without its nine allocations."""
+        ux, uy, uz = self.momenta()
+        np.copyto(g, ux)
+        np.multiply(g, g, out=g)
+        np.add(1.0, g, out=g)
+        for u in (uy, uz):
+            np.copyto(t, u)
+            np.multiply(t, t, out=t)
+            np.add(g, t, out=g)
+        np.sqrt(g, out=g)
+
     def gamma(self) -> np.ndarray:
         """Relativistic Lorentz factor per particle."""
-        ux, uy, uz = self.momenta()
-        return np.sqrt(1.0 + ux.astype(np.float64)**2
-                       + uy.astype(np.float64)**2
-                       + uz.astype(np.float64)**2)
+        g, t = self._scratch_rows()
+        self._gamma_into(g, t)
+        return g.copy()
 
     def kinetic_energy(self) -> float:
         """Total kinetic energy: sum w m (gamma - 1) (c = 1)."""
         if self.n == 0:
             return 0.0
-        g = self.gamma()
-        return float((self.w[:self.n].astype(np.float64)
-                      * self.m * (g - 1.0)).sum())
+        g, t = self._scratch_rows()
+        self._gamma_into(g, t)
+        np.subtract(g, 1.0, out=g)
+        np.copyto(t, self.w[:self.n])
+        np.multiply(t, self.m, out=t)
+        np.multiply(t, g, out=t)
+        return float(t.sum())
 
     def momentum_total(self) -> np.ndarray:
         """Total momentum vector: sum w m u."""
         if self.n == 0:
             return np.zeros(3)
-        w = self.w[:self.n].astype(np.float64)
-        return np.array([
-            float((w * self.m * self.ux[:self.n]).sum()),
-            float((w * self.m * self.uy[:self.n]).sum()),
-            float((w * self.m * self.uz[:self.n]).sum()),
-        ])
+        wm, t = self._scratch_rows()
+        np.copyto(wm, self.w[:self.n])
+        np.multiply(wm, self.m, out=wm)
+        return np.array([float(np.multiply(wm, u, out=t).sum())
+                         for u in self.momenta()])
 
     def __repr__(self) -> str:
         return (f"Species({self.name!r}, q={self.q}, m={self.m}, "

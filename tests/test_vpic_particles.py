@@ -79,6 +79,26 @@ class TestSpecies:
         assert electrons.kinetic_energy() == 0.0
         assert np.all(electrons.momentum_total() == 0)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 129, 10**5 + 3])
+    def test_reductions_equal_the_plain_expressions_bitwise(self, grid, n):
+        """The scratch-row reductions perform the plain expressions'
+        float64 operations in their order, so every energy line the
+        CLI prints stays the same string. Twice: the second call
+        reuses rows the first one dirtied."""
+        rng = np.random.default_rng(n)
+        sp = Species("e", q=-1.0, m=1836.0, grid=grid, capacity=8)
+        u = rng.normal(scale=2.0, size=(3, n))
+        sp.append(*rng.random((3, n)) * 4.0, *u, rng.uniform(0.5, 2.0, n))
+        ux, uy, uz = (a.astype(np.float64) for a in sp.momenta())
+        w = sp.live("w").astype(np.float64)
+        gamma = np.sqrt(1.0 + ux**2 + uy**2 + uz**2)
+        kinetic = float((w * sp.m * (gamma - 1.0)).sum()) if n else 0.0
+        momentum = [float((w * sp.m * a).sum()) for a in sp.momenta()]
+        for _ in range(2):
+            assert np.array_equal(sp.gamma(), gamma)
+            assert sp.kinetic_energy() == kinetic
+            assert sp.momentum_total().tolist() == momentum
+
 
 class TestLoading:
     def test_uniform_ppc_exact(self, electrons, grid):
