@@ -16,10 +16,9 @@ assertions and wall-clock timing of the real kernels:
   strong scaling.
 - :mod:`repro.bench.reporting` — table formatting shared by the
   benches and the EXPERIMENTS.md generator.
-- :mod:`repro.bench.history` — folds every committed ``BENCH_*.json``
-  baseline into one trajectory (``repro bench history``) and the
-  merged per-deck kernel baseline the dashboard's regression table
-  reads.
+- :mod:`repro.bench.history` — reads the ``perfbench/1`` envelopes
+  in ``perfbench/out/`` for ``repro bench history`` and for the
+  dashboard's regression panel.
 """
 
 from repro.bench.rajaperf import (
@@ -50,12 +49,10 @@ from repro.bench.reporting import format_table, format_series
 from repro.bench.plots import bar_chart, roofline_plot, xy_plot
 from repro.bench.runner import full_report
 from repro.bench.history import (
-    BenchRecord,
-    load_history,
+    load_envelopes,
     history_rows,
-    kernel_trajectory,
-    merged_kernel_baseline,
     format_history,
+    phase_baseline,
 )
 
 __all__ = [
@@ -68,6 +65,5 @@ __all__ = [
     "fig9_series", "fig10_series",
     "format_table", "format_series",
     "bar_chart", "roofline_plot", "xy_plot", "full_report",
-    "BenchRecord", "load_history", "history_rows",
-    "kernel_trajectory", "merged_kernel_baseline", "format_history",
+    "load_envelopes", "history_rows", "format_history", "phase_baseline",
 ]

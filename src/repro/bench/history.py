@@ -1,298 +1,120 @@
-"""Bench-history tracking: the ``BENCH_*.json`` trajectory.
+"""Bench history: the one reader of ``perfbench/1`` envelopes.
 
-Every PR that lands a performance-relevant change commits a
-``BENCH_<n>.json`` baseline at the repo root (``scripts/bench_*.py``
-writers). Each file has its own schema — ``full_report`` timings
-(BENCH_2), ``profile_overhead`` kernel seconds (BENCH_3),
-``step_throughput`` per-deck fast-path numbers (BENCH_5),
-``recorder_overhead`` (BENCH_6), and whatever future sessions add.
-This module reads them *all* and folds them into two shared views:
-
-- :func:`history_rows` — one headline row per baseline (what ``repro
-  bench history`` prints): benchmark kind, when, at which commit, and
-  the one number that bench exists to track.
-- :func:`merged_kernel_baseline` — a per-deck kernel-time baseline in
-  the exact shape :func:`repro.observability.dashboard.baseline_deltas`
-  consumes (``{"steps": 1, "kernel_seconds": {...}}``), merged across
-  every baseline that carries kernel timings. Same-methodology
-  sources win: ``profile_overhead`` numbers (measured under the same
-  profiler stack the dashboard runs) take precedence, newest first,
-  and ``step_throughput`` fast-path numbers fill in kernels the
-  profile benches never saw (``sort/*``, ``field_solve``). The
-  ``kernel_sources`` side table records which file each kernel's
-  number came from, so a delta row is always attributable.
-
-Nothing here runs a simulation; it is pure JSON folding, cheap enough
-for the dashboard to call on every render.
+``python3 perfbench/run.py`` writes one envelope per full run into
+``perfbench/out/`` (ignored by git: the numbers belong to the host
+that took them). Two consumers: ``repro bench history [--json]``
+(:func:`history_rows`, :func:`format_history`) and the dashboard's
+regression panel (:func:`phase_baseline`). Envelopes are outside
+input: a file that is not JSON or not ``perfbench/1`` is skipped.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
-import re
-from dataclasses import dataclass
 
-__all__ = [
-    "BenchRecord",
-    "load_history",
-    "history_rows",
-    "kernel_trajectory",
-    "merged_kernel_baseline",
-    "format_history",
-    "DECK_ALIASES",
-]
+__all__ = ["load_envelopes", "history_rows", "format_history",
+           "phase_baseline"]
 
-_BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
-
-#: ``scripts/bench_step.py`` keys its per-deck results by CLI deck key;
-#: everything else (decks, the dashboard) uses the deck's own name.
-DECK_ALIASES = {
-    "uniform": "uniform_plasma",
-    "two-stream": "two_stream",
-    "weibel": "weibel",
-    "laser-plasma": "laser_plasma",
-    "harris": "harris_sheet",
+#: Dashboard phase -> the per-layer metrics that carry it; a workload
+#: fills the native-step ones or the kernel-by-kernel ones, never both.
+PHASE_METRICS = {
+    "field": ("native.c_field_s", "fields.solve_s"),
+    "push": ("native.c_push_s", "push.fused_s", "push.reference_s"),
+    "sort": ("native.c_sort_s", "sort.apply_s"),
 }
 
 
-def _repo_root() -> str:
+def default_dir() -> str:
+    """``perfbench/out`` of this checkout (of the working directory
+    when the package is installed outside one)."""
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.abspath(os.path.join(here, "..", "..", ".."))
-    return root if os.path.isdir(os.path.join(root, "src")) else os.getcwd()
+    if not os.path.isdir(os.path.join(root, "perfbench")):
+        root = os.getcwd()
+    return os.path.join(root, "perfbench", "out")
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """One committed ``BENCH_<n>.json`` baseline."""
-
-    index: int
-    path: str
-    data: dict
-
-    @property
-    def name(self) -> str:
-        return os.path.basename(self.path)
-
-    @property
-    def benchmark(self) -> str:
-        return str(self.data.get("benchmark", "unknown"))
-
-    @property
-    def recorded_at(self) -> str:
-        return str(self.data.get("recorded_at", ""))
-
-    @property
-    def git_head(self) -> str:
-        return str(self.data.get("git_head", ""))
-
-
-def load_history(root: str | None = None) -> list[BenchRecord]:
-    """Every parseable ``BENCH_*.json`` at the repo root, by index."""
-    if root is None:
-        root = _repo_root()
-    records: list[BenchRecord] = []
-    try:
-        names = os.listdir(root)
-    except OSError:
-        return records
-    for name in names:
-        m = _BENCH_RE.match(name)
-        if not m:
-            continue
-        path = os.path.join(root, name)
+def load_envelopes(out_dir: str | None = None) -> list[dict]:
+    """Every envelope in *out_dir*, newest first by its ``time``; each
+    gains a ``file`` key naming where it came from."""
+    pattern = os.path.join(glob.escape(out_dir or default_dir()),
+                           "perfbench-*.json")
+    envelopes = []
+    for path in glob.glob(pattern):
         try:
             with open(path) as f:
-                data = json.load(f)
+                doc = json.load(f)
         except (OSError, ValueError):
             continue
-        if isinstance(data, dict):
-            records.append(BenchRecord(int(m.group(1)), path, data))
-    records.sort(key=lambda r: r.index)
-    return records
+        if (isinstance(doc, dict) and doc.get("schema") == "perfbench/1"
+                and isinstance(doc.get("workloads"), dict)):
+            doc["file"] = os.path.basename(path)
+            envelopes.append(doc)
+    envelopes.sort(key=lambda doc: str(doc.get("time", "")), reverse=True)
+    return envelopes
 
 
-# -- headline view ------------------------------------------------------------
+def _median(workload: dict, section: str, metric: str) -> float:
+    try:
+        return float(workload[section][metric]["median"])
+    except (KeyError, TypeError, ValueError):
+        return 0.0
 
 
-def _headline(rec: BenchRecord) -> str:
-    """The one number each benchmark kind exists to track."""
-    d = rec.data
-    kind = rec.benchmark
-    if kind == "full_report":
-        return (f"full report {d.get('full_report_seconds', 0):.2f} s "
-                f"(warm {d.get('full_report_warm_seconds', 0):.2f} s)")
-    if kind == "profile_overhead":
-        return (f"profiler overhead "
-                f"{d.get('overhead_fraction', 0) * 100:.1f}% on "
-                f"{d.get('deck', '?')} x{d.get('n_ranks', '?')} ranks")
-    if kind == "step_throughput":
-        decks = d.get("decks", {})
-        if decks:
-            speedups = [v.get("speedup", 0) for v in decks.values()
-                        if isinstance(v, dict)]
-            best = max(speedups) if speedups else 0.0
-            return (f"fast path {best:.1f}x best speedup over "
-                    f"{len(decks)} decks")
-        return "step throughput"
-    if kind == "distributed_scaling":
-        # Headline the highest rank count — the comm-bound end of the
-        # curve is what this bench exists to track.
-        points = d.get("points", {})
-        best_n, best = 0, 0.0
-        for n, p in points.items():
-            s = p.get("speedup_vs_threads", 0.0)
-            if isinstance(s, (int, float)) and int(n) >= best_n:
-                best_n, best = int(n), float(s)
-        top = max((int(n) for n in d.get("ladder", {})
-                   .get("points", {})), default=0)
-        tail = f", ladder to {top} ranks" if top else ""
-        return (f"processes {best:.2f}x threads at {best_n} ranks "
-                f"on {d.get('deck', {}).get('name', '?')}{tail}")
-    if kind == "recorder_overhead":
-        worst = d.get("worst_overhead_fraction")
-        if worst is None:
-            decks = d.get("decks", {})
-            fracs = [v.get("overhead_fraction", 0) for v in decks.values()
-                     if isinstance(v, dict)]
-            worst = max(fracs) if fracs else 0.0
-        return (f"recorder overhead {worst * 100:.1f}% worst case "
-                f"(stride {d.get('stride', 1)})")
-    return kind
-
-
-def history_rows(records: list[BenchRecord] | None = None,
-                 root: str | None = None) -> list[dict]:
-    """One summary row per baseline, oldest first."""
-    if records is None:
-        records = load_history(root)
+def history_rows(out_dir: str | None = None) -> list[dict]:
+    """One summary row per envelope, newest first."""
     return [{
-        "file": rec.name,
-        "benchmark": rec.benchmark,
-        "recorded_at": rec.recorded_at,
-        "git_head": rec.git_head,
-        "headline": _headline(rec),
-    } for rec in records]
+        "file": env["file"],
+        "git_head": str(env.get("git_head", ""))[:12],
+        "host": str(env.get("host", "")),
+        "nproc": env.get("nproc"),
+        "time": str(env.get("time", "")),
+        "seed": env.get("seed"),
+        "smoke": bool(env.get("smoke")),
+        "mpart_steps_per_s": {
+            name: _median(w, "end_to_end", "mpart_steps_per_s")
+            for name, w in env["workloads"].items()},
+    } for env in load_envelopes(out_dir)]
 
 
-def format_history(records: list[BenchRecord] | None = None,
-                   root: str | None = None) -> str:
+def format_history(out_dir: str | None = None) -> str:
     """The ``repro bench history`` table."""
-    rows = history_rows(records, root)
+    rows = history_rows(out_dir)
     if not rows:
-        return "no BENCH_*.json baselines found"
-    widths = {
-        "file": max(len(r["file"]) for r in rows),
-        "benchmark": max(len(r["benchmark"]) for r in rows),
-        "git_head": max(len(r["git_head"]) or 1 for r in rows),
-    }
-    lines = []
-    for r in rows:
-        lines.append(
-            f"{r['file']:<{widths['file']}}  "
-            f"{r['benchmark']:<{widths['benchmark']}}  "
-            f"{(r['git_head'] or '-'):<{widths['git_head']}}  "
-            f"{r['recorded_at']:<19}  {r['headline']}")
-    return "\n".join(lines)
+        return (f"no perfbench envelopes in {out_dir or default_dir()} — "
+                f"run `python3 perfbench/run.py`")
+    return "\n".join(
+        f"{r['file']}  {r['git_head'] or '-'}  {r['host']}/{r['nproc']}  "
+        f"{r['time']}  seed {r['seed']}{'  smoke' if r['smoke'] else ''}\n"
+        f"    Mpart-steps/s: " + "  ".join(
+            f"{name} {value:.3g}"
+            for name, value in r["mpart_steps_per_s"].items())
+        for r in rows)
 
 
-# -- kernel trajectory --------------------------------------------------------
+def phase_baseline(deck_name: str, out_dir: str | None = None) -> dict | None:
+    """Per-step field / push / sort seconds of the deck whose
+    ``Deck.name`` is *deck_name*: from the newest non-smoke envelope
+    with a workload whose ``command`` runs that deck as a single
+    ``Simulation`` (``--ranks`` workloads record no ``sim.steps``).
+    ``source`` names envelope and workload; ``None`` without one."""
+    from repro.vpic.workloads import DECK_BUILDERS, make_deck
 
-
-def _record_kernels(rec: BenchRecord, deck_name: str) -> dict[str, float]:
-    """Per-step kernel seconds this record carries for *deck_name*.
-
-    Kernel names are normalized to the unqualified
-    ``profile_overhead`` convention (``push/electron``,
-    ``field_solve``): ``step_throughput`` numbers arrive per-step in
-    ms under ``step/``-qualified keys and are stripped and rescaled.
-    """
-    d = rec.data
-    if rec.benchmark == "profile_overhead":
-        if d.get("deck") != deck_name:
-            return {}
-        steps = max(1, int(d.get("steps", 1)))
-        return {name: sec / steps
-                for name, sec in d.get("kernel_seconds", {}).items()
-                if isinstance(sec, (int, float))}
-    if rec.benchmark == "step_throughput":
-        for key, per_deck in d.get("decks", {}).items():
-            if DECK_ALIASES.get(key, key) != deck_name:
-                continue
-            if not isinstance(per_deck, dict):
-                continue
-            out = {}
-            for name, ms in per_deck.get(
-                    "fast_kernel_ms_per_step", {}).items():
-                if not isinstance(ms, (int, float)):
-                    continue
-                if name.startswith("step/"):
-                    name = name[len("step/"):]
-                out[name] = ms / 1e3
-            return out
-    return {}
-
-
-def kernel_trajectory(deck_name: str,
-                      records: list[BenchRecord] | None = None,
-                      root: str | None = None) -> dict[str, list[dict]]:
-    """Every kernel's per-step seconds across the whole history.
-
-    Returns ``{kernel: [{"file", "benchmark", "seconds_per_step"},
-    ...]}`` oldest baseline first — the raw series behind the
-    dashboard's trajectory table.
-    """
-    if records is None:
-        records = load_history(root)
-    series: dict[str, list[dict]] = {}
-    for rec in records:
-        for name, sec in sorted(_record_kernels(rec, deck_name).items()):
-            series.setdefault(name, []).append({
-                "file": rec.name,
-                "benchmark": rec.benchmark,
-                "seconds_per_step": sec,
-            })
-    return series
-
-
-def merged_kernel_baseline(deck_name: str,
-                           records: list[BenchRecord] | None = None,
-                           root: str | None = None) -> dict | None:
-    """The cross-bench kernel baseline for *deck_name*, or ``None``.
-
-    Shape-compatible with what
-    :func:`repro.observability.dashboard.baseline_deltas` expects of a
-    loaded ``BENCH_3.json`` (``steps`` + total ``kernel_seconds``;
-    here already normalized so ``steps`` is 1), plus a
-    ``kernel_sources`` table naming the file behind each number.
-    ``profile_overhead`` baselines win over ``step_throughput`` ones
-    (same measurement methodology as the dashboard's own run); within
-    a kind, newest wins.
-    """
-    if records is None:
-        records = load_history(root)
-    kernel_seconds: dict[str, float] = {}
-    kernel_sources: dict[str, str] = {}
-    merged_from: list[str] = []
-    by_priority = sorted(
-        records,
-        key=lambda r: (r.benchmark != "profile_overhead", -r.index))
-    for rec in by_priority:
-        kernels = _record_kernels(rec, deck_name)
-        if not kernels:
+    for env in load_envelopes(out_dir):
+        if env.get("smoke"):
             continue
-        merged_from.append(rec.name)
-        for name, sec in kernels.items():
-            if name not in kernel_seconds:
-                kernel_seconds[name] = sec
-                kernel_sources[name] = rec.name
-    if not kernel_seconds:
-        return None
-    return {
-        "benchmark": "merged_history",
-        "steps": 1,
-        "deck": deck_name,
-        "kernel_seconds": kernel_seconds,
-        "kernel_sources": kernel_sources,
-        "merged_from": merged_from,
-    }
+        for wl_name, w in env["workloads"].items():
+            command = w.get("command") if isinstance(w, dict) else None
+            deck_key = str(command[1]) if isinstance(command, list) \
+                and len(command) > 1 else ""
+            steps = _median(w, "per_layer", "sim.steps")
+            if (deck_key in DECK_BUILDERS and steps > 0
+                    and make_deck(deck_key).name == deck_name):
+                return {"source": f"{env['file']} · {wl_name}",
+                        "seconds_per_step": {
+                            phase: sum(_median(w, "per_layer", m)
+                                       for m in metrics) / steps
+                            for phase, metrics in PHASE_METRICS.items()}}
+    return None

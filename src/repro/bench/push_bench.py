@@ -36,7 +36,6 @@ from repro.vpic.workloads import laser_plasma_deck
 __all__ = [
     "collect_push_trace",
     "push_trace_from_keys",
-    "measure_step_throughput",
     "fig4_strategy_speedups",
     "fig7_sort_runtimes",
     "fig8_roofline_points",
@@ -107,61 +106,6 @@ def push_trace_from_keys(keys: np.ndarray, table_entries: int,
         cache_scale=occupied / full_cells,
         label="particle_push",
     )
-
-
-def measure_step_throughput(deck, steps: int = 10, warm: int = 2,
-                            plan=None) -> dict:
-    """Measured wall-clock step throughput of *deck* under a StepPlan.
-
-    Builds the deck fresh, runs *warm* untimed steps (native kernel
-    compile, arena growth, cache warm-up), then times *steps* steps.
-    Returns a plain dict — deck/plan identification, seconds per
-    step, particles pushed per second, and the per-kernel timing
-    breakdown (milliseconds) of the measured window.
-    """
-    import time
-
-    from repro.kokkos.profiling import kernel_timings
-    from repro.vpic.native import native_available
-
-    sim = deck.build()
-    if plan is not None:
-        sim.step_plan = plan
-    particles = sim.total_particles
-    with profiling_session():
-        for _ in range(warm):
-            sim.step()
-    with profiling_session():
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            sim.step()
-        elapsed = time.perf_counter() - t0
-        kernels = {label: timer.seconds * 1e3 / steps
-                   for label, timer in sorted(kernel_timings().items())}
-    sec_per_step = elapsed / steps
-    if sim.step_plan.reference:
-        lane = "reference"
-    elif sim._native_step_ok():
-        lane = "native-step"
-    elif (sim._fast_step_ok() and sim.step_plan.native
-          and native_available()):
-        lane = "native-push"
-    else:
-        lane = "numpy-fused"
-    return {
-        "deck": deck.name,
-        "plan": str(sim.step_plan),
-        "reference": bool(sim.step_plan.reference),
-        "lane": lane,
-        "native_used": bool(sim._fast_step_ok()
-                            and sim.step_plan.native
-                            and native_available()),
-        "steps": steps,
-        "particles": particles,
-        "seconds_per_step": sec_per_step,
-        "particles_per_second": particles / sec_per_step,
-        "kernel_ms_per_step": kernels,
-    }
 
 
 def _ordered(keys: np.ndarray, kind: SortKind, platform: PlatformSpec,

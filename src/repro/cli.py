@@ -20,8 +20,8 @@ workflows without writing Python:
 - ``report``       regenerate the full evaluation report
 - ``watch``        follow a recorded run's flight log live (progress,
                    step rate, ETA, energy drift, guard status)
-- ``bench``        inspect the committed BENCH_*.json baseline
-                   trajectory (``bench history``)
+- ``bench``        list the perfbench envelopes measured on this
+                   host (``bench history``)
 
 ``run-deck`` also accepts ``--guard[=warn|raise|repair]`` to screen
 the run with the invariant guard (see :mod:`repro.validate`) and
@@ -890,10 +890,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_watch)
 
     p = sub.add_parser("bench",
-                       help="inspect committed benchmark baselines")
+                       help="list this host's perfbench envelopes")
     p.add_argument("action", choices=("history",),
-                   help="'history': one headline row per committed "
-                        "BENCH_*.json, oldest first")
+                   help="'history': one row per envelope in "
+                        "perfbench/out/, newest first")
     p.add_argument("--json", action="store_true",
                    help="emit the rows as JSON instead of a table")
     p.set_defaults(fn=cmd_bench)

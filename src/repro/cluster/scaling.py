@@ -13,15 +13,10 @@ count, measure time per step. Each point combines
   compute shrinks as 1/n, so it eventually dominates (the Sierra
   flattening in Figure 10a).
 
-:func:`strong_scaling` evaluates that *model*.
-:func:`measured_strong_scaling` reruns the same study in real wall
-clock: the deck is decomposed over actual ranks (forked worker
-processes over shared memory, or the in-process threads reference),
-stepped, and each point carries the measured step time plus the
-telemetry the model can only predict — per-rank halo-wait fraction
-and load imbalance from the worker-side profiler lanes. Running both
-schedules at a point yields :func:`overlap_efficiency`, the fraction
-of neighbor-wait time the overlapped schedule hides.
+:func:`strong_scaling` evaluates that *model*; the measured
+counterpart on this host is perfbench's ``ranks-procs`` /
+``ranks-threads`` workloads (``mpi.speedup_vs_1rank``,
+``mpi.overlap_eff``).
 """
 
 from __future__ import annotations
@@ -36,8 +31,7 @@ from repro.cluster.systems import SystemSpec
 from repro.mpi.decomposition import CartDecomposition, balanced_dims
 
 __all__ = ["ScalingPoint", "strong_scaling", "speedups",
-           "imbalance_adjusted", "MeasuredPoint",
-           "measured_strong_scaling", "overlap_efficiency"]
+           "imbalance_adjusted"]
 
 #: Bytes exchanged per surface cell per step: 9 field components x
 #: 4 B, exchanged for both ghost fill and current reduction.
@@ -157,118 +151,6 @@ def imbalance_adjusted(points: list[ScalingPoint],
         )
         for p in points
     ]
-
-
-@dataclass(frozen=True)
-class MeasuredPoint:
-    """One measured (rank count, wall clock) strong-scaling sample."""
-
-    n_ranks: int
-    grid_per_rank: int
-    particles_per_rank: float
-    step_seconds: float           # wall clock per collective step
-    halo_wait_fraction: float     # rank/halo_wait_fraction gauge
-    load_imbalance: float         # rank/load_imbalance gauge
-    halo_wait_seconds: float      # neighbor waits summed over ranks
-    backend: str
-    overlap: bool
-
-    @property
-    def steps_per_second(self) -> float:
-        return 1.0 / self.step_seconds if self.step_seconds > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ranks": self.n_ranks,
-            "grid_per_rank": self.grid_per_rank,
-            "particles_per_rank": self.particles_per_rank,
-            "step_seconds": self.step_seconds,
-            "steps_per_second": self.steps_per_second,
-            "halo_wait_fraction": self.halo_wait_fraction,
-            "load_imbalance": self.load_imbalance,
-            "halo_wait_seconds": self.halo_wait_seconds,
-            "backend": self.backend,
-            "overlap": self.overlap,
-        }
-
-
-def measured_strong_scaling(deck, rank_counts: list[int],
-                            steps: int = 4, warm: int = 1,
-                            backend: str = "processes",
-                            overlap: bool = True) -> list[MeasuredPoint]:
-    """Rerun the Figure 10 study in real wall clock.
-
-    The *same global deck* is decomposed over each count in
-    *rank_counts* and stepped *steps* times (after *warm* untimed
-    steps absorbing worker spawn and first-touch costs). With
-    ``backend='processes'`` every rank is a real forked process over
-    the shared-memory arena and the per-point halo-wait / imbalance
-    figures come from the worker-side telemetry; the threads backend
-    measures the serialized in-process reference and reports no wait
-    split (its exchanges run inside the collective barriers).
-
-    The global grid must divide over every requested decomposition —
-    pick grid sizes divisible by the :func:`~repro.mpi.decomposition.
-    balanced_dims` of the largest count (e.g. multiples of 8 up to
-    512 ranks).
-    """
-    from repro.mpi.distributed import DistributedSimulation
-
-    check_positive("steps", steps)
-    points = []
-    for n in rank_counts:
-        dsim = DistributedSimulation(deck, n, backend=backend,
-                                     overlap=overlap)
-        try:
-            import time
-            if warm > 0:
-                dsim.run(warm)
-            pb = dsim._pbackend
-            wait0 = pb.halo_wait_seconds() if pb is not None else 0.0
-            t0 = time.perf_counter()
-            dsim.run(steps)
-            wall = time.perf_counter() - t0
-            if pb is not None:
-                report = pb.rank_report()
-                halo_frac = report.halo_wait_fraction
-                imbalance = report.load_imbalance
-                wait = pb.halo_wait_seconds() - wait0
-            else:
-                halo_frac = imbalance = wait = 0.0
-            lx, ly, lz = dsim.decomp.local_shape
-            points.append(MeasuredPoint(
-                n_ranks=n, grid_per_rank=lx * ly * lz,
-                particles_per_rank=dsim.total_particles() / n,
-                step_seconds=wall / steps,
-                halo_wait_fraction=float(halo_frac),
-                load_imbalance=float(imbalance),
-                halo_wait_seconds=float(wait),
-                backend=backend, overlap=overlap))
-        finally:
-            dsim.close()
-    return points
-
-
-def overlap_efficiency(overlapped: MeasuredPoint,
-                       serialized: MeasuredPoint) -> float:
-    """Fraction of serialized neighbor-wait time the overlapped
-    schedule hides: ``1 - wait_overlapped / wait_serialized``.
-
-    Both points must measure the same deck, rank count, and backend;
-    1.0 means every wait was covered by interior work, 0.0 means the
-    overlap bought nothing, negative means it actively hurt.
-    """
-    if (overlapped.n_ranks != serialized.n_ranks
-            or overlapped.backend != serialized.backend):
-        raise ValueError(
-            "overlap_efficiency compares the same configuration under "
-            f"both schedules, got {overlapped.n_ranks} ranks/"
-            f"{overlapped.backend} vs {serialized.n_ranks} ranks/"
-            f"{serialized.backend}")
-    if serialized.halo_wait_seconds <= 0:
-        return 0.0
-    return 1.0 - (overlapped.halo_wait_seconds
-                  / serialized.halo_wait_seconds)
 
 
 def speedups(points: list[ScalingPoint],

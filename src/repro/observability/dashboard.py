@@ -9,11 +9,9 @@ dependencies — inline CSS and SVG only, loadable from disk anywhere:
 - the top-kernel table with the modeled counters
   (:mod:`repro.observability.counters`);
 - a per-rank stacked time-split chart plus table (Figures 9-10 view);
-- regression deltas against the committed bench history — every
-  ``BENCH_*.json`` with kernel timings, merged per deck by
-  :mod:`repro.bench.history` (falls back to ``BENCH_3.json`` alone
-  when no deck-matched history exists) — plus the per-kernel
-  trajectory across baselines.
+- per-step field / push / sort deltas against the newest perfbench
+  envelope that measured the deck on this host
+  (:func:`repro.bench.history.phase_baseline`).
 
 :func:`profile_deck` is the driver behind ``repro profile <deck>``:
 it runs the deck distributed under a
@@ -26,10 +24,10 @@ returns a :class:`ProfileBundle` ready to render or export.
 from __future__ import annotations
 
 import html
-import json
 import math
-import os
 from dataclasses import dataclass, field
+
+from repro.observability.timeseries import phase_of
 
 __all__ = [
     "ProfileBundle",
@@ -41,71 +39,42 @@ __all__ = [
     "lane_occupancy",
 ]
 
-#: Single-file fallback baseline when no deck-matched bench history
-#: exists (pre-history behavior).
-_BASELINE_NAME = "BENCH_3.json"
 
-
-def _repo_root() -> str:
-    # src/repro/observability/dashboard.py -> repo root is 3 dirs up
-    # from the package dir; fall back to cwd when installed elsewhere.
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.abspath(os.path.join(here, "..", "..", ".."))
-    return root if os.path.isdir(os.path.join(root, "src")) else os.getcwd()
-
-
-def load_baseline(path: str | None = None,
-                  deck_name: str | None = None) -> dict | None:
-    """The committed profile baseline, or None when absent.
-
-    With an explicit *path* the file is loaded as-is. Otherwise the
-    full ``BENCH_*.json`` history is merged per deck through
-    :func:`repro.bench.history.merged_kernel_baseline`; when no
-    baseline in the history carries kernel timings for *deck_name*
-    (or no deck name is known) the single committed
-    ``BENCH_3.json`` is used as before.
-    """
-    if path is None:
-        if deck_name is not None:
-            from repro.bench.history import merged_kernel_baseline
-            merged = merged_kernel_baseline(deck_name)
-            if merged is not None:
-                return merged
-        path = os.path.join(_repo_root(), _BASELINE_NAME)
-    if not os.path.exists(path):
+def load_baseline(deck_name: str | None = None) -> dict | None:
+    """The perfbench baseline for the deck named *deck_name*, or None
+    when no deck is named or no envelope on this host measured it."""
+    if deck_name is None:
         return None
-    with open(path) as f:
-        return json.load(f)
+    from repro.bench.history import phase_baseline
+    return phase_baseline(deck_name)
 
 
 def baseline_deltas(kernel_seconds: dict, steps: int,
                     baseline: dict | None) -> list[dict]:
-    """Per-step deltas of measured kernel time vs the baseline.
+    """Per-step field / push / sort time of this run vs *baseline*.
 
-    Only kernels present in both runs are compared; times are
-    normalized per step because the runs may differ in length. A
-    merged-history baseline carries a ``kernel_sources`` table; each
-    delta row then names the ``BENCH_*.json`` its reference came
-    from.
+    This run's kernel labels fold into phases through
+    :func:`~repro.observability.timeseries.phase_of`; a phase either
+    side never ran is left out. Every row names the envelope and
+    workload the baseline came from.
     """
-    if not baseline or not baseline.get("kernel_seconds"):
+    if not baseline:
         return []
-    base_steps = max(1, int(baseline.get("steps", 1)))
-    sources = baseline.get("kernel_sources", {})
+    current: dict[str, float] = {}
+    for name, sec in kernel_seconds.items():
+        phase = phase_of(name)
+        current[phase] = current.get(phase, 0.0) + sec
     deltas = []
-    for name, base_sec in sorted(baseline["kernel_seconds"].items()):
-        if name not in kernel_seconds:
-            continue
-        base_per_step = base_sec / base_steps
-        now_per_step = kernel_seconds[name] / max(1, steps)
-        if base_per_step <= 0:
+    for phase, base_per_step in baseline["seconds_per_step"].items():
+        now_per_step = current.get(phase, 0.0) / max(1, steps)
+        if base_per_step <= 0 or now_per_step <= 0:
             continue
         deltas.append({
-            "name": name,
+            "name": phase,
             "baseline_ms_per_step": base_per_step * 1e3,
             "current_ms_per_step": now_per_step * 1e3,
             "delta_fraction": now_per_step / base_per_step - 1.0,
-            "source": sources.get(name, ""),
+            "source": baseline["source"],
         })
     return deltas
 
@@ -125,9 +94,6 @@ class ProfileBundle:
     metrics: dict = field(default_factory=dict)
     deltas: list = field(default_factory=list)
     baseline_note: str = ""
-    #: Per-kernel per-step seconds across every committed BENCH_*
-    #: baseline ({kernel: [{"file", "benchmark", "seconds_per_step"}]}).
-    history: dict = field(default_factory=dict)
 
     def save_trace(self, path: str) -> str | None:
         """Write the merged per-rank Chrome trace, if one was taken."""
@@ -137,8 +103,7 @@ class ProfileBundle:
 
 
 def profile_deck(deck, platform=None, n_ranks: int = 4,
-                 capacity: int = 65536,
-                 baseline_path: str | None = None) -> ProfileBundle:
+                 capacity: int = 65536) -> ProfileBundle:
     """Run *deck* distributed under the full profiler stack.
 
     Decks carrying ``field_init``/``perturbation`` callables are
@@ -196,15 +161,14 @@ def profile_deck(deck, platform=None, n_ranks: int = 4,
                       push_trace_from_keys(keys, table, atomic=True),
                       cost)
 
-    from repro.bench.history import kernel_trajectory
-
     rank_report = profiler.report()
-    baseline = load_baseline(baseline_path, deck_name=deck.name)
+    baseline = load_baseline(deck.name)
     kernel_seconds = {name: acc.seconds
                       for name, acc in tool.measured.items()}
     deltas = baseline_deltas(kernel_seconds, deck.num_steps, baseline)
-    note = "" if baseline else \
-        f"no bench baseline found for {deck.name} — delta table omitted"
+    note = "" if baseline else (
+        f"no perfbench envelope on this host measured {deck.name} — "
+        f"run `python3 perfbench/run.py` for a regression panel")
     return ProfileBundle(
         deck_name=deck.name,
         platform_name=platform.name,
@@ -217,7 +181,6 @@ def profile_deck(deck, platform=None, n_ranks: int = 4,
         metrics=default_registry().snapshot(),
         deltas=deltas,
         baseline_note=note,
-        history=kernel_trajectory(deck.name),
     )
 
 
@@ -439,8 +402,8 @@ def _legend() -> str:
     return f'<div class="legend">{items}</div>'
 
 
-#: Step-lane display order + colors (matches the lane vocabulary of
-#: ``measure_step_throughput`` and the ``step_lane/*`` counters).
+#: Step-lane display order + colors (the lane vocabulary of the
+#: ``step_lane/*`` counters).
 _LANE_SERIES = (("native-step", "var(--series-1)"),
                 ("native-push", "var(--series-3)"),
                 ("numpy-fused", "var(--series-2)"),
@@ -528,47 +491,21 @@ def _rank_table(report) -> str:
 
 
 def _delta_table(deltas: list) -> str:
-    with_source = any(d.get("source") for d in deltas)
-    head = ("<tr><th>kernel</th><th>baseline ms/step</th>"
+    head = ("<tr><th>phase</th><th>baseline ms/step</th>"
             "<th>current ms/step</th><th>delta</th>"
-            + ("<th>baseline from</th>" if with_source else "")
-            + "</tr>")
+            "<th>baseline from</th></tr>")
     body = []
     for d in deltas:
         frac = d["delta_fraction"]
         cls = "delta-up" if frac > 0.02 else \
             ("delta-down" if frac < -0.02 else "")
         arrow = "▲ " if frac > 0.02 else ("▼ " if frac < -0.02 else "")
-        src = (f"<td>{html.escape(d.get('source') or '-')}</td>"
-               if with_source else "")
         body.append(
             f"<tr><td>{html.escape(d['name'])}</td>"
             f"<td>{d['baseline_ms_per_step']:.3f}</td>"
             f"<td>{d['current_ms_per_step']:.3f}</td>"
-            f'<td class="{cls}">{arrow}{frac:+.1%}</td>{src}</tr>')
-    return f'<table class="data">{head}{"".join(body)}</table>'
-
-
-def _history_table(history: dict) -> str:
-    """Per-kernel per-step times across every committed baseline."""
-    files: list[str] = []
-    for series in history.values():
-        for pt in series:
-            if pt["file"] not in files:
-                files.append(pt["file"])
-    if not files:
-        return '<p class="note">(no bench history for this deck)</p>'
-    head = ("<tr><th>kernel</th>"
-            + "".join(f"<th>{html.escape(f)} ms/step</th>"
-                      for f in files) + "</tr>")
-    body = []
-    for name in sorted(history):
-        cells = {pt["file"]: pt["seconds_per_step"]
-                 for pt in history[name]}
-        row = "".join(
-            f"<td>{cells[f] * 1e3:.3f}</td>" if f in cells
-            else "<td>-</td>" for f in files)
-        body.append(f"<tr><td>{html.escape(name)}</td>{row}</tr>")
+            f'<td class="{cls}">{arrow}{frac:+.1%}</td>'
+            f"<td>{html.escape(d['source'])}</td></tr>")
     return f'<table class="data">{head}{"".join(body)}</table>'
 
 
@@ -620,16 +557,15 @@ def render_dashboard(bundle: ProfileBundle) -> str:
             f'reference kernels.</p></div>')
     if bundle.deltas:
         sections.append(
-            f'<h2>Regression vs committed bench history</h2>'
-            f'<div class="card">{_delta_table(bundle.deltas)}</div>')
+            f'<h2>Regression vs perfbench baseline</h2>'
+            f'<div class="card">{_delta_table(bundle.deltas)}'
+            f'<p class="note">baseline: the deck stepped as one '
+            f'<code>run-deck</code> process, as perfbench measured it on '
+            f'this host; current: this profiled run, summed over its '
+            f'ranks.</p></div>')
     elif bundle.baseline_note:
         sections.append(f'<p class="note">'
                         f'{html.escape(bundle.baseline_note)}</p>')
-    if bundle.history:
-        sections.append(
-            f'<h2>Bench trajectory — '
-            f'{html.escape(bundle.deck_name)}</h2>'
-            f'<div class="card">{_history_table(bundle.history)}</div>')
     sections.append(
         '<div class="footer">'
         'Reading this page against the paper: the roofline point per '

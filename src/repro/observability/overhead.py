@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 __all__ = ["OverheadReport", "measure_overhead",
-           "ProfileOverheadReport", "measure_profile_overhead",
            "NativeTelemetryOverhead",
            "measure_native_telemetry_overhead"]
 
@@ -124,106 +123,6 @@ def measure_overhead(iterations: int = 20_000,
 
     return OverheadReport(iterations=iterations, baseline_ns=baseline_ns,
                           off_ns=off_ns, traced_ns=traced_ns)
-
-
-@dataclass(frozen=True)
-class ProfileOverheadReport:
-    """Whole-run cost of the ``repro profile`` toolchain on one deck."""
-
-    deck_name: str
-    n_ranks: int
-    steps: int
-    plain_seconds: float
-    profiled_seconds: float
-    #: Measured per-kernel wall seconds from the profiled run.
-    kernel_seconds: dict
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Relative slowdown of the profiled run (0.1 = 10% slower)."""
-        if self.plain_seconds <= 0:
-            return 0.0
-        return max(0.0, self.profiled_seconds / self.plain_seconds - 1.0)
-
-    def format(self) -> str:
-        return (
-            f"profile overhead on {self.deck_name} "
-            f"({self.n_ranks} ranks, {self.steps} steps): "
-            f"plain {self.plain_seconds * 1e3:.1f} ms, "
-            f"profiled {self.profiled_seconds * 1e3:.1f} ms "
-            f"(+{self.overhead_fraction:.1%})")
-
-
-def measure_profile_overhead(deck=None, n_ranks: int = 2,
-                             steps: int = 4,
-                             platform_name: str = "A100"
-                             ) -> ProfileOverheadReport:
-    """Time a distributed run plain vs under the full profiler stack.
-
-    The profiled run carries everything ``repro profile`` registers —
-    a :class:`~repro.observability.rank_profile.RankProfiler` and a
-    :class:`~repro.observability.counters.CounterTool` — so the
-    reported fraction is the real end-to-end cost of profiling a run,
-    not just the per-event hook cost :func:`measure_overhead` states.
-    Each run gets its own simulation and one untimed warm-up step.
-    """
-    from repro.kokkos.profiling import profiling_session
-    from repro.machine.specs import get_platform
-    from repro.mpi.distributed import DistributedSimulation
-    from repro.observability.callbacks import (register_tool,
-                                               unregister_tool)
-    from repro.observability.counters import CounterTool
-    from repro.observability.rank_profile import RankProfiler
-
-    if steps <= 0:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if deck is None:
-        # Big enough that the kernels carry real work: on a toy grid
-        # the fixed per-event hook cost dominates and the fraction
-        # measures Python dispatch, not the profiler's marginal cost.
-        # Sized against the fused+native rank step (per-kernel hook
-        # counts don't scale with particles, so a deck the old numpy
-        # path made "big" is toy-sized for the compiled lane). Note
-        # the RankProfiler is an *interposing* tool, so this measures
-        # the serial-rank profiled path — the honest worst case.
-        # Telemetry-compatible-only stacks (tracer + CounterTool)
-        # keep threaded ranks and the whole-step lane; their cost is
-        # what measure_native_telemetry_overhead states.
-        from repro.vpic.workloads import uniform_plasma_deck
-        deck = uniform_plasma_deck(nx=24, ny=24, nz=24, ppc=16,
-                                   num_steps=steps)
-
-    with profiling_session():
-        plain = DistributedSimulation(deck, n_ranks)
-        plain.step()
-        t0 = time.perf_counter()
-        plain.run(steps)
-        plain_seconds = time.perf_counter() - t0
-
-    with profiling_session():
-        profiled = DistributedSimulation(deck, n_ranks)
-        profiler = RankProfiler(n_ranks)
-        tool = CounterTool(get_platform(platform_name))
-        register_tool(profiler)
-        register_tool(tool)
-        try:
-            profiled.step()
-            t0 = time.perf_counter()
-            profiled.run(steps)
-            profiled_seconds = time.perf_counter() - t0
-        finally:
-            unregister_tool(tool)
-            unregister_tool(profiler)
-
-    return ProfileOverheadReport(
-        deck_name=deck.name,
-        n_ranks=n_ranks,
-        steps=steps,
-        plain_seconds=plain_seconds,
-        profiled_seconds=profiled_seconds,
-        kernel_seconds={name: acc.seconds
-                        for name, acc in tool.measured.items()},
-    )
 
 
 @dataclass(frozen=True)

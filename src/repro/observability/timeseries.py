@@ -23,9 +23,9 @@ buffer:
 
 The recorder measures its own cost: every sampling call is timed and
 accumulated in :attr:`overhead_seconds`, so a run can state what the
-telemetry cost it (``repro run-deck --record`` prints it, and
-``scripts/bench_report.py --record-only`` enforces the <5% budget in
-``BENCH_6.json``).
+telemetry cost it (``repro run-deck --record`` prints it; perfbench's
+``observed`` workload reports it as ``obs.recorder_s`` and
+``obs.tools_share``).
 
 Samples fan out to ``listeners`` — the
 :class:`~repro.observability.flight.FlightRecorder` subscribes one to

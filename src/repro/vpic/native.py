@@ -17,8 +17,9 @@ module provides that lane for the hot loop at two scopes:
   performs the Yee field solve (half ``advance_b``, ``advance_e``,
   half ``advance_b``), periodic ghost sync, the ghost-current fold,
   and the in-place counting sort when the sort policy says so — so
-  the residual numpy passes BENCH_5 exposed (``step/field_solve``,
-  ``step/sort/*``) disappear from the per-step budget;
+  the residual numpy passes of the push-only lane
+  (``step/field_solve``, ``step/sort/*``) disappear from the
+  per-step budget;
 - **kernel scope**: the step that stays Python (per-step sources, an
   absorbing x boundary, Esirkepov deposition) calls the same Yee
   cores phase by phase from ``FieldSolver``'s own methods — plus the

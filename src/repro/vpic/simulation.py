@@ -527,10 +527,10 @@ class Simulation:
             self.guard.after_step(self)
 
     def _lane_taken(self, native_pushed: "int | None") -> str:
-        """Which lane the step just ran on — the vocabulary of
-        ``measure_step_throughput`` (``native-step`` / ``native-push``
-        / ``numpy-fused`` / ``reference``), counted per step under
-        ``step_lane/*`` for the dashboard's lane-occupancy panel."""
+        """Which lane the step just ran on (``native-step`` /
+        ``native-push`` / ``numpy-fused`` / ``reference``), counted
+        per step under ``step_lane/*`` for the dashboard's
+        lane-occupancy panel and perfbench's declared-lane check."""
         if native_pushed is not None:
             return "native-step"
         if self.step_plan.reference:

@@ -400,12 +400,12 @@ class TestDashboard:
 
     def test_baseline_deltas_normalized_per_step(self):
         from repro.observability.dashboard import baseline_deltas
-        baseline = {"steps": 4,
-                    "kernel_seconds": {"push/electron": 0.4,
-                                       "gone": 1.0}}
+        baseline = {"source": "perfbench-abc-seed0.json · observed",
+                    "seconds_per_step": {"push": 0.1, "sort": 0.5}}
         deltas = baseline_deltas({"push/electron": 0.3}, 2, baseline)
-        assert len(deltas) == 1            # only shared kernels
+        assert len(deltas) == 1            # only phases both sides ran
         d = deltas[0]
+        assert d["name"] == "push"
         assert d["baseline_ms_per_step"] == pytest.approx(100.0)
         assert d["current_ms_per_step"] == pytest.approx(150.0)
         assert d["delta_fraction"] == pytest.approx(0.5)

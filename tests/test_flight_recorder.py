@@ -433,78 +433,160 @@ def test_run_deck_record_guard_crash_cli(tmp_path, capsys, monkeypatch):
 # -- bench history ------------------------------------------------------------
 
 
+def _stat(value):
+    return {"n": 1, "median": value, "min": value, "max": value,
+            "q1": value, "q3": value}
+
+
+def _write_envelope(out_dir, name, time, smoke=False, push_s=0.5):
+    """A ``perfbench/1`` envelope shaped like ``perfbench/run.py``'s:
+    ``observed`` runs uniform on the native-step lane, ``sources-lane``
+    runs wakefield kernel by kernel, ``ranks-procs`` runs uniform with
+    no single-``Simulation`` step spans."""
+    def workload(command, rate, layers):
+        return {"command": ["run-deck", *command],
+                "end_to_end": {"mpart_steps_per_s": _stat(rate)},
+                "per_layer": {k: _stat(v) for k, v in layers.items()}}
+    (out_dir / name).write_text(json.dumps({
+        "schema": "perfbench/1", "host": "vm", "nproc": 2,
+        "git_head": "0123456789abcdef0123", "seed": 0, "smoke": smoke,
+        "time": time,
+        "workloads": {
+            "ranks-procs": workload(
+                ["uniform", "--steps", "50", "--ranks", "2"], 0.2,
+                {"sim.steps": 0.0, "mpi.push_s": 0.1}),
+            "observed": workload(
+                ["uniform", "--steps", "100", "--guard", "raise"], 19.0,
+                {"sim.steps": 100.0, "native.c_field_s": 0.02,
+                 "native.c_push_s": push_s, "native.c_sort_s": 0.01}),
+            "sources-lane": workload(
+                ["wakefield", "--steps", "10"], 17.6,
+                {"sim.steps": 10.0, "fields.solve_s": 0.04,
+                 "push.fused_s": 0.3, "sort.apply_s": 0.0}),
+        }}))
+
+
 def test_bench_history_merge(tmp_path):
     from repro.bench.history import (format_history, history_rows,
-                                     kernel_trajectory, load_history,
-                                     merged_kernel_baseline)
-    root = str(tmp_path)
-    (tmp_path / "BENCH_3.json").write_text(json.dumps({
-        "benchmark": "profile_overhead", "deck": "uniform_plasma",
-        "steps": 4, "overhead_fraction": 0.05, "n_ranks": 2,
-        "kernel_seconds": {"push/electron": 0.08,
-                           "halo/exchange": 0.01},
-    }))
-    (tmp_path / "BENCH_5.json").write_text(json.dumps({
-        "benchmark": "step_throughput",
-        "decks": {"uniform": {"speedup": 5.0,
-                              "fast_kernel_ms_per_step": {
-                                  "step/push/electron": 3.0,
-                                  "step/sort/electron": 0.5}}},
-    }))
-    (tmp_path / "BENCH_9.json").write_text("not json at all")
-    records = load_history(root)
-    assert [r.name for r in records] == ["BENCH_3.json", "BENCH_5.json"]
-    rows = history_rows(records)
-    assert rows[0]["benchmark"] == "profile_overhead"
-    assert "5.0x" in rows[1]["headline"]
-    assert "BENCH_3.json" in format_history(records)
+                                     phase_baseline)
+    out = str(tmp_path)
+    assert history_rows(out) == []
+    assert "python3 perfbench/run.py" in format_history(out)
+    assert phase_baseline("uniform_plasma", out) is None
 
-    merged = merged_kernel_baseline("uniform_plasma", records)
-    assert merged["steps"] == 1
-    # profile_overhead wins for the shared kernel (0.08 s / 4 steps),
-    # step_throughput fills in what it alone saw.
-    assert merged["kernel_seconds"]["push/electron"] == \
-        pytest.approx(0.02)
-    assert merged["kernel_sources"]["push/electron"] == "BENCH_3.json"
-    assert merged["kernel_seconds"]["sort/electron"] == \
-        pytest.approx(0.0005)
-    assert merged["kernel_sources"]["sort/electron"] == "BENCH_5.json"
-    assert merged_kernel_baseline("harris_sheet", records) is None
+    _write_envelope(tmp_path, "perfbench-old-seed0.json",
+                    "2026-01-01T00:00:00+0000", push_s=0.5)
+    _write_envelope(tmp_path, "perfbench-new-seed0.json",
+                    "2026-02-01T00:00:00+0000", push_s=0.4)
+    _write_envelope(tmp_path, "perfbench-smoke-seed0.json",
+                    "2026-03-01T00:00:00+0000", smoke=True, push_s=9.0)
+    # Outside input: neither may stop the reader or show up as a row.
+    (tmp_path / "perfbench-torn-seed0.json").write_text("not json at all")
+    (tmp_path / "perfbench-other-seed0.json").write_text(json.dumps(
+        {"schema": "somebench/2", "time": "2026-04-01T00:00:00+0000",
+         "workloads": {}}))
 
-    traj = kernel_trajectory("uniform_plasma", records)
-    assert [p["file"] for p in traj["push/electron"]] == \
-        ["BENCH_3.json", "BENCH_5.json"]
+    rows = history_rows(out)
+    assert [r["file"] for r in rows] == [
+        "perfbench-smoke-seed0.json", "perfbench-new-seed0.json",
+        "perfbench-old-seed0.json"]                      # newest first
+    assert [r["smoke"] for r in rows] == [True, False, False]
+    assert rows[1]["git_head"] == "0123456789ab"
+    assert rows[1]["mpart_steps_per_s"]["observed"] == 19.0
+    table = format_history(out)
+    assert "perfbench-old-seed0.json" in table and "vm/2" in table
+    assert table.splitlines()[0].endswith("smoke")
+    assert "Mpart-steps/s: ranks-procs 0.2  observed 19" in table
+
+    # The smoke envelope is newest but measures nothing: never a
+    # baseline. ranks-procs also runs uniform but has no sim.steps.
+    base = phase_baseline("uniform_plasma", out)
+    assert base["source"] == "perfbench-new-seed0.json · observed"
+    assert base["seconds_per_step"] == pytest.approx(
+        {"field": 0.0002, "push": 0.004, "sort": 0.0001})
+    # Deck.name, not the CLI key, selects the workload.
+    wake = phase_baseline("laser_wakefield", out)
+    assert wake["source"].endswith("· sources-lane")
+    assert wake["seconds_per_step"]["push"] == pytest.approx(0.03)
+    assert phase_baseline("harris_sheet", out) is None
 
 
 def test_bench_history_against_real_repo():
-    """The committed BENCH_* files must parse and merge."""
-    from repro.bench.history import history_rows, merged_kernel_baseline
+    """Whatever ``perfbench/out/`` of this checkout holds (nothing, in
+    a fresh clone) must read without error."""
+    from repro.bench.history import (default_dir, format_history,
+                                     history_rows, phase_baseline)
+    assert default_dir().endswith(os.path.join("perfbench", "out"))
     rows = history_rows()
-    assert any(r["benchmark"] == "profile_overhead" for r in rows)
-    merged = merged_kernel_baseline("uniform_plasma")
-    assert merged is not None
-    assert "push/electron" in merged["kernel_seconds"]
+    for row in rows:
+        assert row["file"].startswith("perfbench-")
+        assert row["mpart_steps_per_s"]
+        assert all(v >= 0 for v in row["mpart_steps_per_s"].values())
+    assert ("python3 perfbench/run.py" in format_history()) == (not rows)
+    base = phase_baseline("uniform_plasma")
+    if base is not None:
+        assert base["seconds_per_step"]["push"] > 0
 
 
-def test_baseline_deltas_carry_sources():
+def test_baseline_deltas_carry_sources(tmp_path):
+    from repro.bench.history import phase_baseline
     from repro.observability.dashboard import baseline_deltas
-    baseline = {"steps": 1,
-                "kernel_seconds": {"push/electron": 0.01},
-                "kernel_sources": {"push/electron": "BENCH_3.json"}}
-    deltas = baseline_deltas({"push/electron": 0.06}, 5, baseline)
-    assert len(deltas) == 1
-    assert deltas[0]["source"] == "BENCH_3.json"
-    assert deltas[0]["delta_fraction"] == pytest.approx(0.2)
+    _write_envelope(tmp_path, "perfbench-abc-seed0.json",
+                    "2026-02-01T00:00:00+0000", push_s=0.4)
+    baseline = phase_baseline("uniform_plasma", str(tmp_path))
+    # Two species' push kernels fold into one phase; the native span
+    # nests inside them and halo time has no baseline: neither counts.
+    deltas = baseline_deltas(
+        {"push/electron": 0.02, "push/ion": 0.004, "native_push": 0.02,
+         "field/advance_b": 0.0005, "field/advance_e": 0.0005,
+         "halo/wait": 1.0}, 5, baseline)
+    by_name = {d["name"]: d for d in deltas}
+    assert set(by_name) == {"field", "push"}         # nothing sorted
+    assert by_name["push"]["baseline_ms_per_step"] == pytest.approx(4.0)
+    assert by_name["push"]["current_ms_per_step"] == pytest.approx(4.8)
+    assert by_name["push"]["delta_fraction"] == pytest.approx(0.2)
+    assert by_name["field"]["delta_fraction"] == pytest.approx(0.0)
+    assert all(d["source"] == "perfbench-abc-seed0.json · observed"
+               for d in deltas)
 
 
-def test_bench_history_cli(capsys):
+def test_dashboard_regression_panel_reads_envelopes(tmp_path, monkeypatch):
+    from repro.bench import history
+    from repro.observability.dashboard import (profile_deck,
+                                               render_dashboard)
+    monkeypatch.setattr(history, "default_dir", lambda: str(tmp_path))
+    deck = uniform_plasma_deck(nx=8, ny=8, nz=8, ppc=2, num_steps=2)
+    bundle = profile_deck(deck, n_ranks=2)
+    assert bundle.deltas == []
+    assert "python3 perfbench/run.py" in bundle.baseline_note
+    assert "perfbench/run.py" in render_dashboard(bundle)
+
+    _write_envelope(tmp_path, "perfbench-abc-seed0.json",
+                    "2026-02-01T00:00:00+0000")
+    bundle = profile_deck(deck, n_ranks=2)
+    assert {d["name"] for d in bundle.deltas} >= {"push", "field"}
+    page = render_dashboard(bundle)
+    assert "Regression vs perfbench baseline" in page
+    assert "perfbench-abc-seed0.json · observed" in page
+
+
+def test_bench_history_cli(capsys, tmp_path, monkeypatch):
+    from repro.bench import history
     from repro.cli import main
+    monkeypatch.setattr(history, "default_dir", lambda: str(tmp_path))
+    assert main(["bench", "history"]) == 0
+    assert "python3 perfbench/run.py" in capsys.readouterr().out
+    assert main(["bench", "history", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+
+    _write_envelope(tmp_path, "perfbench-abc-seed0.json",
+                    "2026-02-01T00:00:00+0000")
     assert main(["bench", "history"]) == 0
     out = capsys.readouterr().out
-    assert "profile_overhead" in out
+    assert "perfbench-abc-seed0.json" in out and "observed 19" in out
     assert main(["bench", "history", "--json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert isinstance(rows, list) and rows
+    assert json.loads(capsys.readouterr().out) == \
+        history.history_rows(str(tmp_path))
 
 
 # -- satellite: histogram fixes ----------------------------------------------

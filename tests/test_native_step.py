@@ -176,6 +176,24 @@ def test_native_step_batch_used_by_default_plan():
     assert sim._native_step() is not None
 
 
+def test_default_plan_counts_every_step_on_native_step_lane():
+    """A silent downgrade (broken C build, a widened gate, the plan no
+    longer selecting the step scope) shows as steps counted under
+    another ``step_lane/*`` or as a fallback reason, not as a slower
+    clock."""
+    from repro.observability.dashboard import lane_occupancy
+    from repro.observability.metrics import default_registry
+
+    default_registry().reset()
+    sim = workloads.uniform_plasma_deck(seed=0).build()
+    assert sim.step_plan == StepPlan()
+    assert sim.native_fallback_reason() is None
+    steps = 6
+    sim.run(steps)
+    counters = default_registry().snapshot()["counters"]
+    assert lane_occupancy(counters) == {"native-step": steps}
+
+
 # -- satellite 1: build status freshness ---------------------------------------
 
 
