@@ -359,7 +359,7 @@ def cmd_run_deck(args) -> int:
             kernel_rows=counter_tool.rows(),
             metrics=default_registry().snapshot(),
             deltas=baseline_deltas(kernel_seconds, deck.num_steps,
-                                   load_baseline()),
+                                   load_baseline(deck.name)),
         )
         save_dashboard(bundle, profile_path)
         print(f"profile dashboard -> {profile_path}")

@@ -197,6 +197,14 @@ def neutralized_charge_density(sim) -> np.ndarray:
     an implied neutralizing background; the DC component has no
     periodic potential and is not a Gauss-law violation.
     """
+    a = _folded_rho(sim).reshape(sim.grid.shape)
+    interior = a[1:-1, 1:-1, 1:-1]
+    interior -= interior.mean()
+    return a.reshape(-1)
+
+
+def _folded_rho(sim) -> np.ndarray:
+    """Ghost-folded (not mean-subtracted) total charge density."""
     g = sim.grid
     rho = np.zeros(g.n_voxels, dtype=np.float32)
     for sp in sim.species:
@@ -214,8 +222,6 @@ def neutralized_charge_density(sim) -> np.ndarray:
         lo[axis], hi[axis] = n + 1, 1
         a[tuple(hi)] += a[tuple(lo)]
         a[tuple(lo)] = 0.0
-    interior = a[1:-1, 1:-1, 1:-1]
-    interior -= interior.mean()
     return a.reshape(-1)
 
 
@@ -365,28 +371,6 @@ class ContinuityCheck(InvariantCheck):
                 "charge-continuity residual exceeds the "
                 "conservation floor")
         return None
-
-
-def _folded_rho(sim) -> np.ndarray:
-    """Ghost-folded (not mean-subtracted) total charge density."""
-    g = sim.grid
-    rho = np.zeros(g.n_voxels, dtype=np.float32)
-    for sp in sim.species:
-        if sp.n == 0:
-            continue
-        x, y, z = sp.positions()
-        deposit_charge(g, x, y, z, sp.live("w"), sp.q, out=rho)
-    a = rho.astype(np.float64).reshape(g.shape)
-    for axis, n in ((0, g.nx), (1, g.ny), (2, g.nz)):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis], hi[axis] = 0, n
-        a[tuple(hi)] += a[tuple(lo)]
-        a[tuple(lo)] = 0.0
-        lo[axis], hi[axis] = n + 1, 1
-        a[tuple(hi)] += a[tuple(lo)]
-        a[tuple(lo)] = 0.0
-    return a.reshape(-1)
 
 
 class EnergyDriftCheck(InvariantCheck):

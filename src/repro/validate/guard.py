@@ -266,12 +266,13 @@ def measure_guard_overhead(deck=None, steps: int = 10,
     perfbench's ``observed`` workload measures (``guard.before_s``,
     ``guard.after_s``, ``obs.tools_share``). The layer's original bar
     (<10% of step time on a clean 16^3 deck) was set against the 10 ms
-    numpy step; the default suite still costs what it did — about 0.75 ms
-    per step averaged over its cadences — which against the 0.9 ms
-    whole-step native lane reads +84% (median of 9 at ``steps=10`` and
-    at ``steps=200``, PR 15's host; +32% over 4 steps, where only the
-    every-step checks and one energy sample fall in the window). One
-    reading of a 3 ms window swings by tens of points. Each run gets
+    numpy step. With its charge deposit and kinetic energy on the
+    compiled kernels the default suite costs about 0.39 ms per step
+    averaged over its cadences (0.75 ms with them in numpy), which
+    against the 0.9 ms whole-step native lane reads +41% (median of 9
+    at ``steps=200`` on a 2-CPU x86-64 host; +33% at ``steps=10``);
+    most of what is left is the every-step finiteness and bounds scans.
+    One reading of a 3 ms window swings by tens of points. Each run gets
     its own simulation and one untimed warm-up step.
     """
     from repro.kokkos.profiling import profiling_session

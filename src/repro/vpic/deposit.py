@@ -108,15 +108,28 @@ def deposit_charge(grid: Grid, x, y, z, w, q: float,
     Returns the flat (ghost-inclusive) density array; pass *out* to
     accumulate several species into the same array. ``binned=True``
     uses one ravel-key segment reduction instead of 8 atomic scatters.
+    The atomic path runs as the compiled kernel when one is built, no
+    atomics accounting is observing it and every array is contiguous
+    float32 — the same float32 adds in the same order, so the same
+    bytes; the numpy scatter below is the fallback and the oracle.
     """
+    from repro.kokkos.atomics import accounting_enabled
+    from repro.vpic import native
+
     if out is None:
         out = np.zeros(grid.n_voxels, dtype=np.float32)
     elif out.shape != (grid.n_voxels,):
         raise ValueError(
             f"out must be flat with {grid.n_voxels} voxels, got {out.shape}")
+    rq = np.float32(q / grid.cell_volume)
+    if not binned and not accounting_enabled():
+        lib = native.native_push_kernel()
+        if lib is not None and lib.deposit_charge(grid, x, y, z, w, rq,
+                                                  out):
+            return out
     ix, iy, iz = grid.cell_of_position(x, y, z)
     fx, fy, fz = grid.cell_fraction(x, y, z)
-    rho_p = np.asarray(w, dtype=np.float32) * np.float32(q / grid.cell_volume)
+    rho_p = np.asarray(w, dtype=np.float32) * rq
     sx, sy, sz = grid.shape
     weights = cic_weights(fx, fy, fz)
     if binned:

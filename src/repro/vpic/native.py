@@ -25,7 +25,16 @@ module provides that lane for the hot loop at two scopes:
   cores phase by phase from ``FieldSolver``'s own methods — plus the
   y/z-only ghost sync and the first-order Mur update an absorbing x
   boundary needs — and the same counting sort from
-  ``SortStep.apply``, so only the sources stay numpy there.
+  ``SortStep.apply``, so only the sources stay numpy there. Outside
+  the step, the three passes the guard and the diagnostics make over
+  freshly pushed particles run here too, each from inside its public
+  function with numpy as fallback and oracle: the CIC charge deposit
+  (``deposit_charge``'s atomic path — the Gauss-law and continuity
+  checks and the Gauss repair), the kinetic-energy terms
+  (``Species.kinetic_energy`` — the energy line, the drift check, the
+  detail gauge; numpy still sums them) and the voxel refresh
+  (``Species.update_voxels`` — deck build, ``live("voxel")``, the
+  detail-mode sort).
 
 On top of the step scope sits :func:`step_batch`: N independent
 decks advanced in one native call over their packed arenas (the
@@ -49,7 +58,10 @@ Esirkepov deposit stages its increments and accumulates them in
 numpy's own slot-major order, so its currents are bit-identical. The
 counting sort is stable, so it reproduces
 ``np.argsort(voxels, kind="stable")`` — the ``SortKind.STANDARD``
-permutation — exactly.
+permutation — exactly. The charge deposit adds in ``np.add.at``'s
+corner-major, particle order, so it too is bit-identical, and the
+clips of ``Grid``'s index chain are compare-selects with numpy's NaN
+semantics (a NaN position bins into cell 1).
 
 Everything degrades gracefully: no compiler, no writable cache
 directory, or a failed build simply mean the kernel getters return
@@ -1047,6 +1059,113 @@ void step_decks(NDeck *decks, int64_t n_decks, int64_t n_steps) {
         for (int64_t d = 0; d < n_decks; d++)
             step_one(&decks[d]);
 }
+
+/* ---- guard and diagnostics passes -------------------------------- */
+
+/* What the guard checks and the detail metrics compute over particles
+ * the step has just pushed, each the same float operations in the
+ * same order as its numpy original. The clips are compare-selects:
+ * fmin/fmax would be libm calls under these flags, and the selects
+ * keep numpy's NaN semantics. Nothing here calls into libc either —
+ * scratch comes from the caller — so the library's PLT, and with it
+ * the address of every kernel above, is what it was without them. */
+
+/* Grid.cell_of_position along one axis, 0-based (the ghost-inclusive
+ * index is one more), from the cell coordinate c: np.fmax(c, 0) sends
+ * NaN to 0, np.fmin(c, h) caps +inf. */
+static inline int64_t grid_cell(double c, double h)
+{
+    c = c > 0.0 ? c : 0.0;
+    c = c < h ? c : h;
+    return (int64_t)c;
+}
+
+/* Grid.cell_fraction along one axis, cast to float32 as cic_weights
+ * does: np.clip(c, 0, h) minus its floor, NaN kept. cell is
+ * grid_cell(c, h), which equals that floor for every clipped value but
+ * NaN, and NaN - cell is NaN; floor itself would keep the loop from
+ * vectorizing under these flags, and so would a nested select. The low
+ * clip is <= so -0.0 becomes +0.0: numpy keeps -0.0 there, but its
+ * fraction -0.0 - floor(-0.0) is +0.0 as well. */
+static inline float grid_fraction(double c, double h, int64_t cell)
+{
+    c = c <= 0.0 ? 0.0 : c;
+    c = c > h ? h : c;
+    return (float)(c - (double)cell);
+}
+
+/* deposit_charge's atomic path: CIC charge w * rq onto out, corner by
+ * corner and, within a corner, in particle order — np.add.at's order
+ * of float32 adds. base (n) and fr (4 n) are scratch. */
+void deposit_rho(const float *restrict x, const float *restrict y,
+                 const float *restrict z, const float *restrict w,
+                 int64_t n, float rq, float *restrict out,
+                 int64_t nx, int64_t ny, int64_t nz,
+                 double x0, double y0, double z0,
+                 double dx, double dy, double dz,
+                 int64_t *restrict base, float *restrict fr)
+{
+    const int64_t sy = ny + 2, sz = nz + 2;
+    const double hx = (double)nx - 1e-9, hy = (double)ny - 1e-9,
+                 hz = (double)nz - 1e-9;
+    float *restrict fx = fr, *restrict fy = fr + n, *restrict fz = fr + 2 * n,
+          *restrict rho = fr + 3 * n;
+    for (int64_t i = 0; i < n; i++) {
+        double cx = ((double)x[i] - x0) / dx;
+        double cy = ((double)y[i] - y0) / dy;
+        double cz = ((double)z[i] - z0) / dz;
+        int64_t ix = grid_cell(cx, hx), iy = grid_cell(cy, hy),
+                iz = grid_cell(cz, hz);
+        base[i] = ((ix + 1) * sy + iy + 1) * sz + iz + 1;
+        fx[i] = grid_fraction(cx, hx, ix);
+        fy[i] = grid_fraction(cy, hy, iy);
+        fz[i] = grid_fraction(cz, hz, iz);
+        rho[i] = w[i] * rq;
+    }
+    /* corner k = (di, dj, dk) in cic_weights order: bit 0 di, 1 dj,
+     * 2 dk; weight (a * b) * c with a = fx or 1 - fx, ... */
+    for (int k = 0; k < 8; k++) {
+        const int ox = k & 1, oy = (k >> 1) & 1, oz = (k >> 2) & 1;
+        const int64_t off = (ox * sy + oy) * sz + oz;
+        for (int64_t i = 0; i < n; i++) {
+            float a = ox ? fx[i] : 1.0f - fx[i];
+            float b = oy ? fy[i] : 1.0f - fy[i];
+            float c = oz ? fz[i] : 1.0f - fz[i];
+            out[base[i] + off] += a * b * c * rho[i];
+        }
+    }
+}
+
+/* Species.kinetic_energy's terms w m (gamma - 1) in float64, gamma in
+ * _gamma_into's order; the caller sums t. */
+void kinetic_terms(const float *restrict ux, const float *restrict uy,
+                   const float *restrict uz, const float *restrict w,
+                   int64_t n, double m, double *restrict t)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double a = (double)ux[i], b = (double)uy[i], c = (double)uz[i];
+        double g = 1.0 + a * a;
+        g = g + b * b;
+        g = g + c * c;
+        t[i] = (double)w[i] * m * (sqrt(g) - 1.0);
+    }
+}
+
+/* Grid.voxel_of_position into voxel. */
+void voxel_refresh(const float *restrict x, const float *restrict y,
+                   const float *restrict z, int64_t *restrict voxel,
+                   int64_t n, int64_t nx, int64_t ny, int64_t nz,
+                   double x0, double y0, double z0,
+                   double dx, double dy, double dz)
+{
+    const int64_t sy = ny + 2, sz = nz + 2;
+    const double hx = (double)nx - 1e-9, hy = (double)ny - 1e-9,
+                 hz = (double)nz - 1e-9;
+    for (int64_t i = 0; i < n; i++)
+        voxel[i] = ((grid_cell(((double)x[i] - x0) / dx, hx) + 1) * sy
+                    + grid_cell(((double)y[i] - y0) / dy, hy) + 1) * sz
+                   + grid_cell(((double)z[i] - z0) / dz, hz) + 1;
+}
 """
 
 #: Strict-IEEE core: no fast-math value changes, no FMA contraction
@@ -1157,6 +1276,14 @@ class _NativeLib:
         lib.sort_species.restype = None
         lib.step_decks.argtypes = [ctypes.POINTER(_CDeck), _i64, _i64]
         lib.step_decks.restype = None
+        lib.deposit_rho.argtypes = ([_pf] * 4 + [_i64, _f32, _pf]
+                                    + [_i64] * 3 + [_f64] * 6 + [_pi, _pf])
+        lib.deposit_rho.restype = None
+        lib.kinetic_terms.argtypes = [_pf] * 4 + [_i64, _f64, _pd]
+        lib.kinetic_terms.restype = None
+        lib.voxel_refresh.argtypes = ([_pf] * 3 + [_pi] + [_i64] * 4
+                                      + [_f64] * 6)
+        lib.voxel_refresh.restype = None
         self._lib = lib
         self.path = lib_path
         self.key = key
@@ -1320,6 +1447,65 @@ class _NativeLib:
 
     def step_decks(self, decks, n_steps: int) -> None:
         self._lib.step_decks(decks, _i64(len(decks)), _i64(n_steps))
+
+    # -- guard and diagnostics scope ---------------------------------
+    #
+    # Each returns False, having done nothing, when an array is not a
+    # 1-D C-contiguous aligned one of the kernel's dtype and length:
+    # the caller then runs its numpy code, which is also the oracle.
+
+    def deposit_charge(self, grid, x, y, z, w, rq, out) -> bool:
+        """``deposit_charge``'s atomic scatter of ``w * rq`` into
+        *out*, bit-identical."""
+        n = np.size(x)
+        if not (_flat(np.float32, n, x, y, z, w)
+                and _flat(np.float32, grid.n_voxels, out)):
+            return False
+        base = np.empty(n, np.int64)
+        fr = np.empty(4 * n, np.float32)
+        self._lib.deposit_rho(
+            _fptr(x), _fptr(y), _fptr(z), _fptr(w), _i64(n), _f32(rq),
+            _fptr(out), _i64(grid.nx), _i64(grid.ny), _i64(grid.nz),
+            _f64(grid.x0), _f64(grid.y0), _f64(grid.z0),
+            _f64(grid.dx), _f64(grid.dy), _f64(grid.dz),
+            base.ctypes.data_as(_pi), _fptr(fr))
+        return True
+
+    def kinetic_terms(self, sp, t) -> bool:
+        """*sp*'s per-particle ``w m (gamma - 1)`` into the float64
+        row *t*, bit-identical to ``Species.kinetic_energy``'s numpy
+        terms."""
+        n = sp.n
+        ux, uy, uz = sp.momenta()
+        w = sp.w[:n]
+        if not (_flat(np.float32, n, ux, uy, uz, w)
+                and _flat(np.float64, n, t)):
+            return False
+        self._lib.kinetic_terms(_fptr(ux), _fptr(uy), _fptr(uz), _fptr(w),
+                                _i64(n), _f64(sp.m), t.ctypes.data_as(_pd))
+        return True
+
+    def voxel_refresh(self, grid, x, y, z, voxel) -> bool:
+        """``grid.voxel_of_position(x, y, z)`` into *voxel*,
+        bit-identical (NaN positions land in cell 1 as there)."""
+        n = np.size(x)
+        if not (_flat(np.float32, n, x, y, z)
+                and _flat(np.int64, n, voxel)):
+            return False
+        self._lib.voxel_refresh(
+            _fptr(x), _fptr(y), _fptr(z), voxel.ctypes.data_as(_pi),
+            _i64(n), _i64(grid.nx), _i64(grid.ny), _i64(grid.nz),
+            _f64(grid.x0), _f64(grid.y0), _f64(grid.z0),
+            _f64(grid.dx), _f64(grid.dy), _f64(grid.dz))
+        return True
+
+
+def _flat(dtype, n: int, *arrays) -> bool:
+    """Whether every array is a 1-D, C-contiguous, aligned *dtype*
+    ndarray of *n* elements — what the kernels above index."""
+    return all(isinstance(a, np.ndarray) and a.dtype == dtype
+               and a.ndim == 1 and a.size == n and a.flags.c_contiguous
+               and a.flags.aligned for a in arrays)
 
 
 # -- prepared per-rank calls ------------------------------------------

@@ -123,12 +123,18 @@ class Species:
     # -- derived quantities -----------------------------------------------------------
 
     def update_voxels(self, sl: slice | None = None) -> None:
-        """Recompute voxel indices from positions."""
+        """Recompute voxel indices from positions (in the compiled
+        kernel when one is built: same indices, numpy is the
+        fallback)."""
+        from repro.vpic import native
+
         if sl is None:
             sl = slice(0, self.n)
             self._voxels_stale = False
-        self.voxel[sl] = self.grid.voxel_of_position(
-            self.x[sl], self.y[sl], self.z[sl])
+        x, y, z, voxel = self.x[sl], self.y[sl], self.z[sl], self.voxel[sl]
+        lib = native.native_push_kernel()
+        if lib is None or not lib.voxel_refresh(self.grid, x, y, z, voxel):
+            voxel[...] = self.grid.voxel_of_position(x, y, z)
 
     def mark_voxels_stale(self) -> None:
         """Positions moved without a voxel refresh (fused push)."""
@@ -171,15 +177,21 @@ class Species:
         return g.copy()
 
     def kinetic_energy(self) -> float:
-        """Total kinetic energy: sum w m (gamma - 1) (c = 1)."""
+        """Total kinetic energy: sum w m (gamma - 1) (c = 1). The
+        compiled kernel, when built, writes the same per-particle terms
+        the numpy fallback does; numpy sums them either way."""
+        from repro.vpic import native
+
         if self.n == 0:
             return 0.0
         g, t = self._scratch_rows()
-        self._gamma_into(g, t)
-        np.subtract(g, 1.0, out=g)
-        np.copyto(t, self.w[:self.n])
-        np.multiply(t, self.m, out=t)
-        np.multiply(t, g, out=t)
+        lib = native.native_push_kernel()
+        if lib is None or not lib.kinetic_terms(self, t):
+            self._gamma_into(g, t)
+            np.subtract(g, 1.0, out=g)
+            np.copyto(t, self.w[:self.n])
+            np.multiply(t, self.m, out=t)
+            np.multiply(t, g, out=t)
         return float(t.sum())
 
     def momentum_total(self) -> np.ndarray:

@@ -570,6 +570,26 @@ def test_dashboard_regression_panel_reads_envelopes(tmp_path, monkeypatch):
     assert "perfbench-abc-seed0.json · observed" in page
 
 
+def test_run_deck_profile_regression_panel_reads_envelopes(tmp_path,
+                                                           monkeypatch):
+    """``run-deck --profile`` names its deck to the baseline lookup, so
+    the single-process dashboard compares against the envelope's
+    ``observed`` workload (the uniform deck) like ``repro profile``."""
+    from repro.bench import history
+    from repro.cli import main
+    from repro.kokkos.profiling import reset_kernel_timings
+    monkeypatch.setattr(history, "default_dir", lambda: str(tmp_path))
+    _write_envelope(tmp_path, "perfbench-abc-seed0.json",
+                    "2026-02-01T00:00:00+0000")
+    reset_kernel_timings()
+    out = tmp_path / "p.html"
+    assert main(["run-deck", "uniform", "--steps", "2",
+                 "--profile", str(out)]) == 0
+    page = out.read_text()
+    assert "Regression vs perfbench baseline" in page
+    assert "perfbench-abc-seed0.json · observed" in page
+
+
 def test_bench_history_cli(capsys, tmp_path, monkeypatch):
     from repro.bench import history
     from repro.cli import main

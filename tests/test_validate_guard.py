@@ -8,7 +8,9 @@ points, and the guard-overhead acceptance bound.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +24,11 @@ from repro.validate import (ContinuityCheck, DivBCheck, EnergyDriftCheck,
                             ParticleBoundsCheck, RankGuard, SimulationGuard,
                             SortOrderCheck, Violation, default_checks,
                             measure_guard_overhead, rank_checks)
+from repro.validate.checks import _folded_rho, neutralized_charge_density
+from repro.vpic import native
 from repro.vpic.deck import DepositionKind
+from repro.vpic.grid import Grid
+from repro.vpic.species import Species
 from repro.vpic.workloads import uniform_plasma_deck
 
 pytestmark = pytest.mark.validate
@@ -347,6 +353,98 @@ class TestCLI:
         assert args.guard == "raise"
         args = build_parser().parse_args(["run-deck", "uniform"])
         assert args.guard is None
+
+
+def _state_digest(sim) -> str:
+    h = hashlib.sha256()
+    for name in ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz"):
+        h.update(getattr(sim.fields, name).data.tobytes())
+    for sp in sim.species:
+        for attr in sp._ARRAYS:
+            h.update(sp.live(attr).tobytes())
+    return h.hexdigest()
+
+
+def _kernels_off(monkeypatch):
+    """Make the compiled charge deposit, kinetic terms and voxel
+    refresh decline, as without a compiler: their callers run numpy.
+    The step itself keeps its lane."""
+    for name in ("deposit_charge", "kinetic_terms", "voxel_refresh"):
+        monkeypatch.setattr(native._NativeLib, name, lambda self, *a: False)
+
+
+@pytest.mark.native
+@pytest.mark.skipif(not native.native_available(),
+                    reason=f"no native lane: {native.native_status()}")
+class TestNativeGuardPasses:
+    """The guard's charge deposit and energy total, and the voxel
+    refresh, on the compiled kernels: same report, same state."""
+
+    @staticmethod
+    def _repair_example():
+        """EXPERIMENTS.md's worked CIC Gauss-law auto-repair."""
+        sim = uniform_plasma_deck(nx=16, ny=16, nz=16, ppc=8).build()
+        guard = SimulationGuard(
+            checks=[GaussLawCheck(cadence=10, threshold=0.7)],
+            policy="repair", checkpoint_interval=0)
+        guard.attach(sim)
+        sim.run(40)
+        return guard.report, _state_digest(sim)
+
+    @staticmethod
+    def _default_suite():
+        sim = small_sim(sort_interval=4)
+        guard = SimulationGuard(
+            checks=default_checks(gauss_cadence=3, energy_cadence=2),
+            policy="warn", checkpoint_interval=0)
+        guard.attach(sim)
+        sim.run(12)
+        return guard.report, _state_digest(sim)
+
+    @pytest.mark.parametrize("run", ["_repair_example", "_default_suite"])
+    def test_report_and_state_same_with_kernels_off(self, monkeypatch,
+                                                    run):
+        report, digest = getattr(self, run)()
+        assert report.checks_run
+        if run == "_repair_example":
+            assert report.repairs > 0
+        with monkeypatch.context() as m:
+            _kernels_off(m)
+            numpy_report, numpy_digest = getattr(self, run)()
+        assert report.format() == numpy_report.format()
+        assert [(e.step, e.check, e.value, e.detail)
+                for e in report.events] == \
+            [(e.step, e.check, e.value, e.detail)
+             for e in numpy_report.events]
+        assert digest == numpy_digest
+
+    def test_charge_densities_same_bytes_with_kernels_off(self,
+                                                          monkeypatch):
+        """Nonzero origin, one empty species, two accumulating."""
+        grid = Grid(7, 5, 6, dx=0.4, dy=0.6, dz=0.5, x0=-1.5, y0=2.0,
+                    z0=0.25)
+        rng = np.random.default_rng(3)
+        species = []
+        for q, n in ((-1.0, 4000), (1.0, 0), (2.0, 900)):
+            sp = Species(f"s{len(species)}", q, 1.0, grid, capacity=8)
+            lo = np.array([grid.x0, grid.y0, grid.z0])
+            pos = lo + rng.uniform(-0.2, 1.2, (n, 3)) * grid.lengths
+            sp.append(*pos.T, *np.zeros((3, n)), rng.uniform(0.5, 1.5, n))
+            species.append(sp)
+        sim = SimpleNamespace(grid=grid, species=species)
+
+        def densities():
+            return (neutralized_charge_density(sim).tobytes(),
+                    _folded_rho(sim).tobytes())
+
+        on = densities()
+        with monkeypatch.context() as m:
+            _kernels_off(m)
+            assert densities() == on
+        folded = _folded_rho(sim).reshape(grid.shape)
+        interior = folded[1:-1, 1:-1, 1:-1]
+        interior -= interior.mean()
+        assert folded.tobytes() == on[0]
 
 
 class TestOverhead:

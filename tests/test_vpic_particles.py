@@ -1,9 +1,13 @@
 """Tests for species storage, loading, Boris push, interpolation,
 deposition, and boundaries."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.kokkos.atomics import collect_atomics
+from repro.vpic import native
 from repro.vpic.boris import advance_positions, boris_push
 from repro.vpic.boundary import BoundaryKind, apply_particle_boundaries
 from repro.vpic.deposit import cic_weights, deposit_charge, deposit_current
@@ -317,3 +321,214 @@ class TestBoundaries:
         apply_particle_boundaries(electrons)
         assert electrons.voxel[0] == grid.voxel_of_position(
             electrons.x[0], electrons.y[0], electrons.z[0])
+
+
+# -- compiled charge deposit, kinetic terms and voxel refresh ------------------
+#
+# deposit_charge, Species.kinetic_energy and Species.update_voxels run
+# a C kernel when one is built and fall back to numpy otherwise; the
+# kernel performs numpy's float operations in numpy's order, so every
+# output must be the same bytes. "off" makes the three entries decline,
+# which is exactly the no-compiler path.
+
+GUARD_KERNELS = ("deposit_charge", "kinetic_terms", "voxel_refresh")
+
+needs_kernel = [
+    pytest.mark.native,
+    pytest.mark.skipif(not native.native_available(),
+                       reason=f"no native lane: {native.native_status()}"),
+]
+
+
+def _on_and_off(monkeypatch, fn):
+    """``fn()`` with the compiled entries, then with them declining."""
+    on = fn()
+    with monkeypatch.context() as m:
+        for name in GUARD_KERNELS:
+            m.setattr(native._NativeLib, name, lambda self, *a: False)
+        off = fn()
+    return on, off
+
+
+ORIGIN_GRIDS = {
+    "zero-origin": Grid(8, 6, 5, dx=0.5, dy=0.3, dz=0.7),
+    "offset-origin": Grid(8, 6, 5, dx=0.5, dy=0.3, dz=0.7,
+                          x0=-2.5, y0=1.25, z0=-0.75),
+}
+
+
+def _awkward(grid, n, seed=0):
+    """Positions reaching half a box beyond each face (negative ones
+    included), then per axis NaN, +inf, -inf, exactly the high edge
+    ``x0 + L``, -0.0 and exactly the low edge; momenta from thermal to
+    1e20 plus NaN/inf; weights of both signs."""
+    rng = np.random.default_rng(seed)
+    rows = max(n, 18)
+    lo = np.array([grid.x0, grid.y0, grid.z0])
+    length = np.array(grid.lengths)
+    pos = (lo + rng.uniform(-0.5, 1.5, (rows, 3)) * length).astype(
+        np.float32)
+    for axis in range(3):
+        special = [np.nan, np.inf, -np.inf, lo[axis] + length[axis], -0.0,
+                   lo[axis]]
+        pos[6 * axis:6 * axis + 6, axis] = special
+    u = (rng.normal(scale=2.0, size=(rows, 3))
+         * 10.0 ** rng.integers(-3, 20, size=(rows, 1))).astype(np.float32)
+    u[:3] = [[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]]
+    w = rng.uniform(-0.5, 2.0, rows).astype(np.float32)
+    return tuple(np.ascontiguousarray(a[:n])
+                 for a in (*pos.T, *u.T, w))
+
+
+def _loaded(grid, name, q, m, n, seed):
+    sp = Species(name, q, m, grid, capacity=8)
+    sp.append(*_awkward(grid, n, seed))
+    return sp
+
+
+@pytest.mark.parametrize("origin", sorted(ORIGIN_GRIDS))
+@pytest.mark.parametrize("n", [0, 1, 37, 5000])
+class TestNativeGuardKernels:
+    pytestmark = needs_kernel
+
+    def test_charge_deposit_same_bytes(self, monkeypatch, origin, n):
+        """Two species — one maybe empty — accumulating into one out."""
+        grid = ORIGIN_GRIDS[origin]
+        e = _loaded(grid, "e", -1.0, 1.0, n, 1)
+        ion = _loaded(grid, "i", 1.0, 1836.0, 300, 2)
+
+        def rho():
+            out = np.zeros(grid.n_voxels, np.float32)
+            for sp in (e, ion):
+                x, y, z = sp.positions()
+                deposit_charge(grid, x, y, z, sp.live("w"), sp.q, out=out)
+            return out.tobytes()
+
+        on, off = _on_and_off(monkeypatch, rho)
+        assert on == off
+
+    def test_voxels_same_bytes(self, monkeypatch, origin, n):
+        grid = ORIGIN_GRIDS[origin]
+        sp = _loaded(grid, "e", -1.0, 1.0, n, 3)
+
+        def voxels():
+            sp.voxel[:] = -7
+            sp.update_voxels()
+            return sp.voxel.tobytes()
+
+        on, off = _on_and_off(monkeypatch, voxels)
+        assert on == off
+        x, y, z = sp.positions()
+        assert sp.live("voxel").tolist() == \
+            grid.voxel_of_position(x, y, z).tolist()
+        if n:       # NaN bins into cell 1, as numpy's fmax clip does
+            assert grid.voxel_coords(sp.voxel[0])[0] == 1
+
+    def test_kinetic_energy_same_bytes(self, monkeypatch, origin, n):
+        grid = ORIGIN_GRIDS[origin]
+        sp = _loaded(grid, "e", -1.0, 1836.0, n, 4)
+
+        def kinetic():
+            total = sp.kinetic_energy()
+            terms = sp._rows[1, :n].tobytes() if n else b""
+            return np.float64(total).tobytes(), terms
+
+        on, off = _on_and_off(monkeypatch, kinetic)
+        assert on == off
+
+
+@pytest.mark.parametrize("origin", sorted(ORIGIN_GRIDS))
+def test_native_guard_kernels_decline_strided_views(origin):
+    """A strided or non-float32 array is never handed to C: the entry
+    returns False with *out* untouched and the caller runs numpy."""
+    if not native.native_available():
+        pytest.skip(native.native_status())
+    lib = native.native_push_kernel()
+    grid = ORIGIN_GRIDS[origin]
+    x, y, z, _, _, _, w = _awkward(grid, 400)
+    out = np.zeros(grid.n_voxels, np.float32)
+    assert not lib.deposit_charge(grid, x[::2], y[::2], z[::2], w[::2],
+                                  np.float32(-1.0), out)
+    assert not lib.deposit_charge(grid, x.astype(np.float64), y, z, w,
+                                  np.float32(-1.0), out)
+    assert not out.any()
+    vox = np.zeros(400, np.int64)
+    assert not lib.voxel_refresh(grid, x, y, z, vox[::-1])
+    assert not vox.any()
+    sp = Species("e", -1.0, 1.0, grid, capacity=8)
+    sp.append(x, y, z, x, y, z, w)
+    t = np.zeros((sp.n, 2), np.float64)
+    assert not lib.kinetic_terms(sp, t[:, 0])
+    assert not t.any()
+    # ... and the public function gives numpy's bytes for the view
+    rho = deposit_charge(grid, x[::2], y[::2], z[::2], w[::2], -1.0)
+    xs, ys, zs = (np.ascontiguousarray(a[::2]) for a in (x, y, z))
+    assert rho.tobytes() == deposit_charge(
+        grid, xs, ys, zs, np.ascontiguousarray(w[::2]), -1.0).tobytes()
+
+
+@pytest.mark.native
+def test_native_charge_deposit_signed_zero_fraction(monkeypatch):
+    """A coordinate of -0.0 has fraction +0.0 on numpy's path (-0.0 minus
+    floor(-0.0)); into an *out* of -0.0 the sign of each zero-weight
+    corner's contribution is visible in the bytes."""
+    if not native.native_available():
+        pytest.skip(native.native_status())
+    grid = ORIGIN_GRIDS["zero-origin"]
+    x = np.array([-0.0, 0.3, -0.0], np.float32)
+    y = np.array([0.2, -0.0, -0.0], np.float32)
+    z = np.array([-0.0, -0.0, 0.4], np.float32)
+    w = np.array([1.0, 2.0, -1.5], np.float32)
+
+    def rho():
+        out = np.full(grid.n_voxels, -0.0, np.float32)
+        return deposit_charge(grid, x, y, z, w, 1.0, out=out).tobytes()
+
+    on, off = _on_and_off(monkeypatch, rho)
+    assert on == off
+
+
+@pytest.mark.native
+def test_native_charge_deposit_leaves_accounting_to_numpy():
+    """Inside collect_atomics the numpy scatter runs, so the contention
+    tally still sees all 8 corner scatters; the bytes are the same."""
+    if not native.native_available():
+        pytest.skip(native.native_status())
+    grid = ORIGIN_GRIDS["offset-origin"]
+    x, y, z, _, _, _, w = _awkward(grid, 1000)
+    plain = deposit_charge(grid, x, y, z, w, -1.0)
+    with collect_atomics() as tally:
+        before = tally.operations
+        counted = deposit_charge(grid, x, y, z, w, -1.0)
+        assert tally.operations - before == 8 * x.size
+    assert counted.tobytes() == plain.tobytes()
+
+
+def _guard_kernel_digest() -> str:
+    h = hashlib.sha256()
+    for origin in sorted(ORIGIN_GRIDS):
+        grid = ORIGIN_GRIDS[origin]
+        sp = _loaded(grid, "e", -1.0, 1836.0, 3000, 5)
+        x, y, z = sp.positions()
+        h.update(deposit_charge(grid, x, y, z, sp.live("w"), sp.q)
+                 .tobytes())
+        h.update(np.float64(sp.kinetic_energy()).tobytes())
+        h.update(sp._rows[1, :sp.n].tobytes())
+        h.update(sp.live("voxel").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.native
+def test_native_guard_kernels_portable_build_same_bytes(monkeypatch):
+    """The strict-IEEE flag set alone, -march=native, and numpy."""
+    if not native.native_available():
+        pytest.skip(native.native_status())
+    digests = []
+    try:
+        for flags in (native._PORTABLE_CFLAGS, native._CFLAGS):
+            assert native.rebuild(flags), native.native_status()
+            digests.append(_guard_kernel_digest())
+    finally:
+        native.rebuild()
+    _, numpy_digest = _on_and_off(monkeypatch, _guard_kernel_digest)
+    assert digests[0] == digests[1] == numpy_digest
