@@ -278,12 +278,18 @@ def cmd_run_deck(args) -> int:
     # An observed run that silently fell off the whole-step native
     # lane would profile the wrong code — say so, once, with the
     # tripped gate (tracer/metrics/recorder themselves no longer
-    # demote: they are fed from the native telemetry channel).
+    # demote: they are fed from the native telemetry channel); on the
+    # lane, say how many threads push.
     if (trace_path or metrics_path or profile_path
             or recorder is not None):
         reason = sim.native_fallback_reason()
         if reason is not None:
             print(f"note: whole-step native lane off — {reason}")
+        else:
+            from repro.vpic.native import step_team_size
+            n = step_team_size(sim)
+            print(f"note: whole-step native lane on — "
+                  f"{n} thread{'s' * (n != 1)}")
     try:
         diag = EnergyDiagnostic()
         try:

@@ -265,8 +265,10 @@ class FlightRecorder:
             if reason is not None:
                 header["native_fallback"] = reason
             try:
-                from repro.vpic.native import native_status
+                from repro.vpic.native import native_status, step_team_size
                 header["native_status"] = native_status()
+                if reason is None:
+                    header["native_threads"] = step_team_size(sim)
             except Exception:
                 pass
         # Distributed runs: aggregate the per-rank lanes so one

@@ -212,8 +212,7 @@ class TimeSeriesRecorder:
             e, b = sim.total_field_energy()
             k = sim.total_kinetic_energy()
         else:
-            e, b = sim.fields.field_energy()
-            k = sum(sp.kinetic_energy() for sp in sim.species)
+            e, b, k = sim.energy_totals()
         total = e + b + k
         if self._energy0 is None:
             self._energy0 = total

@@ -175,7 +175,9 @@ class WatchView:
             lines.append(split)
         lane = h.get("native_lane")
         if lane == "step":
-            lines.append("native lane   step (whole-step C)")
+            n = h.get("native_threads")
+            team = f", {n} thread{'s' * (n != 1)}" if n else ""
+            lines.append(f"native lane   step (whole-step C{team})")
         elif lane == "fallback":
             lines.append("native lane   fallback — "
                          f"{h.get('native_fallback', 'unknown reason')}")

@@ -401,8 +401,8 @@ class EnergyDriftCheck(InvariantCheck):
         self._reference: float | None = None
 
     def _total(self, sim) -> float:
-        e, b = sim.fields.field_energy()
-        return e + b + sum(sp.kinetic_energy() for sp in sim.species)
+        e, b, k = sim.energy_totals()
+        return e + b + k
 
     def check(self, sim):
         if getattr(sim, "sources", None):

@@ -143,6 +143,7 @@ class SimulationGuard:
             else:  # REPAIR
                 if check.repairable:
                     detail = check.repair(sim)
+                    sim.state_changed()
                     if check.check(sim) is None:
                         self.report.record(violation, "repair",
                                            detail or "")
@@ -267,13 +268,15 @@ def measure_guard_overhead(deck=None, steps: int = 10,
     ``guard.after_s``, ``obs.tools_share``). The layer's original bar
     (<10% of step time on a clean 16^3 deck) was set against the 10 ms
     numpy step. With its charge deposit and kinetic energy on the
-    compiled kernels the default suite costs about 0.39 ms per step
-    averaged over its cadences (0.75 ms with them in numpy), which
-    against the 0.9 ms whole-step native lane reads +41% (median of 9
-    at ``steps=200`` on a 2-CPU x86-64 host; +33% at ``steps=10``);
-    most of what is left is the every-step finiteness and bounds scans.
-    One reading of a 3 ms window swings by tens of points. Each run gets
-    its own simulation and one untimed warm-up step.
+    compiled kernels the default suite costs about 0.33 ms per step
+    averaged over its cadences (0.75 ms with them in numpy). The
+    whole-step native lane now pushes on every CPU, 0.46 ms per step,
+    and against that the guard reads +69% (median of 9 at
+    ``steps=200`` on a 2-CPU x86-64 host; +46% against the same
+    host's one-thread step of 0.63 ms). Most of what is left is the
+    every-step finiteness and bounds scans. One reading of a 3 ms
+    window swings by tens of points. Each run gets its own simulation
+    and one untimed warm-up step.
     """
     from repro.kokkos.profiling import profiling_session
 

@@ -207,6 +207,7 @@ def restore_state_into(sim: Simulation, path: str | Path) -> int:
     sim.sort_step = restored.sort_step
     sim.step_count = restored.step_count
     sim._energy0 = restored._energy0
+    sim.state_changed()
     mur = getattr(sim.solver, "mur", None)
     restored_mur = getattr(restored.solver, "mur", None)
     if mur is not None and restored_mur is not None:

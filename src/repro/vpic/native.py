@@ -40,6 +40,22 @@ On top of the step scope sits :func:`step_batch`: N independent
 decks advanced in one native call over their packed arenas (the
 ``run-deck --batch`` surface), round-robin per step.
 
+The step scope runs on a persistent team of threads, one per CPU of
+the process's affinity mask (:func:`step_team_size`; capped at the C
+source's ``TEAM_MAX``), each worker pinned to a CPU of its own. In the
+push, threads claim the next 1024-particle tile as they come free, the
+per-particle stages run concurrently, and each tile's deposit waits on
+an acquire/release ticket for the tile before it. Deposits are
+therefore taken in tile order, every accumulator element sums the same
+addends in the same order as on one thread, and x, u and J are the
+same bytes for any team size — ``taskset -c 0`` gives a one-thread run
+with the same result. A due counting sort splits the particles into
+contiguous chunks with per-thread histograms and a thread-major prefix
+sum, which is the one-thread stable permutation. A second Python
+thread stepping while the team is busy runs the one-thread loop; a
+forked child starts its own team. The push scope, the Esirkepov
+kernel, the per-call sort and the guard's passes stay on one thread.
+
 Everything keeps the strict-IEEE bit-identity contract: the C code
 performs the *same float32 operations in the same order* as the
 reference numpy kernels, built with ``-fno-fast-math
@@ -76,6 +92,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import threading
@@ -89,6 +106,7 @@ __all__ = [
     "native_available",
     "native_status",
     "native_build_key",
+    "step_team_size",
     "rebuild",
     "step_simulation",
     "step_batch",
@@ -117,11 +135,23 @@ _SOURCE = r"""
  * particle. Runs regroup memory traffic only: each accumulator
  * element still sums the same addends in particle order (see
  * push_tiles), so J is the same bytes on sorted and unsorted input.
+ *
+ * The whole step pushes and sorts on a persistent team of threads (see
+ * "the step team"): tiles are split across the team, but deposits are
+ * taken in tile order, one tile at a time, so every accumulator element
+ * gets the same addends in the same order whatever the team size — x,
+ * u and J do not depend on how many threads ran.
  */
+#define _GNU_SOURCE             /* CPU_COUNT, sched_getaffinity */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <math.h>
 #include <time.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <unistd.h>
 #if defined(__AVX__)
 #include <immintrin.h>
 #endif
@@ -383,6 +413,121 @@ static inline __attribute__((always_inline)) void tile_index(
     }
 }
 
+/* ---- the step team ------------------------------------------------ */
+
+/* step_one pushes on a persistent team of T threads, the caller
+ * included: the CPUs in the process's affinity mask, counted when the
+ * team starts (once per process; again in a forked child, whose
+ * workers the fork did not copy), capped at TEAM_MAX. The tiles of all
+ * species form one sequence per dispatch, and each thread claims the
+ * next unclaimed tile whenever it is free, so a thread that starts
+ * late or loses its CPU takes fewer tiles instead of holding the
+ * others up. The stages before and after the deposit are per particle
+ * and run concurrently; the deposit of a tile waits on the dispatch's
+ * ticket until every tile before it in the sequence — earlier species,
+ * their folds included — has stored. So each accumulator element
+ * receives the same addends in the same particle order as on one
+ * thread, and the bytes of x, u and J depend neither on T nor on which
+ * thread took which tile. A due sort is a second dispatch (team_sort),
+ * which builds sort_one's permutation exactly. */
+#define TEAM_MAX 8
+#define TEAM_IDLE_S 100e-6      /* an idle worker polls this long, then sleeps */
+#define TEAM_PAUSES 64          /* a waiting thread pauses this often, then yields */
+
+typedef struct {
+    pthread_mutex_t mu;         /* with cv: where idle workers sleep */
+    pthread_cond_t cv;
+    int64_t pid;                /* process the workers run in; 0 none yet */
+    int64_t size;               /* threads, the caller included */
+    int64_t gen;                /* dispatches so far (atomic) */
+    int64_t busy;               /* workers still on this dispatch (atomic) */
+    int64_t next;               /* next unclaimed tile of the dispatch (atomic) */
+    int64_t ticket;             /* tiles deposited this dispatch (atomic) */
+    int64_t bar_in, bar_gen;    /* team_sync: arrivals, rounds (atomic) */
+    void (*job)(NDeck *, int64_t);  /* what the dispatch runs, per thread */
+    NDeck *dk;                  /* the deck it runs on */
+    double t_mark;              /* when the previous species' fold ended */
+    int64_t *hist;              /* team_sort's (size, nv + 1) histograms */
+    int64_t hist_len;
+} Team;
+
+static Team team;
+/* The team's trylock: 0, or the pid of the process in which a
+ * step_decks call holds the team. A claim inherited through fork()
+ * names the parent; its holder does not exist in the child. */
+static int64_t team_owner;
+
+/* One thread in one species: its tiles are numbers base .. base +
+ * tiles - 1 of the dispatch's sequence; *claim is the tile this thread
+ * holds (possibly one of a later species). */
+typedef struct {
+    int64_t base, tiles;
+    int64_t *claim;
+    NDeck *dk;
+    NSpecies *sp;
+} TeamTiles;
+
+static void fold_core(const NDeck *g);
+
+/* One round of waiting: a pause, or after TEAM_PAUSES of them a yield
+ * (if the thread being waited for shares this CPU, it runs). */
+static inline void team_relax(int64_t *spins)
+{
+    if (++*spins < TEAM_PAUSES) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+    } else {
+        *spins = 0;
+        sched_yield();
+    }
+}
+
+/* The first particle of the tile this thread holds in tt's species,
+ * or n when its claim lies beyond the species. */
+static inline int64_t team_tile(const TeamTiles *tt, int64_t n)
+{
+    const int64_t k = *tt->claim - tt->base;
+    return k < tt->tiles ? k * TILE : n;
+}
+
+/* Claim the next tile of the dispatch; then as team_tile. */
+static inline int64_t team_next(const TeamTiles *tt, int64_t n)
+{
+    *tt->claim = __atomic_fetch_add(&team.next, 1, __ATOMIC_RELAXED);
+    return team_tile(tt, n);
+}
+
+/* Before tile k's deposit: wait for the tiles ahead of it. A species'
+ * first tile then zeroes the accumulator, as the one-thread loop does
+ * before each species. The asm is a compiler barrier: acc is restrict
+ * in push_tiles, and neither it nor the fold may move across the
+ * hand-over. */
+static inline void team_wait(const TeamTiles *tt, int64_t k,
+                             double *restrict acc)
+{
+    int64_t spins = 0;
+    while (__atomic_load_n(&team.ticket, __ATOMIC_ACQUIRE) != tt->base + k)
+        team_relax(&spins);
+    __asm__ __volatile__("" ::: "memory");
+    if (k == 0)
+        memset(acc, 0, (size_t)tt->dk->nv * 4 * sizeof(double));
+}
+
+/* After it: the species' last tile folds into J; then the next tile
+ * in deposit order may go. */
+static inline void team_done(const TeamTiles *tt, int64_t k)
+{
+    __asm__ __volatile__("" ::: "memory");
+    if (k == tt->tiles - 1) {
+        fold_core(tt->dk);
+        double t = now_s();
+        tt->sp->t_push += t - team.t_mark;
+        team.t_mark = t;
+    }
+    __atomic_store_n(&team.ticket, tt->base + k + 1, __ATOMIC_RELEASE);
+}
+
 /* The tiled push behind both deposition schemes. esk == NULL (a
  * compile-time constant in push_core, so that instantiation carries
  * no trace of the other) runs the CIC weight + deposit stages;
@@ -404,6 +549,10 @@ static inline __attribute__((always_inline)) void tile_index(
  * multiply/adds, and hoisting the row loads per run bought nothing.)
  * Everything else is elementwise over the tile and auto-vectorizes.
  *
+ * tt == NULL (again a compile-time constant outside the team) walks
+ * every tile; otherwise the tiles this thread claims, each deposit
+ * taken in its turn (team_wait / team_done).
+ *
  * Returns the number of periodic wrap events (particles that left
  * the domain on an axis) — pure counting in the escape fix-up, so the
  * float op sequence is untouched. */
@@ -416,7 +565,7 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
                          float qdt, float inv_vol,
                          const float *restrict tab,
                          double *restrict acc, int do_wrap,
-                         EskStage *esk)
+                         EskStage *esk, const TeamTiles *tt)
 {
     int64_t wraps = 0;
     const int64_t gsy = g->sy, gsz = g->sz;
@@ -433,7 +582,8 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
     float jp[3][TILE];
     double pc[3][TILE];
 
-    for (int64_t s = 0; s < n; s += TILE) {
+    for (int64_t s = tt ? team_tile(tt, n) : 0; s < n;
+         s = tt ? team_next(tt, n) : s + TILE) {
         int64_t t = n - s < TILE ? n - s : TILE;
         float *restrict xs0 = x + s, *restrict xs1 = y + s,
               *restrict xs2 = z + s;
@@ -532,21 +682,26 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
         }
         /* deposit: 4-lane f64 accumulate per corner (lane 3 pads and
          * is never read), the eight corners in registers for the run */
-        if (!esk)
-        for (int64_t i = 0; i < t; ) {
-            const int64_t b = base[i];
-            double *restrict ab = acc + b * 4;
-            v4d a[8];
-            for (int k = 0; k < 8; k++)
-                memcpy(&a[k], ab + coff[k] * 4, sizeof(v4d));
-            do {
-                const v4f jv = { jp[0][i], jp[1][i], jp[2][i], 0.0f };
+        if (!esk) {
+            if (tt)
+                team_wait(tt, s / TILE, acc);
+            for (int64_t i = 0; i < t; ) {
+                const int64_t b = base[i];
+                double *restrict ab = acc + b * 4;
+                v4d a[8];
                 for (int k = 0; k < 8; k++)
-                    a[k] += CVT4D(jv * wt8[k][i]);
-                i++;
-            } while (i < t && base[i] == b);
-            for (int k = 0; k < 8; k++)
-                memcpy(ab + coff[k] * 4, &a[k], sizeof(v4d));
+                    memcpy(&a[k], ab + coff[k] * 4, sizeof(v4d));
+                do {
+                    const v4f jv = { jp[0][i], jp[1][i], jp[2][i], 0.0f };
+                    for (int k = 0; k < 8; k++)
+                        a[k] += CVT4D(jv * wt8[k][i]);
+                    i++;
+                } while (i < t && base[i] == b);
+                for (int k = 0; k < 8; k++)
+                    memcpy(ab + coff[k] * 4, &a[k], sizeof(v4d));
+            }
+            if (tt)
+                team_done(tt, s / TILE);
         }
         /* advance + (optional) periodic wrap */
         {
@@ -606,7 +761,7 @@ static int64_t push_core(const NDeck *g,
                          double *restrict acc, int do_wrap)
 {
     return push_tiles(g, x, y, z, ux, uy, uz, w, n, qdt, inv_vol,
-                      tab, acc, do_wrap, 0);
+                      tab, acc, do_wrap, 0, 0);
 }
 
 static void fold_core(const NDeck *g) {
@@ -697,7 +852,7 @@ int fused_push_esirkepov(
     g.acc = acc;
     memset(acc, 0, (size_t)g.nv * 4 * sizeof(double));
     push_tiles(&g, x, y, z, ux, uy, uz, w, n, qdt, 0.0f, tab, acc, 0,
-               &e);
+               &e, 0);
     if (e.err)
         return 1;
     esk_replay(&g, &e, n, acc);
@@ -984,9 +1139,259 @@ void sort_species(
     sort_one(&dk, &sp);
 }
 
+/* ---- the step team: dispatch -------------------------------------- */
+
+/* One thread's part of a push dispatch: claim tiles until the
+ * sequence is exhausted, pushing each in the species it belongs to. */
+static void team_push(NDeck *dk, int64_t id)
+{
+    (void)id;
+    int64_t claim = __atomic_fetch_add(&team.next, 1, __ATOMIC_RELAXED);
+    int64_t base = 0;
+    for (int64_t s = 0; s < dk->n_species; s++) {
+        NSpecies *sp = &dk->species[s];
+        const int64_t tiles = (sp->n + TILE - 1) / TILE;
+        if (claim < base + tiles) {
+            const TeamTiles tt = { base, tiles, &claim, dk, sp };
+            int64_t wraps = push_tiles(
+                dk, sp->x, sp->y, sp->z, sp->ux, sp->uy, sp->uz, sp->w,
+                sp->n, sp->qdt, sp->inv_vol, dk->tab, dk->acc, 1, 0, &tt);
+            __atomic_fetch_add(&sp->crossings, wraps, __ATOMIC_RELAXED);
+            __atomic_fetch_add(&dk->crossings, wraps, __ATOMIC_RELAXED);
+        }
+        base += tiles;
+    }
+}
+
+/* Wait until every thread of the team has arrived. */
+static void team_sync(void)
+{
+    const int64_t round = __atomic_load_n(&team.bar_gen, __ATOMIC_ACQUIRE);
+    if (__atomic_add_fetch(&team.bar_in, 1, __ATOMIC_ACQ_REL) == team.size) {
+        __atomic_store_n(&team.bar_in, 0, __ATOMIC_RELAXED);
+        __atomic_store_n(&team.bar_gen, round + 1, __ATOMIC_RELEASE);
+        return;
+    }
+    int64_t spins = 0;
+    while (__atomic_load_n(&team.bar_gen, __ATOMIC_ACQUIRE) == round)
+        team_relax(&spins);
+}
+
+/* Thread id's part of sort_one over every species of dk: the same
+ * voxel refresh and the same stable permutation, from per-thread
+ * histograms over contiguous chunks of the particles and a
+ * thread-major prefix sum (a voxel's slots go to thread 0's particles
+ * first, in order, then thread 1's, ...), then the permutation applied
+ * chunk by chunk of the destination. */
+static void team_sort(NDeck *dk, int64_t id)
+{
+    const int64_t T = team.size, nv = dk->nv;
+    const int64_t gsy = dk->sy, gsz = dk->sz;
+    int64_t *restrict hist = team.hist + id * (nv + 1);
+    int64_t *restrict perm = dk->perm;
+    for (int64_t s = 0; s < dk->n_species; s++) {
+        NSpecies *sp = &dk->species[s];
+        const int64_t n = sp->n, lo = n * id / T, hi = n * (id + 1) / T;
+        if (n == 0)
+            continue;
+        int64_t *restrict vox = sp->voxel;
+        const float *restrict px = sp->x, *restrict py = sp->y,
+                    *restrict pz = sp->z;
+        for (int64_t i = lo; i < hi; i++) {     /* sort_one's refresh */
+            double cx = ((double)px[i] - dk->x0) / dk->dx;
+            double cy = ((double)py[i] - dk->y0) / dk->dy;
+            double cz = ((double)pz[i] - dk->z0) / dk->dz;
+            cx = cx < 0.0 ? 0.0 : (cx > dk->hx ? dk->hx : cx);
+            cy = cy < 0.0 ? 0.0 : (cy > dk->hy ? dk->hy : cy);
+            cz = cz < 0.0 ? 0.0 : (cz > dk->hz ? dk->hz : cz);
+            vox[i] = (((int64_t)cx + 1) * gsy + ((int64_t)cy + 1)) * gsz
+                     + ((int64_t)cz + 1);
+        }
+        memset(hist, 0, (size_t)(nv + 1) * sizeof(int64_t));
+        for (int64_t i = lo; i < hi; i++) hist[vox[i]]++;
+        team_sync();
+        if (id == 0) {
+            int64_t total = 0;
+            for (int64_t v = 0; v < nv; v++)
+                for (int64_t t = 0; t < T; t++) {
+                    int64_t *c = team.hist + t * (nv + 1) + v;
+                    const int64_t k = *c;
+                    *c = total;
+                    total += k;
+                }
+        }
+        team_sync();
+        for (int64_t i = lo; i < hi; i++) perm[hist[vox[i]]++] = i;
+        team_sync();
+        /* each array: gather this chunk, wait until nobody still reads
+         * the array, store the chunk back */
+        float *farr[7] = { sp->x, sp->y, sp->z, sp->ux, sp->uy, sp->uz,
+                           sp->w };
+        for (int c = 0; c < 7; c++) {
+            float *restrict a = farr[c];
+            float *restrict sc = dk->scr_f;
+            for (int64_t j = lo; j < hi; j++) sc[j] = a[perm[j]];
+            team_sync();
+            memcpy(a + lo, sc + lo, (size_t)(hi - lo) * sizeof(float));
+        }
+        int64_t *iarr[2] = { sp->voxel, sp->tag };
+        for (int c = 0; c < 2; c++) {
+            int64_t *restrict a = iarr[c];
+            int64_t *restrict sc = dk->scr_i;
+            for (int64_t j = lo; j < hi; j++) sc[j] = a[perm[j]];
+            team_sync();
+            memcpy(a + lo, sc + lo, (size_t)(hi - lo) * sizeof(int64_t));
+        }
+    }
+}
+
+static void *team_worker(void *arg)
+{
+    const int64_t id = (int64_t)(intptr_t)arg;
+    int64_t seen = 0;
+    for (;;) {
+        const double t0 = now_s();
+        int64_t spins = 0, polls = 0;
+        while (__atomic_load_n(&team.gen, __ATOMIC_ACQUIRE) == seen) {
+            if ((++polls & 255) == 0 && now_s() - t0 > TEAM_IDLE_S) {
+                pthread_mutex_lock(&team.mu);
+                while (__atomic_load_n(&team.gen, __ATOMIC_ACQUIRE) == seen)
+                    pthread_cond_wait(&team.cv, &team.mu);
+                pthread_mutex_unlock(&team.mu);
+                break;
+            }
+            team_relax(&spins);
+        }
+        seen++;     /* the caller waits for every worker before the next */
+        team.job(team.dk, id);
+        __atomic_fetch_sub(&team.busy, 1, __ATOMIC_RELEASE);
+    }
+    return 0;
+}
+
+/* (Re)start the team in this process. The caller holds the claim, so
+ * nothing else touches the team; in a forked child the parent's
+ * workers are gone and their mutex may have been copied mid-use. */
+static void team_start(void)
+{
+    int64_t n = 1;
+    pthread_mutex_init(&team.mu, 0);
+    pthread_cond_init(&team.cv, 0);
+    team.pid = getpid();
+    team.gen = 0;
+    team.size = 1;
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+#ifdef CPU_COUNT
+    cpu_set_t cpus;
+    const int here = sched_getcpu();
+    int cpu = -1;
+    if (sched_getaffinity(0, sizeof cpus, &cpus) == 0)
+        n = CPU_COUNT(&cpus);
+#endif
+    n = n < TEAM_MAX ? n : TEAM_MAX;
+    /* workers take no signals: Python handles them on its own threads */
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (int64_t i = 1; i < n; i++) {
+#ifdef CPU_COUNT
+        /* Each worker on its own CPU of the mask, not the caller's: a
+         * kernel that does not balance load (cpuset sched_load_balance
+         * 0) leaves a new thread on its creator's CPU for good. */
+        do
+            cpu++;
+        while (cpu < CPU_SETSIZE && (!CPU_ISSET(cpu, &cpus) || cpu == here));
+        if (cpu < CPU_SETSIZE) {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(cpu, &one);
+            pthread_attr_setaffinity_np(&attr, sizeof one, &one);
+        }
+#endif
+        pthread_t tid;
+        if (pthread_create(&tid, &attr, team_worker, (void *)(intptr_t)i))
+            break;
+        team.size++;
+    }
+    pthread_attr_destroy(&attr);
+    pthread_sigmask(SIG_SETMASK, &old, 0);
+}
+
+/* Trylock on the team: 1 when this call holds it (started for this
+ * process), 0 when another thread of this process does — that caller
+ * then steps on its own thread. */
+static int team_claim(void)
+{
+    const int64_t me = getpid();
+    int64_t seen = 0;
+    if (!__atomic_compare_exchange_n(&team_owner, &seen, me, 0,
+                                     __ATOMIC_ACQUIRE, __ATOMIC_RELAXED)
+            && (seen == me
+                || !__atomic_compare_exchange_n(&team_owner, &seen, me, 0,
+                                                __ATOMIC_ACQUIRE,
+                                                __ATOMIC_RELAXED)))
+        return 0;
+    if (team.pid != me)
+        team_start();
+    return 1;
+}
+
+static void team_release(void)
+{
+    __atomic_store_n(&team_owner, 0, __ATOMIC_RELEASE);
+}
+
+/* Whether splitting the deck's push buys anything: a second thread,
+ * and a second tile for it. */
+static int team_worth(const NDeck *dk)
+{
+    int64_t tiles = 0;
+    for (int64_t s = 0; s < dk->n_species; s++)
+        tiles += (dk->species[s].n + TILE - 1) / TILE;
+    return team.size > 1 && tiles > 1;
+}
+
+/* One dispatch: job(dk, id) on every thread of the team, the caller
+ * as id 0; returns when all are done. */
+static void team_run(NDeck *dk, void (*job)(NDeck *, int64_t))
+{
+    team.job = job;
+    team.dk = dk;
+    team.next = 0;
+    team.ticket = 0;
+    team.t_mark = now_s();
+    __atomic_store_n(&team.busy, team.size - 1, __ATOMIC_RELAXED);
+    pthread_mutex_lock(&team.mu);
+    __atomic_store_n(&team.gen, team.gen + 1, __ATOMIC_RELEASE);
+    pthread_cond_broadcast(&team.cv);
+    pthread_mutex_unlock(&team.mu);
+    job(dk, 0);
+    int64_t spins = 0;
+    while (__atomic_load_n(&team.busy, __ATOMIC_ACQUIRE) != 0)
+        team_relax(&spins);
+}
+
+/* Whether the team sorts dk: a second thread, and histogram room. */
+static int team_sorts(const NDeck *dk)
+{
+    const int64_t len = team.size * (dk->nv + 1);
+    if (team.size < 2)
+        return 0;
+    if (team.hist_len < len) {
+        int64_t *h = realloc(team.hist, (size_t)len * sizeof(int64_t));
+        if (h == 0)
+            return 0;
+        team.hist = h;
+        team.hist_len = len;
+    }
+    return 1;
+}
+
 /* ---- the whole step ---------------------------------------------- */
 
-static void step_one(NDeck *dk) {
+static void step_one(NDeck *dk, int teamed) {
     const int64_t nx = dk->nx, ny = dk->ny, nz = dk->nz, nv = dk->nv;
     double t0 = now_s();
     /* half B advance (E ghosts synced first, as the numpy solver) */
@@ -1004,22 +1409,27 @@ static void step_one(NDeck *dk) {
     t0 = now_s();
     build_table(dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
                 dk->tab, nv);
+    const int split = teamed && team_worth(dk);
+    if (split)
+        team_run(dk, team_push);    /* push, fold, seconds and wraps */
     for (int64_t s = 0; s < dk->n_species; s++) {
         NSpecies *sp = &dk->species[s];
         if (sp->n == 0)
             continue;
-        double ts = now_s();
-        memset(dk->acc, 0, (size_t)nv * 4 * sizeof(double));
-        int64_t wraps = push_core(
-            dk, sp->x, sp->y, sp->z, sp->ux, sp->uy, sp->uz,
-            sp->w, sp->n, sp->qdt, sp->inv_vol, dk->tab,
-            dk->acc, 1);
-        fold_core(dk);
-        sp->t_push += now_s() - ts;
+        if (!split) {
+            double ts = now_s();
+            memset(dk->acc, 0, (size_t)nv * 4 * sizeof(double));
+            int64_t wraps = push_core(
+                dk, sp->x, sp->y, sp->z, sp->ux, sp->uy, sp->uz,
+                sp->w, sp->n, sp->qdt, sp->inv_vol, dk->tab,
+                dk->acc, 1);
+            fold_core(dk);
+            sp->t_push += now_s() - ts;
+            sp->crossings += wraps;
+            dk->crossings += wraps;
+        }
         sp->pushed += sp->n;
-        sp->crossings += wraps;
         dk->particles_pushed += sp->n;
-        dk->crossings += wraps;
         dk->ghost_folds++;
     }
     dk->t_push += now_s() - t0;
@@ -1044,9 +1454,13 @@ static void step_one(NDeck *dk) {
     if (dk->sort_interval > 0
             && dk->step_count % dk->sort_interval == 0) {
         t0 = now_s();
+        const int split_sort = teamed && team_sorts(dk);
+        if (split_sort)
+            team_run(dk, team_sort);
         for (int64_t s = 0; s < dk->n_species; s++)
             if (dk->species[s].n > 0) {
-                sort_one(dk, &dk->species[s]);
+                if (!split_sort)
+                    sort_one(dk, &dk->species[s]);
                 dk->sort_events++;
             }
         dk->t_sort += now_s() - t0;
@@ -1055,9 +1469,12 @@ static void step_one(NDeck *dk) {
 }
 
 void step_decks(NDeck *decks, int64_t n_decks, int64_t n_steps) {
+    const int teamed = team_claim();
     for (int64_t s = 0; s < n_steps; s++)
         for (int64_t d = 0; d < n_decks; d++)
-            step_one(&decks[d]);
+            step_one(&decks[d], teamed);
+    if (teamed)
+        team_release();
 }
 
 /* ---- guard and diagnostics passes -------------------------------- */
@@ -1181,6 +1598,24 @@ _STRICT_FLAGS = ("-O3", "-fno-fast-math", "-fno-math-errno",
 #: accepts the flags, so the plain strict set is the fallback.
 _CFLAGS = _STRICT_FLAGS + ("-march=native", "-funroll-loops")
 _PORTABLE_CFLAGS = _STRICT_FLAGS
+
+#: The push's tile size and the step team's thread cap, from the C source.
+_TILE, _TEAM_MAX = (int(re.search(rf"#define {name} (\d+)", _SOURCE).group(1))
+                    for name in ("TILE", "TEAM_MAX"))
+
+
+def step_team_size(sim=None) -> int:
+    """Threads the whole-step lane pushes on in this process: the CPUs
+    in its affinity mask, capped at the C team's ``TEAM_MAX`` — what
+    the team counts when it starts (``taskset -c 0`` makes it one).
+    With *sim*, also capped at its number of push tiles (1024
+    particles each, per species): a deck of one tile steps on one
+    thread."""
+    n = (min(len(os.sched_getaffinity(0)), _TEAM_MAX)
+         if hasattr(os, "sched_getaffinity") else 1)
+    if sim is not None:
+        n = min(n, max(1, sum(-(-sp.n // _TILE) for sp in sim.species)))
+    return n
 
 _f32 = ctypes.c_float
 _f64 = ctypes.c_double
@@ -1710,7 +2145,7 @@ def _build_locked(flags: tuple) -> "_NativeLib | None":
             src.write_text(_SOURCE)
             tmp = cache / f"step_{tag}.so.tmp"
             proc = subprocess.run(
-                [cc, *flags, str(src), "-o", str(tmp), "-lm"],
+                [cc, *flags, str(src), "-o", str(tmp), "-lm", "-pthread"],
                 capture_output=True, text=True, timeout=120)
             if proc.returncode != 0:
                 _status = (f"compile failed [key {tag}]: "
@@ -1784,9 +2219,13 @@ def native_available() -> bool:
 
 def native_status() -> str:
     """Human-readable availability: where the kernel came from (and
-    its cache key), or why the most recent build attempt failed."""
+    its cache key) and how many threads the whole step pushes on, or
+    why the most recent build attempt failed."""
     native_push_kernel()
-    return _status
+    if not _status.startswith("compiled"):
+        return _status
+    n = step_team_size()
+    return f"{_status}; step team {n} thread{'s' * (n != 1)}"
 
 
 def native_build_key() -> "str | None":

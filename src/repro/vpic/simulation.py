@@ -128,6 +128,9 @@ class Simulation:
     def __post_init__(self) -> None:
         self._solver = self._make_solver()
         self._energy0: float | None = None
+        # The step's shared energy total (see energy_totals).
+        self._energy_totals: "tuple[float, float, float] | None" = None
+        self._energy_shared = False
         # Scratch for the fused push and the sort permutation: named
         # preallocated buffers, so the steady-state step makes zero
         # heap allocations in the particle phase.
@@ -516,15 +519,21 @@ class Simulation:
         reg.counter("sim/particles_pushed").inc(pushed)
         reg.histogram("sim/step_seconds").observe(step_seconds)
         reg.counter(f"step_lane/{self._lane_taken(native_pushed)}").inc()
-        if detail_enabled():
-            self._record_energy_drift(reg)
-        # Sample before the guard verdict: a step that the guard then
-        # rejects (raise/rollback) still happened, and the flight
-        # recorder's job is to have seen it.
-        if self.recorder is not None:
-            self.recorder.on_step(self, step_seconds)
-        if self.guard is not None:
-            self.guard.after_step(self)
+        # The tools below share one energy total of the new state.
+        self._energy_shared = True
+        try:
+            if detail_enabled():
+                self._record_energy_drift(reg)
+            # Sample before the guard verdict: a step that the guard
+            # then rejects (raise/rollback) still happened, and the
+            # flight recorder's job is to have seen it.
+            if self.recorder is not None:
+                self.recorder.on_step(self, step_seconds)
+            if self.guard is not None:
+                self.guard.after_step(self)
+        finally:
+            self._energy_shared = False
+            self._energy_totals = None
 
     def _lane_taken(self, native_pushed: "int | None") -> str:
         """Which lane the step just ran on (``native-step`` /
@@ -548,13 +557,35 @@ class Simulation:
         detail is enabled; the reference energy is the total at the
         first sampled step.
         """
-        e, b = self.fields.field_energy()
-        total = e + b + sum(sp.kinetic_energy() for sp in self.species)
+        e, b, k = self.energy_totals()
+        total = e + b + k
         if self._energy0 is None:
             self._energy0 = total
         if self._energy0:
             drift = abs(total - self._energy0) / abs(self._energy0)
             reg.gauge("sim/energy_drift").set(drift)
+
+    def energy_totals(self) -> "tuple[float, float, float]":
+        """``(electric, magnetic, kinetic)`` energy of the current state.
+
+        After a step the detail gauge, the flight recorder's sample and
+        the guard's drift check all ask for it: they share one
+        computation, kept until :meth:`step` returns or
+        :meth:`state_changed` drops it. Outside that window every call
+        computes afresh.
+        """
+        totals = self._energy_totals
+        if totals is None:
+            e, b = self.fields.field_energy()
+            totals = (e, b, sum(sp.kinetic_energy() for sp in self.species))
+            if self._energy_shared:
+                self._energy_totals = totals
+        return totals
+
+    def state_changed(self) -> None:
+        """Drop the shared energy total: the state was edited in place
+        (a guard repair, a rollback restore)."""
+        self._energy_totals = None
 
     @classmethod
     def step_many(cls, sims, num_steps: int) -> None:

@@ -20,12 +20,26 @@ Two kinds of check:
   standing relation), and the portable build against the host-tuned
   one.
 
+The whole step pushes on a team of threads, one per CPU of the
+process's affinity mask, taking the deposits in tile order; the same
+digests and event counters must come out on one thread and on all of
+them, from two Python threads stepping at once (the second steps on
+its own thread), and from a forked child (which starts its own team).
+
 These tests need a C compiler; without one they skip.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +123,149 @@ def test_portable_build_same_bytes_as_host_tuned():
     finally:
         native.rebuild()
     assert digests[0] == digests[1] == GOLDEN["laser-plasma"]
+
+
+# -- the step team: same bytes for any number of threads -----------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+COUNTERS = ("sim/particles_pushed", "native/cell_crossings",
+            "native/ghost_folds", "native/sort_events")
+
+#: Steps every golden deck on the two batching paths in a fresh process
+#: pinned to {cpus}; prints the team size and, per run, the digest and
+#: the native event counters.
+_PINNED_CHILD = """
+import json, os
+os.sched_setaffinity(0, {cpus!r})
+from repro.observability.metrics import default_registry
+from repro.vpic import native
+from tests import test_native_push_runs as t
+out = {{"team": native.step_team_size()}}
+for deck in sorted(t.DECKS):
+    for path in ("native-step", "step_many"):
+        default_registry().reset()
+        sim = t._run(deck, path)
+        out[deck + "/" + path] = [t._digest(sim)] + [
+            default_registry().counter(c).value for c in t.COUNTERS]
+print(json.dumps(out))
+"""
+
+
+def _pinned_run(cpus) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PINNED_CHILD.format(cpus=sorted(cpus))],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity mask of two or more CPUs")
+def test_team_size_does_not_change_bytes_or_counters():
+    """One CPU (a one-thread step) and every CPU of the mask give the
+    golden digests and the same pushed / crossing / fold / sort
+    counts, on the per-step lane and in a step_many batch."""
+    cpus = os.sched_getaffinity(0)
+    one = _pinned_run({min(cpus)})
+    every = _pinned_run(cpus)
+    assert one.pop("team") == 1
+    assert every.pop("team") == min(len(cpus), native._TEAM_MAX) > 1
+    assert one == every
+    for run, (digest, pushed, *_) in every.items():
+        assert digest == GOLDEN[run.split("/")[0]], run
+        assert pushed > 0
+
+
+def test_team_step_with_ragged_species_matches_push_lane():
+    """Species of 1025, 1 and 0 particles: a tile of one particle, a
+    sort chunk with nothing in it, a species with no tiles at all. The
+    whole step (team push and team sort) against the push-scope lane,
+    which never leaves one thread."""
+    digests = []
+    for scope in ("step", "push"):
+        sim = _pair()[0]
+        rng = np.random.default_rng(11)
+        for name, q, m, n in (("ion", 1.0, 4.0, 1), ("none", 1.0, 9.0, 0)):
+            sim.species.append(Species(name, q, m, sim.grid))
+        _load(sim.species[0], _cells(sim, 1025, rng, sort=True), rng)
+        _load(sim.species[1], _cells(sim, 1, rng), rng)
+        sim.sort_step.interval = 3
+        sim.step_plan = StepPlan(native=True, native_scope=scope)
+        assert (sim.native_fallback_reason() is None) == (scope == "step")
+        for _ in range(7):
+            sim.step()
+        assert sim.sort_step.sorts_performed > 0
+        digests.append(_digest(sim))
+    assert digests[0] == digests[1]
+
+
+def test_concurrent_python_threads_keep_their_bytes():
+    """Python threads stepping three sims at once: one holds the team,
+    the others find it taken and step on their own thread. Every sim
+    ends on its sequential digest."""
+    decks = sorted(DECKS)
+    start = threading.Barrier(len(decks))
+    digests: dict = {}
+    errors: list = []
+
+    def work(deck):
+        try:
+            start.wait()
+            digests[deck] = _digest(_run(deck, "native-step"))
+        except BaseException as exc:        # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(d,)) for d in decks]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=300)
+    assert not errors, errors
+    assert digests == {d: GOLDEN[d] for d in decks}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_team():
+    """Fork after the team has stepped: the child's copy of the team
+    has no workers, so it starts one, and finishes the run on the
+    golden digest — as does the parent."""
+    sim = DECKS["laser-plasma"]().build()
+    sim.sort_step.interval = 10
+    sim.step_plan = StepPlan(native=True, native_scope="step")
+    for _ in range(10):
+        sim.step()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:                                    # the child
+        code = 1
+        try:
+            os.close(r)
+            for _ in range(STEPS - 10):
+                sim.step()
+            threads = len(os.listdir("/proc/self/task"))
+            os.write(w, f"{_digest(sim)} {threads}".encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    deadline = time.monotonic() + 120
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    with os.fdopen(r) as f:
+        digest, threads = f.read().split()
+    for _ in range(STEPS - 10):
+        sim.step()
+    assert digest == _digest(sim) == GOLDEN["laser-plasma"]
+    assert int(threads) >= native.step_team_size(sim)
 
 
 # -- adversarial run shapes vs the numpy lane ----------------------------------

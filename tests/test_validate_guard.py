@@ -24,7 +24,8 @@ from repro.validate import (ContinuityCheck, DivBCheck, EnergyDriftCheck,
                             ParticleBoundsCheck, RankGuard, SimulationGuard,
                             SortOrderCheck, Violation, default_checks,
                             measure_guard_overhead, rank_checks)
-from repro.validate.checks import _folded_rho, neutralized_charge_density
+from repro.validate.checks import (InvariantCheck, _folded_rho,
+                                   neutralized_charge_density)
 from repro.vpic import native
 from repro.vpic.deck import DepositionKind
 from repro.vpic.grid import Grid
@@ -287,6 +288,88 @@ class TestSimulationGuard:
     def test_bad_checkpoint_interval_rejected(self):
         with pytest.raises(ValueError):
             SimulationGuard(checkpoint_interval=-1)
+
+
+class _Hot(InvariantCheck):
+    """Kinetic energy under *limit*; repaired by stopping every
+    particle. Reads the step's shared energy total."""
+
+    name = "hot"
+    repairable = True
+
+    def __init__(self, limit: float):
+        super().__init__(cadence=1)
+        self.limit = limit
+
+    def check(self, sim):
+        k = sim.energy_totals()[2]
+        if k > self.limit:
+            return self._violation(sim, k, self.limit, "too hot")
+        return None
+
+    def repair(self, sim):
+        for sp in sim.species:
+            for attr in ("ux", "uy", "uz"):
+                sp.live(attr)[:] = 0.0
+        return "stopped every particle"
+
+
+class TestSharedEnergyTotal:
+    """The detail gauge, the flight recorder's sample and the drift
+    check compute one energy total per step between them; a repair or
+    a rollback restore inside the step drops it."""
+
+    def test_computed_once_per_step(self, tmp_path, monkeypatch):
+        from repro.observability.flight import FlightRecorder
+        from repro.observability.metrics import set_detail
+        from repro.vpic.fields import FieldArrays
+
+        calls = []
+        energy = FieldArrays.field_energy
+        monkeypatch.setattr(FieldArrays, "field_energy",
+                            lambda f: calls.append(1) or energy(f))
+        sim = small_sim()
+        SimulationGuard(checks=[EnergyDriftCheck(cadence=1)],
+                        checkpoint_interval=0).attach(sim)
+        recorder = FlightRecorder(str(tmp_path / "run"), stride=1,
+                                  energy_every=1)
+        recorder.attach(sim)
+        set_detail(True)
+        try:
+            sim.run(3)
+        finally:
+            set_detail(False)
+            recorder.close()
+        assert len(calls) == 3
+        assert sim.energy_totals() == sim.energy_totals()
+        assert len(calls) == 5          # outside a step: always afresh
+
+    def test_repair_drops_the_total(self):
+        sim = small_sim()
+        k = sim.energy_totals()[2]
+        guard = SimulationGuard(checks=[_Hot(limit=0.5 * k)],
+                                policy="repair", checkpoint_interval=0)
+        guard.attach(sim)
+        sim.step()          # a stale total would fail the re-check: raise
+        assert guard.report.repairs == 1
+        assert sim.energy_totals()[2] == 0.0
+
+    def test_rollback_restore_drops_the_total(self):
+        sim = small_sim()
+        guard = SimulationGuard(checks=[EnergyDriftCheck(cadence=1,
+                                                         max_drift=0.5)],
+                                policy="repair", checkpoint_interval=2)
+        guard.attach(sim)
+        sim.run(2)
+        seen = []
+        guard.report.listeners.append(
+            lambda ev: seen.append(sim.energy_totals()))
+        for attr in ("ux", "uy", "uz"):
+            sim.species[0].live(attr)[:] *= 3.0
+        sim.step()                      # drift check fails: back to step 2
+        assert guard.report.rollbacks == 1 and sim.step_count == 2
+        assert seen == [sim.energy_totals()]
+        guard.close()
 
 
 class TestRankGuard:
