@@ -278,18 +278,18 @@ def cmd_run_deck(args) -> int:
     # An observed run that silently fell off the whole-step native
     # lane would profile the wrong code — say so, once, with the
     # tripped gate (tracer/metrics/recorder themselves no longer
-    # demote: they are fed from the native telemetry channel); on the
-    # lane, say how many threads push.
+    # demote: they are fed from the native telemetry channel); when the
+    # push is native, on either lane, say how many threads push.
     if (trace_path or metrics_path or profile_path
             or recorder is not None):
         reason = sim.native_fallback_reason()
-        if reason is not None:
-            print(f"note: whole-step native lane off — {reason}")
+        n = sim.native_push_threads()
+        threads = f"{n} thread{'s' * (n != 1)}" if n else None
+        if reason is None:
+            print(f"note: whole-step native lane on — {threads}")
         else:
-            from repro.vpic.native import step_team_size
-            n = step_team_size(sim)
-            print(f"note: whole-step native lane on — "
-                  f"{n} thread{'s' * (n != 1)}")
+            print(f"note: whole-step native lane off — {reason}"
+                  + (f"; push on {threads}" if threads else ""))
     try:
         diag = EnergyDiagnostic()
         try:

@@ -265,10 +265,12 @@ class FlightRecorder:
             if reason is not None:
                 header["native_fallback"] = reason
             try:
-                from repro.vpic.native import native_status, step_team_size
+                from repro.vpic.native import native_status
                 header["native_status"] = native_status()
-                if reason is None:
-                    header["native_threads"] = step_team_size(sim)
+                threads_fn = getattr(sim, "native_push_threads", None)
+                threads = threads_fn() if callable(threads_fn) else None
+                if threads:
+                    header["native_threads"] = threads
             except Exception:
                 pass
         # Distributed runs: aggregate the per-rank lanes so one

@@ -23,6 +23,10 @@ expects:
   StepSamples pick the same labels up from the kernel-timer deltas,
   unchanged.
 
+The push-scope lane's one push call per step fills the same struct
+(push phase only); :func:`drain_push` puts its per-species seconds on
+the labels that lane has always used (``step/push/<species>``).
+
 The drain itself is timed (:func:`drain_stats`): the overhead guard
 in ``tests/test_native_telemetry.py`` and the ``report --metrics``
 line both read that self-measurement, keeping the channel honest
@@ -36,7 +40,7 @@ import time
 from repro.kokkos.profiling import add_kernel_time
 from repro.observability.metrics import default_registry
 
-__all__ = ["drain_step", "drain_batch", "drain_stats",
+__all__ = ["drain_step", "drain_push", "drain_batch", "drain_stats",
            "reset_drain_stats"]
 
 _drains = 0
@@ -84,23 +88,38 @@ def _attribute(sim, res, steps: int = 1) -> None:
     reg.histogram("native/step_seconds").observe(res["push"] / steps)
     if res["sorts_done"]:
         add_kernel_time("sort/native", res["sort"])
-    counters = res.get("counters")
+    _count(reg, res.get("counters"))
+
+
+def _count(reg, counters) -> None:
     if counters:
-        if counters["crossings"]:
-            reg.counter("native/cell_crossings").inc(
-                counters["crossings"])
-        if counters["ghost_folds"]:
-            reg.counter("native/ghost_folds").inc(
-                counters["ghost_folds"])
-        if counters["sort_events"]:
-            reg.counter("native/sort_events").inc(
-                counters["sort_events"])
+        for key, name in (("crossings", "native/cell_crossings"),
+                          ("ghost_folds", "native/ghost_folds"),
+                          ("sort_events", "native/sort_events")):
+            if counters[key]:
+                reg.counter(name).inc(counters[key])
 
 
 def drain_step(sim, res) -> None:
     """Drain one :func:`repro.vpic.native.step_simulation` payload."""
     t0 = time.perf_counter()
     _attribute(sim, res, steps=1)
+    _account(time.perf_counter() - t0)
+
+
+def drain_push(sim, res) -> None:
+    """Drain one :func:`repro.vpic.native.push_simulation` payload —
+    the push-scope lane's one C push per step: each species' measured
+    push seconds onto the label that lane has always used,
+    ``push/<species>``; the push phase onto ``native/step_seconds``;
+    crossings and folds onto the native counters."""
+    t0 = time.perf_counter()
+    reg = default_registry()
+    for sp, stats in zip(sim.species, res["species"]):
+        if sp.n:
+            add_kernel_time(f"push/{sp.name}", stats["seconds"])
+    reg.histogram("native/step_seconds").observe(res["push"])
+    _count(reg, res["counters"])
     _account(time.perf_counter() - t0)
 
 

@@ -174,13 +174,15 @@ class WatchView:
         if split:
             lines.append(split)
         lane = h.get("native_lane")
+        n = h.get("native_threads")
+        team = f"{n} thread{'s' * (n != 1)}" if n else ""
         if lane == "step":
-            n = h.get("native_threads")
-            team = f", {n} thread{'s' * (n != 1)}" if n else ""
-            lines.append(f"native lane   step (whole-step C{team})")
+            lines.append("native lane   step (whole-step C"
+                         + (f", {team})" if team else ")"))
         elif lane == "fallback":
             lines.append("native lane   fallback — "
-                         f"{h.get('native_fallback', 'unknown reason')}")
+                         f"{h.get('native_fallback', 'unknown reason')}"
+                         + (f"; push on {team}" if team else ""))
         rank_lanes = h.get("rank_lanes")
         if rank_lanes:
             parts = []

@@ -61,7 +61,7 @@ def build_field_table(fields: FieldArrays, arena: ScratchArena) -> np.ndarray:
 def _native_push(fields, sp, arena, wrap):
     from repro.vpic.native import native_push_kernel
     kernel = native_push_kernel()
-    if kernel is None:
+    if kernel is None or np.dtype(fields.dtype) != F32:
         return False
     # Table build, accumulator zeroing, push, and J fold all happen
     # inside the compiled lane (one ctypes round-trip per species).
@@ -87,7 +87,8 @@ def fused_push_species(fields: FieldArrays, sp: Species,
     With ``wrap=False`` (distributed ranks) positions are left
     unwrapped for the migration phase. Voxels are marked stale rather
     than recomputed. Falls back from the native lane to the numpy
-    lane automatically; atomics-contention accounting always uses the
+    lane automatically (no kernel, or fields that are not float32);
+    atomics-contention accounting always uses the
     numpy lane so the sampled ``AtomicCounters`` hook observes the
     real deposition keys.
     """

@@ -5,7 +5,9 @@ module provides that lane for the hot loop at two scopes:
 
 - **push scope** (PR 5): a single-pass C kernel for the fused
   particle phase (gather -> Boris -> deposit -> advance -> wrap),
-  one trip through memory per particle — and its charge-conserving
+  one trip through memory per particle — for a step that stays
+  Python, the whole step's push phase alone (:func:`push_simulation`,
+  every species in one call) — and its charge-conserving
   twin (gather -> Boris -> advance -> first-order Esirkepov deposit,
   no wrap) for the decks that step kernel by kernel. Both are the one
   ``push_tiles`` body, whose CIC deposit works per *cell run*
@@ -40,9 +42,10 @@ On top of the step scope sits :func:`step_batch`: N independent
 decks advanced in one native call over their packed arenas (the
 ``run-deck --batch`` surface), round-robin per step.
 
-The step scope runs on a persistent team of threads, one per CPU of
-the process's affinity mask (:func:`step_team_size`; capped at the C
-source's ``TEAM_MAX``), each worker pinned to a CPU of its own. In the
+The step scope, and the push scope's push phase, run on a persistent
+team of threads, one per CPU of the process's affinity mask
+(:func:`step_team_size`; capped at the C source's ``TEAM_MAX``), each
+worker pinned to a CPU of its own. In the
 push, threads claim the next 1024-particle tile as they come free, the
 per-particle stages run concurrently, and each tile's deposit waits on
 an acquire/release ticket for the tile before it. Deposits are
@@ -53,8 +56,10 @@ with the same result. A due counting sort splits the particles into
 contiguous chunks with per-thread histograms and a thread-major prefix
 sum, which is the one-thread stable permutation. A second Python
 thread stepping while the team is busy runs the one-thread loop; a
-forked child starts its own team. The push scope, the Esirkepov
-kernel, the per-call sort and the guard's passes stay on one thread.
+forked child starts its own team. The per-species ``fused_push``
+(``PreparedSpeciesPush``, the rank workers' push: forked workers must
+not start a team each), the Esirkepov kernel, the per-call sort and
+the guard's passes stay on one thread.
 
 Everything keeps the strict-IEEE bit-identity contract: the C code
 performs the *same float32 operations in the same order* as the
@@ -109,6 +114,7 @@ __all__ = [
     "step_team_size",
     "rebuild",
     "step_simulation",
+    "push_simulation",
     "step_batch",
     "field_advance_b",
     "field_advance_e",
@@ -136,8 +142,9 @@ _SOURCE = r"""
  * element still sums the same addends in particle order (see
  * push_tiles), so J is the same bytes on sorted and unsorted input.
  *
- * The whole step pushes and sorts on a persistent team of threads (see
- * "the step team"): tiles are split across the team, but deposits are
+ * The whole step pushes and sorts, and the push-scope step pushes, on a
+ * persistent team of threads (see "the step team"): tiles are split
+ * across the team, but deposits are
  * taken in tile order, one tile at a time, so every accumulator element
  * gets the same addends in the same order whatever the team size — x,
  * u and J do not depend on how many threads ran.
@@ -415,7 +422,8 @@ static inline __attribute__((always_inline)) void tile_index(
 
 /* ---- the step team ------------------------------------------------ */
 
-/* step_one pushes on a persistent team of T threads, the caller
+/* The push phase — of step_one, and alone in push_deck for a step that
+ * stays Python — runs on a persistent team of T threads, the caller
  * included: the CPUs in the process's affinity mask, counted when the
  * team starts (once per process; again in a forked child, whose
  * workers the fork did not copy), capped at TEAM_MAX. The tiles of all
@@ -428,10 +436,13 @@ static inline __attribute__((always_inline)) void tile_index(
  * their folds included — has stored. So each accumulator element
  * receives the same addends in the same particle order as on one
  * thread, and the bytes of x, u and J depend neither on T nor on which
- * thread took which tile. A due sort is a second dispatch (team_sort),
- * which builds sort_one's permutation exactly. */
+ * thread took which tile. A due sort in step_one is a second dispatch
+ * (team_sort), which builds sort_one's permutation exactly. An idle
+ * worker polls long enough to span the Python a push-scope step runs
+ * between two pushes (~0.4 ms), so it is not put to sleep and woken
+ * every step. */
 #define TEAM_MAX 8
-#define TEAM_IDLE_S 100e-6      /* an idle worker polls this long, then sleeps */
+#define TEAM_IDLE_S 2e-3        /* an idle worker polls this long, then sleeps */
 #define TEAM_PAUSES 64          /* a waiting thread pauses this often, then yields */
 
 typedef struct {
@@ -1391,22 +1402,18 @@ static int team_sorts(const NDeck *dk)
 
 /* ---- the whole step ---------------------------------------------- */
 
-static void step_one(NDeck *dk, int teamed) {
-    const int64_t nx = dk->nx, ny = dk->ny, nz = dk->nz, nv = dk->nv;
-    double t0 = now_s();
-    /* half B advance (E ghosts synced first, as the numpy solver) */
-    sync_core(dk->ex, nx, ny, nz);
-    sync_core(dk->ey, nx, ny, nz);
-    sync_core(dk->ez, nx, ny, nz);
-    advance_b_core(dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
-                   nx, ny, nz, dk->fdt_hb, dk->fdx, dk->fdy, dk->fdz);
-    memset(dk->jx, 0, (size_t)nv * sizeof(float));
-    memset(dk->jy, 0, (size_t)nv * sizeof(float));
-    memset(dk->jz, 0, (size_t)nv * sizeof(float));
-    dk->t_field += now_s() - t0;
-    /* fused push per species against the half-advanced B / pre-push
-     * synced E, exactly like the numpy fast path's field table */
-    t0 = now_s();
+/* The push phase of a step, for step_one and push_deck: the field
+ * table from the current E and B, then every species pushed, wrapped
+ * and folded into J (which the caller has zeroed). On the team when
+ * the caller holds it and the deck has a second tile; otherwise one
+ * species after another on this thread, each exactly fused_push (zero
+ * the accumulator, push_core, fold_core). Inlined into both callers:
+ * as a function of its own it would sit between build_table and
+ * fused_push and move every entry after it. */
+static inline __attribute__((always_inline)) void push_phase(
+    NDeck *dk, int teamed) {
+    const int64_t nv = dk->nv;
+    const double t0 = now_s();
     build_table(dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
                 dk->tab, nv);
     const int split = teamed && team_worth(dk);
@@ -1433,6 +1440,24 @@ static void step_one(NDeck *dk, int teamed) {
         dk->ghost_folds++;
     }
     dk->t_push += now_s() - t0;
+}
+
+static void step_one(NDeck *dk, int teamed) {
+    const int64_t nx = dk->nx, ny = dk->ny, nz = dk->nz, nv = dk->nv;
+    double t0 = now_s();
+    /* half B advance (E ghosts synced first, as the numpy solver) */
+    sync_core(dk->ex, nx, ny, nz);
+    sync_core(dk->ey, nx, ny, nz);
+    sync_core(dk->ez, nx, ny, nz);
+    advance_b_core(dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
+                   nx, ny, nz, dk->fdt_hb, dk->fdx, dk->fdy, dk->fdz);
+    memset(dk->jx, 0, (size_t)nv * sizeof(float));
+    memset(dk->jy, 0, (size_t)nv * sizeof(float));
+    memset(dk->jz, 0, (size_t)nv * sizeof(float));
+    dk->t_field += now_s() - t0;
+    /* fused push per species against the half-advanced B / pre-push
+     * synced E, exactly like the numpy fast path's field table */
+    push_phase(dk, teamed);
     /* field completion. The second half-B advance skips the E ghost
      * re-sync: E has not changed since the sync above, so the copies
      * it would redo are byte-identical no-ops (the current-only-sync
@@ -1583,6 +1608,19 @@ void voxel_refresh(const float *restrict x, const float *restrict y,
                     + grid_cell(((double)y[i] - y0) / dy, hy) + 1) * sz
                    + grid_cell(((double)z[i] - z0) / dz, hz) + 1;
 }
+
+/* ---- the push-scope step ------------------------------------------ */
+
+/* The push phase alone, for a step whose field solve, sources and sort
+ * stay in Python (Simulation.push_step): one call per step for every
+ * species, on the team when this call can claim it, as step_decks. */
+void push_deck(NDeck *dk)
+{
+    const int teamed = team_claim();
+    push_phase(dk, teamed);
+    if (teamed)
+        team_release();
+}
 """
 
 #: Strict-IEEE core: no fast-math value changes, no FMA contraction
@@ -1605,12 +1643,13 @@ _TILE, _TEAM_MAX = (int(re.search(rf"#define {name} (\d+)", _SOURCE).group(1))
 
 
 def step_team_size(sim=None) -> int:
-    """Threads the whole-step lane pushes on in this process: the CPUs
-    in its affinity mask, capped at the C team's ``TEAM_MAX`` — what
-    the team counts when it starts (``taskset -c 0`` makes it one).
-    With *sim*, also capped at its number of push tiles (1024
-    particles each, per species): a deck of one tile steps on one
-    thread."""
+    """Threads the native push runs on in this process — on the
+    whole-step lane and on the push-scope lane alike, which share the
+    step team: the CPUs in its affinity mask, capped at the C team's
+    ``TEAM_MAX`` — what the team counts when it starts (``taskset -c
+    0`` makes it one). With *sim*, also capped at its number of push
+    tiles (1024 particles each, per species): a deck of one tile
+    pushes on one thread."""
     n = (min(len(os.sched_getaffinity(0)), _TEAM_MAX)
          if hasattr(os, "sched_getaffinity") else 1)
     if sim is not None:
@@ -1719,6 +1758,8 @@ class _NativeLib:
         lib.voxel_refresh.argtypes = ([_pf] * 3 + [_pi] + [_i64] * 4
                                       + [_f64] * 6)
         lib.voxel_refresh.restype = None
+        lib.push_deck.argtypes = [ctypes.POINTER(_CDeck)]
+        lib.push_deck.restype = None
         self._lib = lib
         self.path = lib_path
         self.key = key
@@ -1882,6 +1923,9 @@ class _NativeLib:
 
     def step_decks(self, decks, n_steps: int) -> None:
         self._lib.step_decks(decks, _i64(len(decks)), _i64(n_steps))
+
+    def push_deck(self, decks) -> None:
+        self._lib.push_deck(decks)
 
     # -- guard and diagnostics scope ---------------------------------
     #
@@ -2219,7 +2263,7 @@ def native_available() -> bool:
 
 def native_status() -> str:
     """Human-readable availability: where the kernel came from (and
-    its cache key) and how many threads the whole step pushes on, or
+    its cache key) and how many threads the native push runs on, or
     why the most recent build attempt failed."""
     native_push_kernel()
     if not _status.startswith("compiled"):
@@ -2409,6 +2453,28 @@ def step_simulation(sim, sort_interval: int = 0) -> "dict | None":
         return None
     decks = _pack_cached(sim, sort_interval)
     lib.step_decks(decks, 1)
+    spp = sim._native_pack[1][-1]
+    return _deck_stats(decks[0], spp, len(sim.species))
+
+
+def push_simulation(sim) -> "dict | None":
+    """Push every species of *sim* once: the push phase of the whole
+    step alone (field table, push, wrap, fold into J, which the caller
+    has cleared), on the step team — ``Simulation.push_step``'s one
+    native call per step.
+
+    The call runs under a ``native_push`` kernel span. Returns the
+    drained telemetry struct, as :func:`step_simulation` does (no
+    field or sort time), or ``None`` when no kernel is available.
+    """
+    from repro.kokkos.profiling import record_kernel
+
+    lib = native_push_kernel()
+    if lib is None:
+        return None
+    decks = _pack_cached(sim, 0)
+    with record_kernel("native_push"):
+        lib.push_deck(decks)
     spp = sim._native_pack[1][-1]
     return _deck_stats(decks[0], spp, len(sim.species))
 

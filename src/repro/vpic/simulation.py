@@ -80,8 +80,9 @@ class Simulation:
     #: :class:`~repro.vpic.injection.LaserAntenna` or a
     #: :class:`~repro.vpic.window.MovingWindow`. Sources demote the
     #: whole-step native lane (the C step owns the field solve and
-    #: has no injection point); the push-scope lane is unaffected,
-    #: and the field solve and sort around it stay on native kernels.
+    #: has no injection point); the push-scope lane takes the step —
+    #: one native push per step on the step team — and the field solve
+    #: and sort around it stay on native kernels.
     sources: list = field(default_factory=list)
 
     # -- construction -----------------------------------------------------------
@@ -235,7 +236,21 @@ class Simulation:
         Returns the number of particles pushed. The periodic boundary
         is folded into the fused kernel, so no separate boundary pass
         runs; voxel indices refresh lazily on first use.
+
+        With a compiled kernel (:meth:`_native_push_ok`) every species
+        goes in one native call, the whole step's push phase on the
+        step team; its C-measured seconds per species are drained onto
+        the ``push/<species>`` labels. Otherwise each species takes the
+        fused numpy lane.
         """
+        if self._native_push_ok():
+            from repro.observability import native_telemetry
+            from repro.vpic import native
+            native_telemetry.drain_push(self, native.push_simulation(self))
+            for sp in self.species:
+                if sp.n:
+                    sp.mark_voxels_stale()
+            return self.total_particles
         pushed = 0
         for sp in self.species:
             pushed += sp.n
@@ -257,6 +272,27 @@ class Simulation:
                 and self.deposition is DepositionKind.CIC
                 and self.boundary is BoundaryKind.PERIODIC
                 and g.x0 == 0.0 and g.y0 == 0.0 and g.z0 == 0.0)
+
+    def _native_push_ok(self) -> bool:
+        """Whether :meth:`push_step` pushes on the compiled kernel: a
+        native plan, float32 fields (the kernel's type), no atomics
+        accounting (whose sampled hook must observe the numpy lane's
+        deposition keys), and a built kernel."""
+        from repro.vpic import native
+        return (self.step_plan.native
+                and np.dtype(self.fields.dtype) == np.float32
+                and not accounting_enabled()
+                and native.native_available())
+
+    def native_push_threads(self) -> "int | None":
+        """Threads a step of this deck pushes on — the step team's size
+        for it (:func:`~repro.vpic.native.step_team_size`) on both
+        native lanes, whole-step and push-scope — or ``None`` when the
+        push is numpy."""
+        if not (self._fast_step_ok() and self._native_push_ok()):
+            return None
+        from repro.vpic import native
+        return native.step_team_size(self)
 
     def _esirkepov_kernel_off(self) -> "str | None":
         """Why the native Esirkepov kernel is *not* carrying this
@@ -544,9 +580,7 @@ class Simulation:
             return "native-step"
         if self.step_plan.reference:
             return "reference"
-        from repro.vpic import native
-        if (self._fast_step_ok() and self.step_plan.native
-                and native.native_available()):
+        if self._fast_step_ok() and self._native_push_ok():
             return "native-push"
         return "numpy-fused"
 

@@ -20,11 +20,12 @@ Two kinds of check:
   standing relation), and the portable build against the host-tuned
   one.
 
-The whole step pushes on a team of threads, one per CPU of the
-process's affinity mask, taking the deposits in tile order; the same
-digests and event counters must come out on one thread and on all of
-them, from two Python threads stepping at once (the second steps on
-its own thread), and from a forked child (which starts its own team).
+The whole step and the push-scope lane push on one team of threads,
+one per CPU of the process's affinity mask, taking the deposits in
+tile order; the same digests and event counters must come out on one
+thread and on all of them, from two Python threads stepping at once
+(the second steps on its own thread), and from a forked child (which
+starts its own team).
 
 These tests need a C compiler; without one they skip.
 """
@@ -129,11 +130,25 @@ def test_portable_build_same_bytes_as_host_tuned():
 
 ROOT = Path(__file__).resolve().parents[1]
 COUNTERS = ("sim/particles_pushed", "native/cell_crossings",
-            "native/ghost_folds", "native/sort_events")
+            "native/ghost_folds", "native/sort_events",
+            "step_lane/native-step", "step_lane/native-push")
 
-#: Steps every golden deck on the two batching paths in a fresh process
-#: pinned to {cpus}; prints the team size and, per run, the digest and
-#: the native event counters.
+#: The push-scope lane's own deck, stepped past a few hundred window
+#: shifts: its antenna, Mur boundary and moving window keep it off the
+#: whole step.
+WAKE_STEPS = 600
+
+
+def _run_wakefield():
+    sim = workloads.laser_wakefield_deck(seed=3).build()
+    for _ in range(WAKE_STEPS):
+        sim.step()
+    return sim
+
+
+#: Steps each (deck, path) of {runs} in a fresh process pinned to
+#: {cpus}; prints the team size and, per run, the digest and the event
+#: and lane counters.
 _PINNED_CHILD = """
 import json, os
 os.sched_setaffinity(0, {cpus!r})
@@ -141,50 +156,80 @@ from repro.observability.metrics import default_registry
 from repro.vpic import native
 from tests import test_native_push_runs as t
 out = {{"team": native.step_team_size()}}
-for deck in sorted(t.DECKS):
-    for path in ("native-step", "step_many"):
-        default_registry().reset()
-        sim = t._run(deck, path)
-        out[deck + "/" + path] = [t._digest(sim)] + [
-            default_registry().counter(c).value for c in t.COUNTERS]
+for deck, path in {runs!r}:
+    default_registry().reset()
+    sim = t._run_wakefield() if deck == "wakefield" else t._run(deck, path)
+    out[deck + "/" + path] = [t._digest(sim)] + [
+        default_registry().counter(c).value for c in t.COUNTERS]
 print(json.dumps(out))
 """
 
 
-def _pinned_run(cpus) -> dict:
+def _pinned_run(cpus, runs) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PINNED_CHILD.format(cpus=sorted(cpus))],
+        [sys.executable, "-c",
+         _PINNED_CHILD.format(cpus=sorted(cpus), runs=runs)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs an affinity mask of two or more CPUs")
+def _one_and_every_cpu(runs) -> dict:
+    """The runs pinned to one CPU and to every CPU of the mask: the
+    same results, which are returned."""
+    cpus = os.sched_getaffinity(0)
+    one = _pinned_run({min(cpus)}, runs)
+    every = _pinned_run(cpus, runs)
+    assert one.pop("team") == 1
+    assert every.pop("team") == min(len(cpus), native._TEAM_MAX) > 1
+    assert one == every
+    return every
+
+
+_MULTI_CPU = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity mask of two or more CPUs")
+
+
+@_MULTI_CPU
 def test_team_size_does_not_change_bytes_or_counters():
     """One CPU (a one-thread step) and every CPU of the mask give the
     golden digests and the same pushed / crossing / fold / sort
     counts, on the per-step lane and in a step_many batch."""
-    cpus = os.sched_getaffinity(0)
-    one = _pinned_run({min(cpus)})
-    every = _pinned_run(cpus)
-    assert one.pop("team") == 1
-    assert every.pop("team") == min(len(cpus), native._TEAM_MAX) > 1
-    assert one == every
+    every = _one_and_every_cpu([(deck, path) for deck in sorted(DECKS)
+                                for path in ("native-step", "step_many")])
     for run, (digest, pushed, *_) in every.items():
         assert digest == GOLDEN[run.split("/")[0]], run
         assert pushed > 0
 
 
+@_MULTI_CPU
+def test_push_scope_team_size_does_not_change_bytes_or_counters():
+    """The push-scope lane on one CPU and on every CPU: the golden
+    digests under ``native_scope="push"``, one wakefield digest, and
+    the same pushed / crossing / fold counts, every step on the
+    native-push lane."""
+    every = _one_and_every_cpu([(deck, "native-push")
+                                for deck in sorted(DECKS) + ["wakefield"]])
+    for run, (digest, pushed, crossings, folds, sorts, step_lane,
+              push_lane) in every.items():
+        deck = run.split("/")[0]
+        if deck in GOLDEN:
+            assert digest == GOLDEN[deck], run
+        assert pushed > 0 and crossings > 0 and folds > 0, run
+        assert sorts == step_lane == 0, run
+        assert push_lane == (WAKE_STEPS if deck == "wakefield" else STEPS)
+
+
 def test_team_step_with_ragged_species_matches_push_lane():
     """Species of 1025, 1 and 0 particles: a tile of one particle, a
     sort chunk with nothing in it, a species with no tiles at all. The
-    whole step (team push and team sort) against the push-scope lane,
-    which never leaves one thread."""
+    whole step (team push and team sort) against the push-scope lane
+    (team push; field solve and one-thread sort called from Python)."""
     digests = []
     for scope in ("step", "push"):
         sim = _pair()[0]
@@ -203,29 +248,103 @@ def test_team_step_with_ragged_species_matches_push_lane():
     assert digests[0] == digests[1]
 
 
-def test_concurrent_python_threads_keep_their_bytes():
-    """Python threads stepping three sims at once: one holds the team,
-    the others find it taken and step on their own thread. Every sim
-    ends on its sequential digest."""
-    decks = sorted(DECKS)
-    start = threading.Barrier(len(decks))
+def test_float64_fields_push_on_numpy():
+    """The kernel's fields are float32: a deck with float64 fields on
+    the default plan pushes on the numpy lane — the bytes of
+    ``native=False``, counted ``numpy-fused`` — instead of reading its
+    fields as float32."""
+    from repro.observability.metrics import default_registry
+    from repro.vpic.fields import FieldArrays
+
+    digests = []
+    for plan in (StepPlan(), StepPlan(native=False)):
+        base = workloads.uniform_plasma_deck(nx=6, ny=4, nz=4, ppc=4,
+                                             seed=1).build()
+        fields = FieldArrays(base.grid, np.float64)
+        rng = np.random.default_rng(0)
+        for name in FIELDS[:6]:
+            getattr(fields, name).data[...] = rng.normal(
+                scale=0.05, size=base.grid.shape)
+        sim = Simulation(grid=base.grid, fields=fields,
+                         species=base.species, step_plan=plan)
+        default_registry().reset()
+        for _ in range(3):
+            sim.step()
+        assert default_registry().counter(
+            "step_lane/numpy-fused").value == 3
+        assert np.isfinite(sim.species[0].live("ux")).all()
+        digests.append(_digest(sim))
+    assert digests[0] == digests[1]
+
+
+def test_run_deck_names_the_push_scope_threads(tmp_path, capsys):
+    """A wakefield run says how many threads its push runs on, although
+    the whole step is off: the ``run-deck`` note, the flight header's
+    ``native_threads`` and the watch panel's lane line."""
+    from repro.cli import main
+    from repro.observability.flight import read_events
+    from repro.observability.watch import WatchView
+
+    run_dir = str(tmp_path / "flight")
+    assert main(["run-deck", "wakefield", "--steps", "2", "--record",
+                 "--record-dir", run_dir]) == 0
+    n = native.step_team_size(workloads.make_deck("wakefield").build())
+    threads = f"push on {n} thread{'s' * (n != 1)}"
+    note = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("note: whole-step native lane off")]
+    assert len(note) == 1
+    assert note[0].endswith("fields and sort on native kernels; " + threads)
+    view = WatchView()
+    view.feed_all(read_events(run_dir))
+    assert view.header["native_threads"] == n
+    assert any(line.startswith("native lane   fallback")
+               and line.endswith(threads)
+               for line in view.render().splitlines())
+
+
+def _digests_in_threads(runs: dict) -> dict:
+    """Each of *runs* (name -> sim factory) on a Python thread of its
+    own, all started at once; the digest of each sim."""
+    start = threading.Barrier(len(runs))
     digests: dict = {}
     errors: list = []
 
-    def work(deck):
+    def work(name):
         try:
             start.wait()
-            digests[deck] = _digest(_run(deck, "native-step"))
+            digests[name] = _digest(runs[name]())
         except BaseException as exc:        # surfaced below
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(d,)) for d in decks]
+    threads = [threading.Thread(target=work, args=(n,)) for n in runs]
     for th in threads:
         th.start()
     for th in threads:
         th.join(timeout=300)
     assert not errors, errors
+    return digests
+
+
+def test_concurrent_python_threads_keep_their_bytes():
+    """Python threads stepping three sims at once: one holds the team,
+    the others find it taken and step on their own thread. Every sim
+    ends on its sequential digest."""
+    decks = sorted(DECKS)
+    digests = _digests_in_threads(
+        {d: (lambda d=d: _run(d, "native-step")) for d in decks})
     assert digests == {d: GOLDEN[d] for d in decks}
+
+
+def test_concurrent_push_scope_threads_keep_their_bytes():
+    """Two Python threads on the push-scope lane at once: whichever
+    pushes while the other holds the team pushes on its own thread.
+    Both sims end on their sequential digests."""
+    want = {"wakefield": _digest(_run_wakefield()),
+            "laser-plasma": GOLDEN["laser-plasma"]}
+    digests = _digests_in_threads(
+        {"wakefield": _run_wakefield,
+         "laser-plasma": lambda: _run("laser-plasma", "native-push")})
+    assert digests == want
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -18,8 +18,10 @@ import pytest
 
 from repro.core.tuning import StepPlan
 from repro.vpic import workloads
-from repro.vpic.native import native_available, native_status
+from repro.vpic.native import (native_available, native_status,
+                               step_team_size)
 from repro.vpic.simulation import Simulation
+from repro.vpic.species import Species
 
 pytestmark = [
     pytest.mark.native,
@@ -113,6 +115,37 @@ def test_native_lane_stays_selected_under_telemetry(factory,
     assert counters.get("step_lane/native-step") == steps
     assert counters.get("native/ghost_folds", 0) >= steps
     assert len(recorder.samples()) == steps
+
+
+def test_push_scope_lane_telemetry(telemetry_stack):
+    """The push-scope lane's one native call per step: one
+    ``native_push`` span and one ``native/step_seconds`` observation
+    per step, and per species a ``push/<species>`` span carrying the
+    C-measured seconds, with the crossing and fold counters."""
+    from repro.kokkos.profiling import kernel_timings
+    from repro.observability.metrics import default_registry
+
+    tracer, _ = telemetry_stack
+    default_registry().reset()
+    sim = workloads.laser_plasma_deck(nx=16, ny=4, nz=4, seed=1).build()
+    sim.species.append(Species("idle", 1.0, 4.0, sim.grid))
+    sim.step_plan = StepPlan(native_scope="push")
+    steps = 4
+    for _ in range(steps):
+        sim.step()
+
+    timers = kernel_timings()
+    spans = tracer.totals_by_name()
+    for name in ("step/native_push", "step/push/electron", "step/push/ion"):
+        assert timers[name].launches == steps, name
+        assert spans[name][1] == steps and spans[name][0] > 0, name
+    assert "step/push/idle" not in timers      # no particles, no span
+    snap = default_registry().snapshot()
+    assert snap["counters"]["step_lane/native-push"] == steps
+    assert snap["counters"]["native/ghost_folds"] == 2 * steps
+    assert snap["counters"].get("native/cell_crossings", 0) > 0
+    assert default_registry().histogram("native/step_seconds").count \
+        == steps
 
 
 def test_interposing_tool_demotes_with_named_reason():
@@ -221,3 +254,7 @@ def test_run_header_carries_native_lane_state(tmp_path,
     header2 = read_events(str(tmp_path / "fallback-run"))[0]
     assert header2["native_lane"] == "fallback"
     assert "_InterposingDummy" in header2["native_fallback"]
+    # Both runs push on the step team: the whole step, then the
+    # push-scope lane the interposing tool demoted the step to.
+    assert header["native_threads"] == header2["native_threads"] \
+        == step_team_size(sim2)

@@ -5,6 +5,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kokkos.atomics import collect_atomics
 from repro.vpic import native
@@ -27,6 +29,43 @@ def grid():
 @pytest.fixture
 def electrons(grid):
     return Species("e", q=-1.0, m=1.0, grid=grid, capacity=64)
+
+
+def _filled(n, seed):
+    """A species of *n* random particles with capacity to spare (the
+    dead tail is compared too) and distinct tags."""
+    rng = np.random.default_rng(seed)
+    sp = Species("e", q=-1.0, m=1.0, grid=Grid(4, 4, 4, dx=0.5, dy=0.5,
+                                                dz=0.5), capacity=n + 5)
+    sp.append(*rng.random((3, n)) * 2.0, *rng.normal(size=(3, n)),
+              rng.random(n))
+    sp.tag[:n] = rng.permutation(n)
+    return sp
+
+
+def _mask_remove(arrays, n, indices):
+    """The boolean-mask stable compaction over *arrays*; returns the
+    survivor count."""
+    keep = np.ones(n, dtype=bool)
+    keep[np.array(indices, dtype=np.int64)] = False
+    k = int(keep.sum())
+    for arr in arrays:
+        arr[:k] = arr[:n][keep]
+    return k
+
+
+@st.composite
+def _removals(draw):
+    """(n, indices): a few runs of consecutive indices (head and tail
+    included) plus scattered ones, with duplicates, in random order."""
+    n = draw(st.integers(1, 400))
+    runs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(1, 60)), max_size=6))
+    idx = [i for s, k in runs for i in range(s, min(s + k, n))]
+    idx += draw(st.lists(st.integers(0, n - 1), max_size=12))
+    if draw(st.booleans()):
+        idx += list(range(n - draw(st.integers(1, n)), n))
+    return n, draw(st.permutations(idx))
 
 
 class TestSpecies:
@@ -66,6 +105,45 @@ class TestSpecies:
         for attr in Species._ARRAYS:
             assert np.array_equal(electrons.live(attr),
                                   before[attr][keep]), attr
+
+    @pytest.mark.parametrize("per_run", [1, 10**9], ids=["runs", "mask"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_removals())
+    def test_remove_matches_the_mask_compaction(self, per_run, case):
+        """Both ways of removing — slice copies per run of consecutive
+        indices, the boolean mask — leave the bytes the mask
+        compaction leaves, in every array up to its capacity, for
+        unsorted, duplicate, head, tail and scattered indices."""
+        n, indices = case
+        sp = _filled(n, seed=len(indices))
+        sp._PARTICLES_PER_RUN = per_run
+        want = [getattr(sp, a).copy() for a in Species._ARRAYS]
+        k = _mask_remove(want, n, indices)
+        sp.remove(np.array(indices, dtype=np.int64))
+        assert sp.n == k
+        for attr, arr in zip(Species._ARRAYS, want):
+            assert np.array_equal(getattr(sp, attr), arr), attr
+
+    @pytest.mark.parametrize("case", [
+        "empty", "all", "first", "head", "tail", "duplicates", "window"])
+    def test_remove_edge_cases_match_the_mask(self, case):
+        """The default split on 3000 particles: nothing, everything,
+        head runs, the tail run, duplicates, and a trailing column
+        spread over a few runs (what the moving window drops)."""
+        n = 3000
+        indices = {
+            "empty": [], "all": list(range(n)), "first": [0],
+            "head": [0, 1, 2], "tail": list(range(2990, n)),
+            "duplicates": [3, 3, 3, 9, 0, 0],
+            "window": [i for s in (0, 700, 1400) for i in range(s, s + 40)],
+        }[case]
+        sp = _filled(n, seed=3)
+        want = [getattr(sp, a).copy() for a in Species._ARRAYS]
+        k = _mask_remove(want, n, indices)
+        sp.remove(np.array(indices, dtype=np.int64))
+        assert sp.n == k
+        for attr, arr in zip(Species._ARRAYS, want):
+            assert np.array_equal(getattr(sp, attr), arr), attr
 
     def test_gamma_and_energy(self, electrons):
         electrons.append([0.1], [0.1], [0.1], [3.0], [0.0], [4.0], [2.0])
