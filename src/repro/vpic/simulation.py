@@ -160,7 +160,7 @@ class Simulation:
 
     # -- the step ----------------------------------------------------------------
 
-    def push_species(self, sp: Species) -> None:
+    def push_species(self, sp: Species, wrap: bool = False) -> None:
         """The particle push kernel: gather -> Boris -> deposit -> move.
 
         This is the kernel-by-kernel path: always used by the
@@ -172,6 +172,11 @@ class Simulation:
         Esirkepov kernel when :meth:`_esirkepov_kernel_off` finds no
         objection (bit-identical, the numpy sequence below stays as
         the no-compiler fallback and the oracle).
+
+        Positions are left unwrapped for
+        :func:`~repro.vpic.boundary.apply_particle_boundaries`, except
+        that :meth:`step` passes *wrap* when :meth:`_kernel_wraps`
+        holds: the native Esirkepov kernel then wraps in the push.
         """
         if sp.n == 0:
             return
@@ -182,7 +187,7 @@ class Simulation:
             from repro.vpic import native
             with record_kernel(f"push/{sp.name}"):
                 native.native_push_kernel().push_species_esirkepov(
-                    self.fields, sp, self._arena)
+                    self.fields, sp, self._arena, wrap=wrap)
             return
         binned = plan.bin_deposit and not plan.reference
         x, y, z = sp.positions()
@@ -300,10 +305,10 @@ class Simulation:
 
         The one gate list behind both :meth:`push_species`'s dispatch
         and the wording of :meth:`native_fallback_reason`. The kernel
-        leaves positions unwrapped for the Python boundary pass, so it
-        needs no zero origin; a reflecting deck must fold the bounce
-        between advance and deposit, which only the numpy sequence
-        does.
+        needs no zero origin: off one it leaves positions unwrapped
+        for the Python boundary pass (:meth:`_kernel_wraps`). A
+        reflecting deck must fold the bounce between advance and
+        deposit, which only the numpy sequence does.
         """
         from repro.vpic import native
 
@@ -321,6 +326,17 @@ class Simulation:
         if not native.native_available():
             return f"no compiled kernel ({native.native_status()})"
         return None
+
+    def _kernel_wraps(self) -> bool:
+        """Whether the native Esirkepov kernel applies this step's
+        periodic wrap itself, so :meth:`step` runs no boundary pass: it
+        carries the push, and the origin is zero — :meth:`_fast_step_ok`'s
+        rule, since the kernel wraps only the particles that left the
+        box."""
+        g = self.grid
+        return (self.deposition is DepositionKind.ESIRKEPOV
+                and g.x0 == 0.0 and g.y0 == 0.0 and g.z0 == 0.0
+                and self._esirkepov_kernel_off() is None)
 
     def _step_kernels_off(self) -> "str | None":
         """Why the kernel-by-kernel step's field solve and sort are
@@ -523,12 +539,15 @@ class Simulation:
                 if self._fast_step_ok():
                     pushed = self.push_step()
                 else:
+                    wrap = self._kernel_wraps()
                     for sp in self.species:
                         pushed += sp.n
-                        self.push_species(sp)
-                    for sp in self.species:
-                        with record_kernel(f"boundary/{sp.name}"):
-                            apply_particle_boundaries(sp, self.boundary)
+                        self.push_species(sp, wrap=wrap)
+                    if not wrap:
+                        for sp in self.species:
+                            with record_kernel(f"boundary/{sp.name}"):
+                                apply_particle_boundaries(sp,
+                                                          self.boundary)
                 with record_kernel("field_solve"):
                     self._solver.reduce_ghost_currents()
                     # E is untouched since the pre-push sync, so the
