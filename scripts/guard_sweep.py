@@ -41,8 +41,6 @@ def sweep_decks(steps: int, seed: int) -> bool:
             status = "VIOLATION"
             ok = False
             print(f"  {exc}")
-        finally:
-            guard.close()
         checks = sum(guard.report.checks_run.values())
         print(f"{name:14s} {status:10s} {sim.step_count:>6d} "
               f"{checks:>7d} {time.perf_counter() - t0:>8.2f}")

@@ -310,8 +310,6 @@ def cmd_run_deck(args) -> int:
         if counter_tool is not None:
             unregister_tool(counter_tool)
         set_detail(False)
-        if guard is not None:
-            guard.close()
         if recorder is not None:
             recorder.close()
         if publisher is not None:
@@ -588,13 +586,12 @@ def cmd_validate(args) -> int:
         print(f"guard violation: {exc}")
         print(guard.report.format())
         return 1
-    finally:
-        guard.close()
     print(guard.report.format())
     if args.overhead:
         from repro.validate import measure_guard_overhead
-        print(measure_guard_overhead(deck=deck, steps=args.steps or 10,
-                                     policy=args.policy).format())
+        print(measure_guard_overhead(
+            deck=deck, steps=args.steps or 10, policy=args.policy,
+            checkpoint_interval=args.checkpoint_interval).format())
     return 0
 
 

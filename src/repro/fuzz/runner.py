@@ -112,7 +112,6 @@ def run_deck(deck: Deck, record_dir: str | None = None) -> FuzzResult:
                           step=sim.step_count,
                           message=f"{type(exc).__name__}({exc})")
     finally:
-        guard.close()
         if recorder is not None:
             recorder.close()
     return FuzzResult(deck=payload, status="ok", lane=lane,

@@ -24,6 +24,16 @@ hold, with a configurable cadence so expensive O(N) checks amortise:
 Checks are policy-free: they *detect* (and optionally *repair*);
 what happens on a violation is the
 :class:`~repro.validate.guard.SimulationGuard`'s decision.
+
+The three every-step screens (finite fields, finite particles,
+bounds) first consult the step's verdict
+(:attr:`~repro.vpic.simulation.Simulation.step_verdict`): a guarded
+whole-step native step counts non-finite values and takes the
+position min/max while it pushes. When the verdict proves the numpy
+scan would find nothing, the check returns ``None`` without reading
+an array; otherwise — a finding, or no verdict (every other lane, a
+repair or restore since the step, a rank view) — the numpy code runs
+as before and produces the :class:`Violation`. numpy stays the oracle.
 """
 
 from __future__ import annotations
@@ -113,12 +123,20 @@ class InvariantCheck:
         return f"{type(self).__name__}(cadence={self.cadence})"
 
 
+def _verdict(sim):
+    """The step's native verdict, or ``None`` (see the module notes)."""
+    return getattr(sim, "step_verdict", None)
+
+
 class FiniteFieldsCheck(InvariantCheck):
     """Every field component is finite (no NaN/Inf anywhere)."""
 
     name = "finite_fields"
 
     def check(self, sim):
+        verdict = _verdict(sim)
+        if verdict is not None and verdict.field_nonfinite == 0:
+            return None
         for comp in _FIELD_NAMES:
             data = getattr(sim.fields, comp).data
             if not np.isfinite(data).all():
@@ -136,6 +154,9 @@ class FiniteParticlesCheck(InvariantCheck):
     name = "finite_particles"
 
     def check(self, sim):
+        verdict = _verdict(sim)
+        if verdict is not None and not verdict.nonfinite.any():
+            return None
         for sp in sim.species:
             if sp.n == 0:
                 continue
@@ -164,19 +185,30 @@ class ParticleBoundsCheck(InvariantCheck):
         super().__init__(cadence)
         self.slack = slack
 
-    def check(self, sim):
+    def _box(self, sim):
+        """Per axis ``(lo, hi, eps)``: the box widened by the slack."""
         g = sim.grid
-        lx, ly, lz = g.lengths
         eps = (self.slack * g.dx, self.slack * g.dy, self.slack * g.dz)
-        los = (g.x0, g.y0, g.z0)
-        lens = (lx, ly, lz)
+        return [(o - e, o + n + e, e) for o, n, e in
+                zip((g.x0, g.y0, g.z0), g.lengths, eps)]
+
+    def check(self, sim):
+        box = self._box(sim)
+        verdict = _verdict(sim)
+        # The verdict's min/max are float32 scalars, compared by the
+        # same expressions as the numpy reductions' below.
+        if verdict is not None and not any(
+                vmin < lo or vmax > hi
+                for sp, lows, highs in zip(sim.species, verdict.lo,
+                                           verdict.hi) if sp.n
+                for vmin, vmax, (lo, hi, _) in zip(lows, highs, box)):
+            return None
         for sp in sim.species:
             if sp.n == 0:
                 continue
             for axis, attr in enumerate(("x", "y", "z")):
                 pos = sp.live(attr)
-                lo = los[axis] - eps[axis]
-                hi = los[axis] + lens[axis] + eps[axis]
+                lo, hi, eps = box[axis]
                 # fmin/fmax skip NaN, which the mask below compares
                 # false too (it is FiniteParticlesCheck's finding).
                 if np.fmin.reduce(pos) < lo or np.fmax.reduce(pos) > hi:
@@ -184,7 +216,7 @@ class ParticleBoundsCheck(InvariantCheck):
                     worst = float(np.max(np.abs(
                         pos - np.clip(pos, lo, hi))))
                     return self._violation(
-                        sim, worst, eps[axis],
+                        sim, worst, eps,
                         f"{out} particles of species '{sp.name}' "
                         f"outside the box along {attr}")
         return None

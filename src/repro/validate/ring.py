@@ -1,63 +1,59 @@
 """Bounded auto-checkpoint ring backing guard rollback.
 
 The guard pushes a validated snapshot every N steps; the ring keeps
-the newest ``depth`` of them on disk (uncompressed ``.npz`` via
-:func:`repro.vpic.checkpoint.save_checkpoint` — rollback wants write
-speed, not archival density) and evicts the oldest. Snapshots live in
-a private temporary directory by default, cleaned up with the ring.
+the newest ``depth`` of them in memory and evicts the oldest. A
+snapshot is a :class:`~repro.vpic.checkpoint.Snapshot`: copies of the
+arrays :func:`~repro.vpic.checkpoint.save_checkpoint` would write (less
+the voxel indices, which the positions determine) plus its metadata,
+and a rollback restores it through the same
+:func:`~repro.vpic.checkpoint.restore_state_into` as a file. A push
+copies into the buffers of the snapshot it evicts, so once the ring is
+full a push allocates no array.
 """
 
 from __future__ import annotations
 
-import tempfile
 from collections import deque
-from pathlib import Path
 
-from repro.vpic.checkpoint import restore_state_into, save_checkpoint
+from repro.vpic.checkpoint import Snapshot, capture_state, restore_state_into
 
 __all__ = ["CheckpointRing"]
 
 
 class CheckpointRing:
-    """Newest-``depth`` rolling checkpoints of one simulation."""
+    """Newest-``depth`` rolling snapshots of one simulation."""
 
-    def __init__(self, depth: int = 2, directory: str | Path | None = None):
+    def __init__(self, depth: int = 2):
         if depth <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
         self.depth = depth
-        self._tmp = None
-        if directory is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="repro-guard-")
-            directory = self._tmp.name
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._entries: deque[tuple[int, Path]] = deque()
+        self._entries: deque[tuple[int, Snapshot]] = deque()
         self.pushes = 0
 
     @property
-    def entries(self) -> list[tuple[int, Path]]:
-        """(step, path) pairs, oldest first."""
+    def entries(self) -> list[tuple[int, Snapshot]]:
+        """(step, snapshot) pairs, oldest first."""
         return list(self._entries)
 
-    def newest(self) -> tuple[int, Path] | None:
+    def newest(self) -> tuple[int, Snapshot] | None:
         return self._entries[-1] if self._entries else None
 
-    def push(self, sim) -> Path:
+    def push(self, sim) -> Snapshot:
         """Snapshot *sim*, evicting the oldest entry beyond depth.
 
         Re-pushing the same step (it happens after a rollback re-runs
         to a checkpointed step) overwrites in place instead of
         duplicating the entry.
         """
-        path = self.directory / f"guard-{sim.step_count:08d}.npz"
-        save_checkpoint(sim, path, compress=False)
-        if not (self._entries and self._entries[-1][0] == sim.step_count):
-            self._entries.append((sim.step_count, path))
+        if self._entries and self._entries[-1][0] == sim.step_count:
+            snap = capture_state(sim, into=self._entries[-1][1])
+        else:
+            spare = (self._entries.popleft()[1]
+                     if len(self._entries) >= self.depth else None)
+            snap = capture_state(sim, into=spare)
+            self._entries.append((sim.step_count, snap))
         self.pushes += 1
-        while len(self._entries) > self.depth:
-            _, old = self._entries.popleft()
-            old.unlink(missing_ok=True)
-        return path
+        return snap
 
     def rollback(self, sim) -> int:
         """Restore the newest snapshot into *sim* in place; returns
@@ -65,13 +61,7 @@ class CheckpointRing:
         newest = self.newest()
         if newest is None:
             raise LookupError("checkpoint ring is empty")
-        _, path = newest
-        return restore_state_into(sim, path)
-
-    def close(self) -> None:
-        if self._tmp is not None:
-            self._tmp.cleanup()
-            self._tmp = None
+        return restore_state_into(sim, newest[1])
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -25,6 +25,13 @@ Format version 2 additionally persists:
 Version-1 files still load, with capacity defaulting to the old
 ``max(1024, n)`` behavior.
 
+The same state also lives in memory: :func:`capture_state` copies it
+into a :class:`Snapshot` (the file's metadata and arrays under the
+file's keys, less the voxel indices), and :func:`restore_state_into`
+restores from a snapshot or a file through one routine. The guard's
+rollback ring (:class:`repro.validate.ring.CheckpointRing`) holds its
+snapshots this way.
+
 **Determinism contract.** Restore is bit-identical iff every source
 of randomness is either replayed from persisted state or external to
 the loop. The in-loop stochastic state is the sort policy's
@@ -54,7 +61,8 @@ from repro.vpic.simulation import Simulation
 from repro.vpic.sort_step import SortStep
 from repro.vpic.species import Species
 
-__all__ = ["save_checkpoint", "load_checkpoint", "restore_state_into"]
+__all__ = ["Snapshot", "save_checkpoint", "load_checkpoint",
+           "capture_state", "restore_state_into"]
 
 _FIELDS = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz")
 _FORMAT_VERSION = 2
@@ -74,17 +82,10 @@ def _mur_name(key) -> str:
     return f"mur_{axis}_{int(high)}_{comp}"
 
 
-def save_checkpoint(sim: Simulation, path: str | Path,
-                    compress: bool = True) -> Path:
-    """Write the simulation state to *path* (.npz). Returns the path.
-
-    *compress* selects ``savez_compressed`` (the archival default)
-    vs plain ``savez`` — the guard subsystem's auto-checkpoint ring
-    uses the uncompressed fast path to keep per-snapshot cost low.
-    """
-    path = Path(path)
+def _state_meta(sim: Simulation) -> dict:
+    """The metadata a checkpoint carries beside its arrays."""
     g = sim.grid
-    meta = {
+    return {
         "version": _FORMAT_VERSION,
         "step_count": sim.step_count,
         "grid": {"nx": g.nx, "ny": g.ny, "nz": g.nz,
@@ -103,23 +104,69 @@ def save_checkpoint(sim: Simulation, path: str | Path,
                     for sp in sim.species],
         "energy0": sim._energy0,
     }
-    arrays: dict[str, np.ndarray] = {
-        "_meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    }
+
+
+def _state_arrays(sim: Simulation, voxel: bool = True):
+    """(key, live array) pairs of the state, by the file's keys."""
     for name in _FIELDS:
-        arrays[f"field_{name}"] = getattr(sim.fields, name).data
+        yield f"field_{name}", getattr(sim.fields, name).data
     for i, sp in enumerate(sim.species):
         for attr in Species._ARRAYS:
-            arrays[f"sp{i}_{attr}"] = sp.live(attr)
-    for key, arr in _mur_entries(sim):
-        arrays[key] = arr
-    writer = np.savez_compressed if compress else np.savez
-    writer(path, **arrays)
+            if voxel or attr != "voxel":
+                yield f"sp{i}_{attr}", sp.live(attr)
+    yield from _mur_entries(sim)
+
+
+class Snapshot:
+    """A checkpoint in memory: the metadata :func:`save_checkpoint`
+    writes and the arrays, under the file's keys. :func:`capture_state`
+    fills one with copies; :func:`restore_state_into` reads one as it
+    reads a file."""
+
+    __slots__ = ("meta", "arrays")
+
+    def __init__(self, meta: dict, arrays: dict):
+        self.meta = meta
+        self.arrays = arrays
+
+
+def save_checkpoint(sim: Simulation, path: str | Path) -> Path:
+    """Write the simulation state to *path* (compressed .npz).
+    Returns the path."""
+    path = Path(path)
+    arrays: dict[str, np.ndarray] = {
+        "_meta": np.frombuffer(json.dumps(_state_meta(sim)).encode(),
+                               dtype=np.uint8)
+    }
+    arrays.update(_state_arrays(sim))
+    np.savez_compressed(path, **arrays)
     return path
 
 
-def load_checkpoint(path: str | Path) -> Simulation:
-    """Reconstruct a :class:`Simulation` from a checkpoint file."""
+def capture_state(sim: Simulation,
+                  into: Snapshot | None = None) -> Snapshot:
+    """Copy the state of *sim* into memory — a :class:`Snapshot` of
+    what :func:`save_checkpoint` writes, less the voxel indices: they
+    are a pure function of the positions, so a restore marks them
+    stale and the first reader recomputes them. Copies land in
+    *into*'s arrays where shape and dtype match (the guard's ring
+    passes the snapshot it evicts), so a steady push allocates no
+    array."""
+    old = into.arrays if into is not None else {}
+    arrays = {}
+    for key, src in _state_arrays(sim, voxel=False):
+        buf = old.get(key)
+        if buf is None or buf.shape != src.shape or buf.dtype != src.dtype:
+            buf = np.empty_like(src)
+        np.copyto(buf, src)
+        arrays[key] = buf
+    if into is None:
+        return Snapshot(_state_meta(sim), arrays)
+    into.meta, into.arrays = _state_meta(sim), arrays
+    return into
+
+
+def _read_checkpoint(path: str | Path) -> Snapshot:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
@@ -129,52 +176,49 @@ def load_checkpoint(path: str | Path) -> Simulation:
             raise ValueError(
                 f"checkpoint version {meta.get('version')} not supported "
                 f"(expected one of {_SUPPORTED_VERSIONS})")
-        gm = meta["grid"]
-        grid = Grid(gm["nx"], gm["ny"], gm["nz"], gm["dx"], gm["dy"],
-                    gm["dz"], gm["x0"], gm["y0"], gm["z0"], gm["dt"])
-        fields = FieldArrays(grid)
-        for name in _FIELDS:
-            getattr(fields, name).data[...] = data[f"field_{name}"]
-        species = []
-        for i, sm in enumerate(meta["species"]):
-            n = sm["n"]
-            # v1 files carry no capacity; fall back to the historical
-            # reconstruction (which could shrink the original run's
-            # headroom — the reason v2 persists it).
-            capacity = max(1024, n, sm.get("capacity", 0))
-            sp = Species(sm["name"], sm["q"], sm["m"], grid,
-                         capacity=capacity)
-            sp.n = n
-            for attr in Species._ARRAYS:
-                getattr(sp, attr)[:n] = data[f"sp{i}_{attr}"]
-            species.append(sp)
-        sort_meta = meta["sort"]
-        sim = Simulation(
-            grid=grid,
-            fields=fields,
-            species=species,
-            boundary=BoundaryKind(meta["boundary"]),
-            field_boundary=FieldBoundaryKind(
-                meta.get("field_boundary", "periodic")),
-            deposition=DepositionKind(meta["deposition"]),
-            sort_step=SortStep(kind=SortKind(sort_meta["kind"]),
-                               tile_size=sort_meta["tile_size"],
-                               interval=sort_meta["interval"],
-                               seed=sort_meta["seed"],
-                               sorts_performed=sort_meta["sorts_performed"]),
-            step_count=meta["step_count"],
-        )
-        sim._energy0 = meta.get("energy0")
-        mur = getattr(sim.solver, "mur", None)
-        if mur is not None:
-            mur.load_history({key: data[_mur_name(key)]
-                              for key, _ in mur.history_items()
-                              if _mur_name(key) in data.files})
-        return sim
+        return Snapshot(meta, {k: data[k] for k in data.files
+                               if k != "_meta"})
 
 
-def restore_state_into(sim: Simulation, path: str | Path) -> int:
-    """Restore a checkpoint *in place* into an existing simulation.
+def _sort_step(meta: dict) -> SortStep:
+    sm = meta["sort"]
+    return SortStep(kind=SortKind(sm["kind"]), tile_size=sm["tile_size"],
+                    interval=sm["interval"], seed=sm["seed"],
+                    sorts_performed=sm["sorts_performed"])
+
+
+def load_checkpoint(path: str | Path) -> Simulation:
+    """Reconstruct a :class:`Simulation` from a checkpoint file."""
+    snap = _read_checkpoint(path)
+    meta = snap.meta
+    gm = meta["grid"]
+    grid = Grid(gm["nx"], gm["ny"], gm["nz"], gm["dx"], gm["dy"],
+                gm["dz"], gm["x0"], gm["y0"], gm["z0"], gm["dt"])
+    # v1 files carry no capacity; fall back to the historical
+    # reconstruction (which could shrink the original run's headroom —
+    # the reason v2 persists it).
+    species = [Species(sm["name"], sm["q"], sm["m"], grid,
+                       capacity=max(1024, sm["n"], sm.get("capacity", 0)))
+               for sm in meta["species"]]
+    sim = Simulation(
+        grid=grid,
+        fields=FieldArrays(grid),
+        species=species,
+        boundary=BoundaryKind(meta["boundary"]),
+        field_boundary=FieldBoundaryKind(
+            meta.get("field_boundary", "periodic")),
+        deposition=DepositionKind(meta["deposition"]),
+        sort_step=_sort_step(meta),
+        step_count=meta["step_count"],
+    )
+    restore_state_into(sim, snap)
+    return sim
+
+
+def restore_state_into(sim: Simulation,
+                       source: str | Path | Snapshot) -> int:
+    """Restore a checkpoint *in place* into an existing simulation,
+    from a file or from a :class:`Snapshot`.
 
     Used by the guard subsystem's rollback: the live
     :class:`Simulation` object (and everything holding a reference to
@@ -182,34 +226,44 @@ def restore_state_into(sim: Simulation, path: str | Path) -> int:
     The checkpoint must describe the same grid geometry and species
     list. Returns the restored step count.
     """
-    restored = load_checkpoint(path)
-    g, rg = sim.grid, restored.grid
-    if (g.nx, g.ny, g.nz) != (rg.nx, rg.ny, rg.nz):
+    snap = (source if isinstance(source, Snapshot)
+            else _read_checkpoint(source))
+    meta, arrays = snap.meta, snap.arrays
+    g, gm = sim.grid, meta["grid"]
+    if (g.nx, g.ny, g.nz) != (gm["nx"], gm["ny"], gm["nz"]):
         raise ValueError(
-            f"checkpoint grid {(rg.nx, rg.ny, rg.nz)} does not match "
-            f"simulation grid {(g.nx, g.ny, g.nz)}")
+            f"checkpoint grid {(gm['nx'], gm['ny'], gm['nz'])} does not "
+            f"match simulation grid {(g.nx, g.ny, g.nz)}")
     if [sp.name for sp in sim.species] != \
-            [sp.name for sp in restored.species]:
+            [sm["name"] for sm in meta["species"]]:
         raise ValueError("checkpoint species do not match simulation")
     for name in _FIELDS:
-        getattr(sim.fields, name).data[...] = \
-            getattr(restored.fields, name).data
-    for dst, src in zip(sim.species, restored.species):
-        if dst.capacity < src.n:
-            dst._ensure_capacity(src.n)
-        dst.n = src.n
+        getattr(sim.fields, name).data[...] = arrays[f"field_{name}"]
+    for i, (dst, sm) in enumerate(zip(sim.species, meta["species"])):
+        n = sm["n"]
+        if dst.capacity < n:
+            dst._ensure_capacity(n)
+        dst.n = n
         for attr in Species._ARRAYS:
-            getattr(dst, attr)[:src.n] = getattr(src, attr)[:src.n]
-        # Checkpoints are saved through live(), which refreshes lazy
-        # voxels first — the restored indices are fresh even if the
-        # target species was mid-fused-step stale.
-        dst._voxels_stale = False
-    sim.sort_step = restored.sort_step
-    sim.step_count = restored.step_count
-    sim._energy0 = restored._energy0
+            key = f"sp{i}_{attr}"
+            if key in arrays:
+                getattr(dst, attr)[:n] = arrays[key]
+        # A file's voxels were saved through live(), which refreshes
+        # them first; a snapshot has none, and they refresh on first use.
+        if f"sp{i}_voxel" in arrays:
+            dst.mark_voxels_fresh()
+        else:
+            dst.mark_voxels_stale()
+    sim.sort_step = _sort_step(meta)
+    sim.step_count = meta["step_count"]
+    sim._energy0 = meta.get("energy0")
     sim.state_changed()
     mur = getattr(sim.solver, "mur", None)
-    restored_mur = getattr(restored.solver, "mur", None)
-    if mur is not None and restored_mur is not None:
-        mur.load_history(dict(restored_mur.history_items()))
+    if mur is not None:
+        # Planes the checkpoint lacks take a freshly built solver's
+        # values, read from the restored fields.
+        mur.refresh_history()
+        mur.load_history({key: arrays[_mur_name(key)]
+                          for key, _ in mur.history_items()
+                          if _mur_name(key) in arrays})
     return sim.step_count

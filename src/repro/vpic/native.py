@@ -37,7 +37,14 @@ module provides that lane for the hot loop at two scopes:
   (``Species.kinetic_energy`` — the energy line, the drift check, the
   detail gauge; numpy still sums them) and the voxel refresh
   (``Species.update_voxels`` — deck build, ``live("voxel")``, the
-  detail-mode sort).
+  detail-mode sort). The guard's three every-step scans need no pass
+  of their own on the step scope: asked by the packed deck (a guard is
+  attached), ``step_one`` counts non-finite particle values and takes
+  the NaN-skipping min/max of every final position axis as it pushes,
+  then counts non-finite field values in one pass at the end, and
+  returns that :class:`StepVerdict` with its telemetry; the checks
+  skip their numpy scans when it proves them clean. Unguarded decks
+  run the unscreened code.
 
 On top of the step scope sits :func:`step_batch`: N independent
 decks advanced in one native call over their packed arenas (the
@@ -106,6 +113,7 @@ import subprocess
 import threading
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +159,11 @@ _SOURCE = r"""
  * taken in tile order, one tile at a time, so every accumulator element
  * gets the same addends in the same order whatever the team size — x,
  * u and J do not depend on how many threads ran.
+ *
+ * NSpecies and NDeck carry per-call telemetry beside their inputs, and
+ * a deck with its screen set (a guard is attached) also gets the
+ * guard's verdict on the state the step leaves (see "the guard's
+ * screen"); new fields go at the end of both structs.
  */
 #define _GNU_SOURCE             /* CPU_COUNT, sched_getaffinity */
 #include <stdint.h>
@@ -168,6 +181,15 @@ _SOURCE = r"""
 
 #define TILE 1024
 #define WRAP_CHUNK 64
+
+/* A screened push's verdict on one species (see "the guard's screen"):
+ * how many of its x, y, z, ux, uy, uz, w values are not finite, and the
+ * NaN-skipping min and max of each final position axis (+inf / -inf
+ * when the axis holds no number). */
+typedef struct {
+    int64_t nonfinite;
+    float lo[3], hi[3];
+} Screen;
 
 typedef struct {
     float *x, *y, *z, *ux, *uy, *uz, *w;
@@ -205,6 +227,13 @@ typedef struct {
      * drive): particles pushed, periodic boundary crossings, ghost
      * current folds, per-species sort passes */
     int64_t particles_pushed, crossings, ghost_folds, sort_events;
+    /* the guard's screen: when set, step_one writes every species'
+     * verdict to parts[0 .. n_species - 1] and the count of non-finite
+     * values over the nine field arrays after the step to
+     * field_nonfinite; parts is (TEAM_MAX, n_species) — one row of
+     * partials per thread, reduced into the first */
+    int64_t screen, field_nonfinite;
+    Screen *parts;
 } NDeck;
 
 static double now_s(void) {
@@ -521,6 +550,85 @@ static inline __attribute__((always_inline)) void tile_index(
     }
 }
 
+/* ---- the guard's screen ------------------------------------------- */
+
+/* With NDeck.screen set, step_one also reports what the guard's
+ * finiteness and bounds checks would find: per species a Screen, and
+ * one non-finite count over the nine ghost-inclusive field arrays after
+ * the step. The particle partials ride in push_tiles (scr != NULL):
+ * the Boris loop counts non-finite u and w as it writes and reads them,
+ * and each final position axis is scanned once more while the tile is
+ * in L1. Min, max and counts are order-free, so the verdict does not
+ * depend on the team size: each thread keeps its own partials, one row
+ * of dk->parts, and the caller reduces them into the first row.
+ * NSpecies does not carry them: a larger stride would change the
+ * machine code of every loop over the species. "Not finite" is
+ * !(|v| <= FLT_MAX), true for NaN and both infinities; the min and max
+ * are selects that keep the running value for a NaN v, as np.fmin and
+ * np.fmax skip it. The screened functions live in a section of their
+ * own, after all of .text, so the unscreened step keeps its addresses. */
+static inline __attribute__((always_inline)) int32_t nonfinite_f(float v)
+{
+    return !(__builtin_fabsf(v) <= __FLT_MAX__);
+}
+
+static inline __attribute__((always_inline)) void screen_clear(Screen *s)
+{
+    s->nonfinite = 0;
+    for (int a = 0; a < 3; a++) {
+        s->lo[a] = __builtin_inff();
+        s->hi[a] = -__builtin_inff();
+    }
+}
+
+static inline __attribute__((always_inline)) void screen_merge(
+    Screen *restrict to, const Screen *restrict s)
+{
+    to->nonfinite += s->nonfinite;
+    for (int a = 0; a < 3; a++) {
+        to->lo[a] = s->lo[a] < to->lo[a] ? s->lo[a] : to->lo[a];
+        to->hi[a] = s->hi[a] > to->hi[a] ? s->hi[a] : to->hi[a];
+    }
+}
+
+/* One final position axis of a tile into s, eight lanes at a time in
+ * GCC vector types: GCC does not vectorize a loop-carried select, lane
+ * array or not. A compare is -1 where it holds and 0 where it does not,
+ * NaN included, so the selects below are v < lo ? v : lo exactly, and
+ * subtracting the "not <= FLT_MAX" mask counts the non-finite lanes. */
+typedef float v8f __attribute__((vector_size(32)));
+typedef int32_t v8i __attribute__((vector_size(32)));
+
+static inline __attribute__((always_inline)) void screen_axis(
+    const float *restrict p, int64_t t, Screen *restrict s, int a)
+{
+    const v8i mag = { 0x7fffffff, 0x7fffffff, 0x7fffffff, 0x7fffffff,
+                      0x7fffffff, 0x7fffffff, 0x7fffffff, 0x7fffffff };
+    const v8f big = (v8f){ 0 } + __FLT_MAX__;
+    v8f lo = (v8f){ 0 } + s->lo[a], hi = (v8f){ 0 } + s->hi[a];
+    v8i bad = { 0 };
+    int64_t i = 0;
+    for (; i + 8 <= t; i += 8) {
+        v8f v;
+        memcpy(&v, p + i, sizeof v);
+        const v8i below = v < lo, above = v > hi;
+        lo = (v8f)((below & (v8i)v) | (~below & (v8i)lo));
+        hi = (v8f)((above & (v8i)v) | (~above & (v8i)hi));
+        bad -= ~((v8f)((v8i)v & mag) <= big);
+    }
+    for (int k = 0; k < 8; k++) {
+        s->lo[a] = lo[k] < s->lo[a] ? lo[k] : s->lo[a];
+        s->hi[a] = hi[k] > s->hi[a] ? hi[k] : s->hi[a];
+        s->nonfinite += bad[k];
+    }
+    for (; i < t; i++) {
+        const float v = p[i];
+        s->lo[a] = v < s->lo[a] ? v : s->lo[a];
+        s->hi[a] = v > s->hi[a] ? v : s->hi[a];
+        s->nonfinite += nonfinite_f(v);
+    }
+}
+
 /* ---- the step team ------------------------------------------------ */
 
 /* The push phase — of step_one, and alone in push_deck for a step that
@@ -663,7 +771,10 @@ static inline void team_done(const TeamTiles *tt, int64_t k)
  *
  * tt == NULL (again a compile-time constant outside the team) walks
  * every tile; otherwise the tiles this thread claims, each deposit
- * taken in its turn (team_wait / team_done).
+ * taken in its turn (team_wait / team_done). scr == NULL (a constant
+ * everywhere but the screened instantiations) skips the guard's
+ * screen; otherwise the partials of the tiles pushed here are added
+ * into *scr.
  *
  * Returns the number of periodic wrap events (particles that left
  * the domain on an axis) — pure counting in the escape fix-up, so the
@@ -677,7 +788,8 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
                          float qdt, float inv_vol,
                          const float *restrict tab,
                          double *restrict acc, int do_wrap,
-                         EskStage *esk, const TeamTiles *tt)
+                         EskStage *esk, const TeamTiles *tt,
+                         Screen *restrict scr)
 {
     int64_t wraps = 0;
     const int64_t gsy = g->sy, gsz = g->sz;
@@ -746,6 +858,7 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
                         *restrict bzv = eb[5];
             float *restrict jp0 = jp[0], *restrict jp1 = jp[1],
                   *restrict jp2 = jp[2];
+            int32_t bad = 0;
             for (int64_t i = 0; i < t; i++) {
                 float umx = u0[i] + qdt * exv[i];
                 float umy = u1[i] + qdt * eyv[i];
@@ -778,7 +891,12 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
                 jp0[i] = wi * nux / gam2 * inv_vol;
                 jp1[i] = wi * nuy / gam2 * inv_vol;
                 jp2[i] = wi * nuz / gam2 * inv_vol;
+                if (scr)
+                    bad += nonfinite_f(nux) + nonfinite_f(nuy)
+                           + nonfinite_f(nuz) + nonfinite_f(wi);
             }
+            if (scr)
+                scr->nonfinite += bad;
         }
         /* CIC corner weights (cic_weights order) */
         if (!esk)
@@ -858,6 +976,9 @@ static inline __attribute__((always_inline)) int64_t push_tiles(
                     }
                 }
             }
+            if (scr)
+                for (int a = 0; a < 3; a++)
+                    screen_axis(ps[a], t, scr, a);
         }
     }
     return wraps;
@@ -873,7 +994,22 @@ static int64_t push_core(const NDeck *g,
                          double *restrict acc, int do_wrap)
 {
     return push_tiles(g, x, y, z, ux, uy, uz, w, n, qdt, inv_vol,
-                      tab, acc, do_wrap, 0, 0);
+                      tab, acc, do_wrap, 0, 0, 0);
+}
+
+/* push_core on one species of the step, wrapped, with the guard's
+ * screen: its partials into *out. */
+__attribute__((noinline, section(".text.screen")))
+static int64_t push_core_screened(const NDeck *g, const NSpecies *sp,
+                                  Screen *out)
+{
+    Screen part;
+    screen_clear(&part);
+    const int64_t wraps = push_tiles(
+        g, sp->x, sp->y, sp->z, sp->ux, sp->uy, sp->uz, sp->w, sp->n,
+        sp->qdt, sp->inv_vol, g->tab, g->acc, 1, 0, 0, &part);
+    *out = part;
+    return wraps;
 }
 
 static void fold_core(const NDeck *g) {
@@ -1217,25 +1353,48 @@ void sort_species(
 /* ---- the step team: dispatch -------------------------------------- */
 
 /* One thread's part of a push dispatch: claim tiles until the
- * sequence is exhausted, pushing each in the species it belongs to. */
-static void team_push(NDeck *dk, int64_t id)
+ * sequence is exhausted, pushing each in the species it belongs to.
+ * row (NULL, or never NULL, at compile time) takes this thread's screen
+ * partials, one per species. */
+static inline __attribute__((always_inline)) void team_push_tiles(
+    NDeck *dk, Screen *row)
 {
-    (void)id;
     int64_t claim = __atomic_fetch_add(&team.next, 1, __ATOMIC_RELAXED);
     int64_t base = 0;
     for (int64_t s = 0; s < dk->n_species; s++) {
         NSpecies *sp = &dk->species[s];
         const int64_t tiles = (sp->n + TILE - 1) / TILE;
+        Screen part;            /* on the stack: rows share cache lines */
+        if (row)
+            screen_clear(&part);
         if (claim < base + tiles) {
             const TeamTiles tt = { base, tiles, &claim, dk, sp };
             int64_t wraps = push_tiles(
                 dk, sp->x, sp->y, sp->z, sp->ux, sp->uy, sp->uz, sp->w,
-                sp->n, sp->qdt, sp->inv_vol, dk->tab, dk->acc, 1, 0, &tt);
+                sp->n, sp->qdt, sp->inv_vol, dk->tab, dk->acc, 1, 0, &tt,
+                row ? &part : 0);
             __atomic_fetch_add(&sp->crossings, wraps, __ATOMIC_RELAXED);
             __atomic_fetch_add(&dk->crossings, wraps, __ATOMIC_RELAXED);
         }
+        if (row)
+            row[s] = part;
         base += tiles;
     }
+}
+
+static void team_push(NDeck *dk, int64_t id)
+{
+    (void)id;
+    team_push_tiles(dk, 0);
+}
+
+__attribute__((noinline, section(".text.screen")))
+static void team_push_screened(NDeck *dk, int64_t id)
+{
+    Screen *row = dk->parts + id * dk->n_species;
+    if (!row)
+        __builtin_unreachable();
+    team_push_tiles(dk, row);
 }
 
 /* Wait until every thread of the team has arrived. */
@@ -1429,8 +1588,11 @@ static int team_worth(const NDeck *dk)
 }
 
 /* One dispatch: job(dk, id) on every thread of the team, the caller
- * as id 0; returns when all are done. */
-static void team_run(NDeck *dk, void (*job)(NDeck *, int64_t))
+ * as id 0; returns when all are done. Inlined, as GCC did before the
+ * screened push gave it a second job: out of line it moved every
+ * kernel after it. */
+static inline __attribute__((always_inline)) void team_run(
+    NDeck *dk, void (*job)(NDeck *, int64_t))
 {
     team.job = job;
     team.dk = dk;
@@ -1466,6 +1628,40 @@ static int team_sorts(const NDeck *dk)
 
 /* ---- the whole step ---------------------------------------------- */
 
+/* The screen's reduction in the caller: rows 1 .. rows - 1 of
+ * dk->parts (one per thread that pushed) into row 0, the verdict. */
+__attribute__((noinline, section(".text.screen")))
+static void screen_reduce(NDeck *dk, int64_t rows)
+{
+    const int64_t ns = dk->n_species;
+    for (int64_t s = 0; s < ns; s++) {
+        Screen *v = &dk->parts[s];
+        if (dk->species[s].n == 0)
+            screen_clear(v);
+        else
+            for (int64_t r = 1; r < rows; r++)
+                screen_merge(v, &dk->parts[r * ns + s]);
+    }
+}
+
+/* The screen's field count: non-finite values over the nine
+ * ghost-inclusive arrays, one pass at the end of the step. */
+__attribute__((noinline, section(".text.screen")))
+static int64_t screen_fields(const NDeck *dk)
+{
+    const float *const f[9] = { dk->ex, dk->ey, dk->ez, dk->bx, dk->by,
+                                dk->bz, dk->jx, dk->jy, dk->jz };
+    int64_t bad = 0;
+    for (int c = 0; c < 9; c++) {
+        const float *restrict a = f[c];
+        int32_t k = 0;
+        for (int64_t v = 0; v < dk->nv; v++)
+            k += nonfinite_f(a[v]);
+        bad += k;
+    }
+    return bad;
+}
+
 /* The push phase of a step, for step_one and push_deck: the field
  * table from the current E and B, then every species pushed, wrapped
  * and folded into J (which the caller has zeroed). On the team when
@@ -1475,14 +1671,14 @@ static int team_sorts(const NDeck *dk)
  * as a function of its own it would sit between build_table and
  * fused_push and move every entry after it. */
 static inline __attribute__((always_inline)) void push_phase(
-    NDeck *dk, int teamed) {
+    NDeck *dk, int teamed, const int screened) {
     const int64_t nv = dk->nv;
     const double t0 = now_s();
     build_table(dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
                 dk->tab, nv);
     const int split = teamed && team_worth(dk);
-    if (split)
-        team_run(dk, team_push);    /* push, fold, seconds and wraps */
+    if (split)                      /* push, fold, seconds and wraps */
+        team_run(dk, screened ? team_push_screened : team_push);
     for (int64_t s = 0; s < dk->n_species; s++) {
         NSpecies *sp = &dk->species[s];
         if (sp->n == 0)
@@ -1490,10 +1686,11 @@ static inline __attribute__((always_inline)) void push_phase(
         if (!split) {
             double ts = now_s();
             memset(dk->acc, 0, (size_t)nv * 4 * sizeof(double));
-            int64_t wraps = push_core(
-                dk, sp->x, sp->y, sp->z, sp->ux, sp->uy, sp->uz,
-                sp->w, sp->n, sp->qdt, sp->inv_vol, dk->tab,
-                dk->acc, 1);
+            int64_t wraps = screened
+                ? push_core_screened(dk, sp, dk->parts + s)
+                : push_core(dk, sp->x, sp->y, sp->z, sp->ux, sp->uy,
+                            sp->uz, sp->w, sp->n, sp->qdt, sp->inv_vol,
+                            dk->tab, dk->acc, 1);
             fold_core(dk);
             sp->t_push += now_s() - ts;
             sp->crossings += wraps;
@@ -1503,10 +1700,14 @@ static inline __attribute__((always_inline)) void push_phase(
         dk->particles_pushed += sp->n;
         dk->ghost_folds++;
     }
+    if (screened)
+        screen_reduce(dk, split ? team.size : 1);
     dk->t_push += now_s() - t0;
 }
 
-static void step_one(NDeck *dk, int teamed) {
+/* screened (a compile-time constant) also fills the guard's verdict. */
+static inline __attribute__((always_inline)) void step_body(
+    NDeck *dk, int teamed, const int screened) {
     const int64_t nx = dk->nx, ny = dk->ny, nz = dk->nz, nv = dk->nv;
     double t0 = now_s();
     /* half B advance (E ghosts synced first, as the numpy solver) */
@@ -1521,7 +1722,7 @@ static void step_one(NDeck *dk, int teamed) {
     dk->t_field += now_s() - t0;
     /* fused push per species against the half-advanced B / pre-push
      * synced E, exactly like the numpy fast path's field table */
-    push_phase(dk, teamed);
+    push_phase(dk, teamed, screened);
     /* field completion. The second half-B advance skips the E ghost
      * re-sync: E has not changed since the sync above, so the copies
      * it would redo are byte-identical no-ops (the current-only-sync
@@ -1538,6 +1739,8 @@ static void step_one(NDeck *dk, int teamed) {
     advance_e_core(dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
                    dk->jx, dk->jy, dk->jz, nx, ny, nz,
                    dk->fdt_e, dk->fdx, dk->fdy, dk->fdz);
+    if (screened)
+        dk->field_nonfinite = screen_fields(dk);
     dk->t_field += now_s() - t0;
     dk->step_count++;
     if (dk->sort_interval > 0
@@ -1557,6 +1760,19 @@ static void step_one(NDeck *dk, int teamed) {
     }
 }
 
+static void step_one(NDeck *dk, int teamed)
+{
+    step_body(dk, teamed, 0);
+}
+
+/* A deck with its screen set steps here, out of the unscreened step's
+ * way. */
+__attribute__((noinline, section(".text.screen")))
+static void step_one_screened(NDeck *dk, int teamed)
+{
+    step_body(dk, teamed, 1);
+}
+
 /* On a 64-byte line, as it was before the Esirkepov entry moved to the
  * end of the file and took 0x4250 bytes from in front of it: unaligned
  * it started 48 bytes into a line and small-step ran 7 % slower. */
@@ -1564,8 +1780,12 @@ __attribute__((aligned(64)))
 void step_decks(NDeck *decks, int64_t n_decks, int64_t n_steps) {
     const int teamed = team_claim();
     for (int64_t s = 0; s < n_steps; s++)
-        for (int64_t d = 0; d < n_decks; d++)
-            step_one(&decks[d], teamed);
+        for (int64_t d = 0; d < n_decks; d++) {
+            if (decks[d].screen)
+                step_one_screened(&decks[d], teamed);
+            else
+                step_one(&decks[d], teamed);
+        }
     if (teamed)
         team_release();
 }
@@ -1685,7 +1905,7 @@ void voxel_refresh(const float *restrict x, const float *restrict y,
 void push_deck(NDeck *dk)
 {
     const int teamed = team_claim();
-    push_phase(dk, teamed);
+    push_phase(dk, teamed, 0);
     if (teamed)
         team_release();
 }
@@ -1728,7 +1948,7 @@ int64_t fused_push_esirkepov(
     g.acc = acc;
     memset(acc, 0, (size_t)g.nv * 4 * sizeof(double));
     const int64_t wraps = push_tiles(&g, x, y, z, ux, uy, uz, w, n, qdt,
-                                     0.0f, tab, acc, do_wrap, &e, 0);
+                                     0.0f, tab, acc, do_wrap, &e, 0, 0);
     if (e.err)
         return -1;
     esk_replay(&g, &e, n, acc);
@@ -1778,6 +1998,10 @@ _pd = ctypes.POINTER(ctypes.c_double)
 _pi = ctypes.POINTER(ctypes.c_int64)
 
 
+class _CScreen(ctypes.Structure):
+    _fields_ = [("nonfinite", _i64), ("lo", _f32 * 3), ("hi", _f32 * 3)]
+
+
 class _CSpecies(ctypes.Structure):
     _fields_ = [("x", _pf), ("y", _pf), ("z", _pf),
                 ("ux", _pf), ("uy", _pf), ("uz", _pf), ("w", _pf),
@@ -1810,7 +2034,9 @@ class _CDeck(ctypes.Structure):
                 ("scr_f", _pf),
                 ("t_field", _f64), ("t_push", _f64), ("t_sort", _f64),
                 ("particles_pushed", _i64), ("crossings", _i64),
-                ("ghost_folds", _i64), ("sort_events", _i64)]
+                ("ghost_folds", _i64), ("sort_events", _i64),
+                ("screen", _i64), ("field_nonfinite", _i64),
+                ("parts", ctypes.POINTER(_CScreen))]
 
 
 #: Address-keyed cache of float32 pointers. The ctypes pointer value
@@ -2493,6 +2719,7 @@ def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
         cs.inv_vol = np.float32(sp.q / g.cell_volume)
         cs.pushed = cs.crossings = 0
         cs.t_push = 0.0
+    parts = (_CScreen * (_TEAM_MAX * max(n_sp, 1)))()
     dk.species = ctypes.cast(spp, ctypes.POINTER(_CSpecies))
     dk.n_species = n_sp
     dk.sort_interval = sort_interval
@@ -2507,7 +2734,9 @@ def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
     dk.t_field = dk.t_push = dk.t_sort = 0.0
     dk.particles_pushed = dk.crossings = 0
     dk.ghost_folds = dk.sort_events = 0
-    return (tab, acc, counts, perm, scr_i, scr_f, spp)
+    dk.screen = dk.field_nonfinite = 0
+    dk.parts = ctypes.cast(parts, ctypes.POINTER(_CScreen))
+    return (tab, acc, counts, perm, scr_i, scr_f, parts, spp)
 
 
 def _pack_identity(sim) -> tuple:
@@ -2525,11 +2754,12 @@ def _pack_identity(sim) -> tuple:
     return tuple(parts)
 
 
-def _pack_cached(sim, sort_interval: int):
+def _pack_cached(sim, sort_interval: int, screen: bool = False):
     """One-deck pack with per-sim reuse: repacking costs ~0.2 ms of
     ctypes traffic, a visible fraction of a small-deck step, so the
     descriptor is cached on the sim and only the per-step fields are
-    refreshed while the underlying arrays are unchanged."""
+    refreshed while the underlying arrays are unchanged. *screen* asks
+    the step for the guard's verdict (:class:`StepVerdict`)."""
     cached = getattr(sim, "_native_pack", None)
     ident = _pack_identity(sim)
     if cached is not None:
@@ -2537,6 +2767,7 @@ def _pack_cached(sim, sort_interval: int):
         if len(old_ident) == len(ident) and all(
                 a is b for a, b in zip(old_ident, ident)):
             dk = decks[0]
+            dk.screen = screen
             dk.sort_interval = sort_interval
             dk.step_count = sim.step_count
             dk.sorts_done = 0
@@ -2551,16 +2782,39 @@ def _pack_cached(sim, sort_interval: int):
             return decks
     decks = (_CDeck * 1)()
     keep = _fill_deck(decks[0], sim, sort_interval)
+    decks[0].screen = screen
     sim._native_pack = (decks, keep, ident)
     return decks
 
 
-def _deck_stats(dk, spp, n_species: int) -> dict:
+class StepVerdict(NamedTuple):
+    """What a screened native step saw, for the guard's finiteness and
+    bounds checks: the count of non-finite values over the nine field
+    arrays after the step, and per species (rows) the count over its
+    x, y, z, ux, uy, uz, w and the NaN-skipping float32 min and max of
+    each final position axis (``inf`` / ``-inf`` for an axis with no
+    number)."""
+
+    field_nonfinite: int
+    nonfinite: np.ndarray   # (species,) int64
+    lo: np.ndarray          # (species, 3) float32
+    hi: np.ndarray          # (species, 3) float32
+
+
+#: The C Screen as a numpy record.
+_SCREEN_DTYPE = np.dtype([("nonfinite", np.int64), ("lo", np.float32, 3),
+                          ("hi", np.float32, 3)])
+assert _SCREEN_DTYPE.itemsize == ctypes.sizeof(_CScreen)
+
+
+def _deck_stats(dk, spp, n_species: int, parts=None) -> dict:
     """Drain one packed deck's telemetry struct into a plain dict —
     the per-phase seconds the callers always consumed plus the new
-    counters and per-species push stats (ISSUE 8). Reading is the
-    only side effect; the struct is reset at the next pack."""
-    return {
+    counters and per-species push stats (ISSUE 8), and, when the deck
+    was screened, the :class:`StepVerdict` (first row of *parts*)
+    under ``"verdict"``. Reading is the only side effect; the struct
+    is reset at the next pack."""
+    stats = {
         "field": dk.t_field, "push": dk.t_push, "sort": dk.t_sort,
         "sorted": dk.sorts_done > 0, "sorts_done": dk.sorts_done,
         "counters": {
@@ -2574,25 +2828,34 @@ def _deck_stats(dk, spp, n_species: int) -> dict:
              "crossings": spp[i].crossings}
             for i in range(n_species)],
     }
+    if dk.screen:
+        screens = np.frombuffer(parts, dtype=_SCREEN_DTYPE, count=n_species)
+        stats["verdict"] = StepVerdict(
+            dk.field_nonfinite, screens["nonfinite"].copy(),
+            screens["lo"].copy(), screens["hi"].copy())
+    return stats
 
 
-def step_simulation(sim, sort_interval: int = 0) -> "dict | None":
+def step_simulation(sim, sort_interval: int = 0,
+                    screen: bool = False) -> "dict | None":
     """Advance *sim* by one whole native step.
 
     ``sort_interval`` > 0 hands the counting sort to the C lane (the
     caller has checked the policy is ``SortKind.STANDARD`` with no
     detail-mode gauges due); 0 leaves any sorting to the caller.
+    *screen* also has the step fill the guard's :class:`StepVerdict`.
     Returns the drained telemetry struct — per-phase seconds,
-    whether the lane sorted, event counters, and measured per-species
-    push stats — or ``None`` when no kernel is available.
+    whether the lane sorted, event counters, measured per-species
+    push stats and, screened, the verdict — or ``None`` when no kernel
+    is available.
     """
     lib = native_push_kernel()
     if lib is None:
         return None
-    decks = _pack_cached(sim, sort_interval)
+    decks = _pack_cached(sim, sort_interval, screen)
     lib.step_decks(decks, 1)
-    spp = sim._native_pack[1][-1]
-    return _deck_stats(decks[0], spp, len(sim.species))
+    *_, parts, spp = sim._native_pack[1]
+    return _deck_stats(decks[0], spp, len(sim.species), parts)
 
 
 def push_simulation(sim) -> "dict | None":

@@ -132,6 +132,8 @@ class Simulation:
         # The step's shared energy total (see energy_totals).
         self._energy_totals: "tuple[float, float, float] | None" = None
         self._energy_shared = False
+        # The guarded native step's verdict (see step_verdict).
+        self._step_verdict = None
         # Scratch for the fused push and the sort permutation: named
         # preallocated buffers, so the steady-state step makes zero
         # heap allocations in the particle phase.
@@ -482,16 +484,21 @@ class Simulation:
         (``field_solve``, ``native_push/<species>``, ``sort/...``)
         and are fanned out to any telemetry-compatible tools, so
         timing folds, tracer spans, counter rows, and the flight
-        recorder all see an unchanged attribution scheme.
+        recorder all see an unchanged attribution scheme. With a guard
+        attached the step also screens the state it leaves, and its
+        verdict is kept as :attr:`step_verdict` for the step's tool
+        tail.
         """
         from repro.observability import native_telemetry
         from repro.vpic import native
 
         sort_native = self._native_sort_ok()
         res = native.step_simulation(
-            self, self.sort_step.interval if sort_native else 0)
+            self, self.sort_step.interval if sort_native else 0,
+            screen=self.guard is not None)
         if res is None:
             return None
+        self._step_verdict = res.get("verdict")
         pushed = self.total_particles
         self.step_count += 1
         native_telemetry.drain_step(self, res)
@@ -589,6 +596,7 @@ class Simulation:
         finally:
             self._energy_shared = False
             self._energy_totals = None
+            self._step_verdict = None
 
     def _lane_taken(self, native_pushed: "int | None") -> str:
         """Which lane the step just ran on (``native-step`` /
@@ -635,10 +643,22 @@ class Simulation:
                 self._energy_totals = totals
         return totals
 
+    @property
+    def step_verdict(self):
+        """The :class:`~repro.vpic.native.StepVerdict` of the step just
+        taken, while its tool tail runs: what the guard's finiteness
+        and bounds checks would find, screened by the native step (a
+        later permuting sort leaves it true). ``None`` outside that
+        window, after :meth:`state_changed`, and on every lane but the
+        guarded whole-step native one."""
+        return self._step_verdict
+
     def state_changed(self) -> None:
-        """Drop the shared energy total: the state was edited in place
-        (a guard repair, a rollback restore)."""
+        """Drop the shared energy total and the step's verdict: the
+        state was edited in place (a guard repair, a rollback
+        restore)."""
         self._energy_totals = None
+        self._step_verdict = None
 
     @classmethod
     def step_many(cls, sims, num_steps: int) -> None:

@@ -5,7 +5,8 @@ the energy-drift reference, the Mur ABC history), v1 backward
 compatibility, and the determinism contract: an interrupted run —
 including antenna-driven absorbing decks and RANDOM-sort decks —
 continues bit-identically to an uninterrupted one. Also covers the
-guard's checkpoint ring, whose rollback rides on the same format.
+guard's checkpoint ring, whose in-memory snapshots restore through the
+same routine as a file.
 """
 
 from __future__ import annotations
@@ -170,25 +171,28 @@ class TestRestartDeterminism:
 
 
 class TestCheckpointRing:
+    """The guard's rollback ring keeps its snapshots in memory."""
+
     def _sim(self):
         sim = uniform_plasma_deck(nx=6, ny=6, nz=6, ppc=4, uth=0.1,
                                   num_steps=30).build()
         sim.run(1)
         return sim
 
-    def test_push_evicts_beyond_depth(self, tmp_path):
+    def test_push_evicts_beyond_depth(self):
         sim = self._sim()
-        ring = CheckpointRing(depth=2, directory=tmp_path)
+        ring = CheckpointRing(depth=2)
+        snaps = []
         for _ in range(4):
-            ring.push(sim)
+            snaps.append(ring.push(sim))
             sim.run(1)
-        steps = [s for s, _ in ring.entries]
-        assert steps == [3, 4]
-        assert len(list(tmp_path.glob("*.npz"))) == 2
+        assert [s for s, _ in ring.entries] == [3, 4]
+        # Each push past the depth copies into the evicted snapshot.
+        assert snaps[2] is snaps[0] and snaps[3] is snaps[1]
 
-    def test_same_step_repush_dedupes(self, tmp_path):
+    def test_same_step_repush_dedupes(self):
         sim = self._sim()
-        ring = CheckpointRing(depth=3, directory=tmp_path)
+        ring = CheckpointRing(depth=3)
         ring.push(sim)
         ring.push(sim)
         assert len(ring) == 1
@@ -196,26 +200,34 @@ class TestCheckpointRing:
 
     def test_rollback_restores_newest(self, tmp_path):
         sim = self._sim()
-        ring = CheckpointRing(depth=2, directory=tmp_path)
+        ring = CheckpointRing(depth=2)
         ring.push(sim)
-        reference = load_checkpoint(ring.newest()[1])
+        reference = load_checkpoint(save_checkpoint(sim, tmp_path / "c.npz"))
         sim.run(3)
         assert ring.rollback(sim) == reference.step_count
         _assert_same_state(sim, reference)
 
-    def test_empty_ring_rollback_raises(self, tmp_path):
-        ring = CheckpointRing(directory=tmp_path)
+    def test_empty_ring_rollback_raises(self):
+        ring = CheckpointRing()
         with pytest.raises(LookupError):
             ring.rollback(self._sim())
 
-    def test_temporary_directory_cleanup(self):
+    def test_snapshot_is_a_copy(self):
+        """Stepping, or writing into, the sim after a push leaves the
+        snapshot as it was; so does a restore followed by more steps."""
         sim = self._sim()
         ring = CheckpointRing(depth=1)
-        ring.push(sim)
-        directory = ring.directory
-        assert directory.exists()
-        ring.close()
-        assert not directory.exists()
+        snap = ring.push(sim)
+        before = {k: a.copy() for k, a in snap.arrays.items()}
+        sim.run(2)
+        sim.species[0].live("x")[:] = -1.0
+        sim.fields.ex.data[...] = np.nan
+        ring.rollback(sim)
+        sim.run(2)
+        assert snap.arrays.keys() == before.keys()
+        for key, arr in before.items():
+            np.testing.assert_array_equal(snap.arrays[key], arr,
+                                          err_msg=key)
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):

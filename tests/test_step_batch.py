@@ -88,11 +88,7 @@ def test_step_many_with_guard_attached(tmp_path):
         g = SimulationGuard(policy="raise")
         g.attach(sim)
         guards.append(g)
-    try:
-        Simulation.step_many(batch, 8)
-    finally:
-        for g in guards:
-            g.close()
+    Simulation.step_many(batch, 8)
     for sim in solo:
         for _ in range(8):
             sim.step()

@@ -186,10 +186,7 @@ def test_guard_green_under_fast_path(factory):
     assert sim.step_plan == StepPlan()
     guard = SimulationGuard(policy="raise")
     guard.attach(sim)
-    try:
-        sim.run(3)   # raises on any invariant violation
-    finally:
-        guard.close()
+    sim.run(3)   # raises on any invariant violation
 
 
 # -- satellites: sampled counters, arena, plan plumbing ------------------------

@@ -9,12 +9,18 @@ points, and the guard-overhead acceptance bound.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.sorting import SortKind
 from repro.mpi.distributed import DistributedSimulation
 from repro.observability.metrics import default_registry
 from repro.validate import (ContinuityCheck, DivBCheck, EnergyDriftCheck,
@@ -27,8 +33,11 @@ from repro.validate import (ContinuityCheck, DivBCheck, EnergyDriftCheck,
 from repro.validate.checks import (InvariantCheck, _folded_rho,
                                    neutralized_charge_density)
 from repro.vpic import native
-from repro.vpic.deck import DepositionKind
+from repro.vpic.deck import (Deck, DepositionKind, FieldBoundaryKind,
+                             SpeciesConfig)
 from repro.vpic.grid import Grid
+from repro.vpic.injection import LaserAntenna
+from repro.vpic.simulation import Simulation
 from repro.vpic.species import Species
 from repro.vpic.workloads import uniform_plasma_deck
 
@@ -194,7 +203,6 @@ class TestSimulationGuard:
         assert not guard.report.events
         # Ring holds the seed snapshot plus the cadence pushes.
         assert [s for s, _ in guard.ring.entries] == [4, 8]
-        guard.close()
 
     def test_raise_policy_names_the_invariant(self):
         sim = small_sim()
@@ -204,7 +212,6 @@ class TestSimulationGuard:
         sim.fields.ey.data[1, 1, 1] = np.nan
         with pytest.raises(GuardViolationError, match="finite_fields"):
             sim.run(5)
-        guard.close()
 
     def test_warn_policy_keeps_stepping(self):
         # An unreachable div-B threshold trips every check without
@@ -219,7 +226,6 @@ class TestSimulationGuard:
         # B is exactly zero after step 1 (E starts at zero), so the
         # first possible warning is step 2.
         assert guard.report.warnings == 2
-        guard.close()
 
     def test_repair_policy_rolls_back_and_completes(self):
         sim = small_sim()
@@ -232,7 +238,6 @@ class TestSimulationGuard:
         assert guard.report.rollbacks == 1
         assert guard.report          # non-empty structured report
         assert np.isfinite(sim.fields.ey.data).all()
-        guard.close()
 
     def test_repairable_violation_repairs_in_place(self):
         sim = small_sim()
@@ -257,7 +262,6 @@ class TestSimulationGuard:
         sim.fields.ey.data[1, 1, 1] = np.nan
         with pytest.raises(GuardViolationError, match="retry budget"):
             sim.run(2)
-        guard.close()
 
     def test_repair_without_ring_is_fatal(self):
         sim = small_sim()
@@ -282,7 +286,6 @@ class TestSimulationGuard:
         assert counters["guard/checks_run"] > 0
         assert counters["guard/violations"] >= 1
         assert counters["guard/rollbacks"] >= 1
-        guard.close()
         reg.reset()
 
     def test_bad_checkpoint_interval_rejected(self):
@@ -369,7 +372,6 @@ class TestSharedEnergyTotal:
         sim.step()                      # drift check fails: back to step 2
         assert guard.report.rollbacks == 1 and sim.step_count == 2
         assert seen == [sim.energy_totals()]
-        guard.close()
 
 
 class TestRankGuard:
@@ -539,6 +541,337 @@ class TestOverhead:
         assert report.guarded_seconds > 0
         assert "guard overhead" in report.format()
 
+    @pytest.mark.parametrize("steps,interval,timed,pushes",
+                             [(10, 20, 20, 1), (4, 3, 6, 2), (7, 0, 7, 0)])
+    def test_window_is_whole_checkpoint_intervals(self, steps, interval,
+                                                  timed, pushes):
+        """The timed window holds the ring's pushes: the default 10
+        steps were a window in which the ring (every 20) never pushed."""
+        deck = uniform_plasma_deck(nx=6, ny=6, nz=6, ppc=2)
+        report = measure_guard_overhead(deck=deck, steps=steps,
+                                        checkpoint_interval=interval)
+        assert (report.steps, report.checkpoints) == (timed, pushes)
+        assert f"{pushes} checkpoints" in report.format()
+
     def test_overhead_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             measure_guard_overhead(steps=0)
+
+
+# -- the native step's verdict: same reports, same bytes ----------------------
+
+_ARRAYS7 = ("x", "y", "z", "ux", "uy", "uz", "w")
+_FIELDS9 = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz")
+_POISON = (np.nan, np.inf, -np.inf)
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _pair_deck(**kw):
+    """Two species on a small periodic deck: the whole-step native lane."""
+    return Deck(name="pair", nx=6, ny=5, nz=4, num_steps=8,
+                species=(SpeciesConfig("e", -1.0, 1.0, ppc=3, uth=0.05),
+                         SpeciesConfig("i", 1.0, 16.0, ppc=2, uth=0.01)),
+                **kw)
+
+
+def _bypass_verdict(monkeypatch):
+    """No step publishes a verdict: the three screens run numpy."""
+    monkeypatch.setattr(Simulation, "step_verdict",
+                        property(lambda self: None))
+
+
+def _inject(where: str, index: int, value: float):
+    def poison(sim):
+        if where in _FIELDS9:
+            getattr(sim.fields, where).data.reshape(-1)[index] = value
+        else:
+            s, attr = where.split(".")
+            sp = sim.species[int(s)]
+            sp.live(attr)[index % sp.n] = value
+    return poison
+
+
+def _guarded_poison_run(poison, policy: str):
+    """Two clean guarded steps, *poison*, two more: the report, the
+    raised violation's text and the state digest."""
+    sim = _pair_deck().build()
+    assert sim.native_fallback_reason() is None
+    guard = SimulationGuard(policy=policy, checkpoint_interval=0)
+    guard.attach(sim)
+    sim.run(2)
+    poison(sim)
+    raised = None
+    try:
+        sim.run(2)
+    except GuardViolationError as exc:
+        raised = str(exc)
+    return (guard.report.format(), repr(guard.report.events), raised,
+            _state_digest(sim))
+
+
+_POISON_CASES = ([f"{s}.{a}" for s in (0, 1) for a in _ARRAYS7]
+                 + list(_FIELDS9))
+
+
+@pytest.mark.native
+@pytest.mark.skipif(not native.native_available(),
+                    reason=f"no native lane: {native.native_status()}")
+class TestStepVerdict:
+    """The guarded native step screens what it writes; the finiteness
+    and bounds checks consult that verdict and must report exactly what
+    their numpy scans report."""
+
+    @pytest.mark.parametrize("policy", ["warn", "raise"])
+    @pytest.mark.parametrize("where", _POISON_CASES)
+    def test_poison_same_report_violation_and_bytes(self, monkeypatch,
+                                                    where, policy):
+        for value in _POISON:
+            poison = _inject(where, 37, value)
+            got = _guarded_poison_run(poison, policy)
+            with monkeypatch.context() as m:
+                _bypass_verdict(m)
+                want = _guarded_poison_run(poison, policy)
+            assert got == want, (where, value)
+
+    def test_verdict_published_only_while_guarded_native(self):
+        seen = []
+
+        class Spy(InvariantCheck):
+            name = "spy"
+
+            def check(self, sim):
+                seen.append(sim.step_verdict is not None)
+
+        for plan in (None, "push"):
+            sim = _pair_deck().build()
+            if plan is not None:
+                from repro.core.tuning import StepPlan
+                sim.step_plan = StepPlan(native_scope=plan)
+            SimulationGuard(checks=[Spy()], checkpoint_interval=0).attach(sim)
+            sim.run(2)
+            assert sim.step_verdict is None      # dropped after the step
+        assert seen == [True, True, False, False]
+        sim = _pair_deck().build()
+        sim.run(1)
+        assert sim._native_pack[0][0].screen == 0   # unguarded: no screen
+
+    def test_repair_drops_the_verdict(self):
+        """A repair edits the state in place: the re-check scans."""
+        sim = _pair_deck().build()
+        guard = SimulationGuard(checks=[FiniteFieldsCheck()],
+                                checkpoint_interval=0)
+        guard.attach(sim)
+        sim.step()
+        verdicts = []
+        sim.guard.after_step = lambda s: (
+            verdicts.append(s.step_verdict), s.state_changed(),
+            verdicts.append(s.step_verdict))
+        sim.step()
+        assert verdicts[0] is not None and verdicts[1] is None
+
+    def test_counts_and_extrema_match_numpy_any_team(self):
+        """n in {0, 1, 63, 64, 65, 1025}, positions at 0 and L, poison in
+        every array: the verdict equals numpy's counts and fmin/fmax,
+        pinned to one CPU and to all of them."""
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+            else {0}
+        runs = [_pinned_verdicts({min(cpus)})]
+        if len(cpus) > 1:
+            runs.append(_pinned_verdicts(cpus))
+        for out in runs:
+            assert out.pop("mismatch") == []
+        assert all(out == runs[0] for out in runs)
+
+    @pytest.mark.parametrize("slack", [1e-3, 0.0, -0.25])
+    def test_bounds_verdict_defers_to_numpy(self, monkeypatch, slack):
+        """A box the particles fill (slack 0) or overflow (negative
+        slack): the verdict's float32 comparisons pass exactly when
+        numpy's do, and a failing one yields numpy's violation."""
+        def run():
+            sim = _pair_deck().build()
+            guard = SimulationGuard(
+                checks=[ParticleBoundsCheck(slack=slack)], policy="warn",
+                checkpoint_interval=0)
+            guard.attach(sim)
+            sp = sim.species[0]
+            sp.live("x")[:2] = (0.0, -1e-7)      # -> 0 and, wrapped, L
+            sp.live("ux")[:2] = 0.0
+            sim.run(3)
+            return repr(guard.report.events)
+        got = run()
+        with monkeypatch.context() as m:
+            _bypass_verdict(m)
+            assert run() == got
+        assert ("particle_bounds" in got) == (slack < 0)
+
+
+def _verdict_cases() -> dict:
+    """One screened native step of six species (n = 0, 1, 63, 64, 65,
+    1025) from zero fields, per case; each verdict against numpy's
+    counts and fmin/fmax of the state it left. JSON-able."""
+    from repro.vpic import native as nat
+
+    out = {"mismatch": []}
+    for case in ("edges", "poison", "all-nan", "field"):
+        sim = _pair_deck().build()
+        g = sim.grid
+        rng = np.random.default_rng(7)
+        sim.species = []
+        for k, n in enumerate((0, 1, 63, 64, 65, 1025)):
+            sp = Species(f"s{k}", (-1.0) ** k, 1.0 + k, g)
+            pos = rng.uniform(0.0, 1.0, (n, 3)) * g.lengths
+            sp.append(*pos.T, *rng.normal(0.0, 0.05, (3, n)),
+                      rng.uniform(0.5, 1.5, n))
+            for i, (a, v) in enumerate(((0, 0.0), (1, -1e-7), (2, 0.0),
+                                        (0, g.lengths[0]))):
+                if i < n:       # u = 0, zero fields: the push keeps x
+                    sp.live("xyz"[a])[i] = v
+                    for c in ("ux", "uy", "uz"):
+                        sp.live(c)[i] = 0.0
+            sim.species.append(sp)
+        if case == "poison":
+            for k, attr, i, v in ((1, "x", 0, np.nan), (2, "uy", 62, np.inf),
+                                  (3, "w", 5, -np.inf), (4, "z", 64, np.inf),
+                                  (5, "ux", 1024, np.nan),
+                                  (5, "y", 1000, -np.inf)):
+                sim.species[k].live(attr)[i] = v
+        elif case == "all-nan":
+            sim.species[5].live("z")[:] = np.nan
+        elif case == "field":
+            sim.fields.bz.data[3, 2, 1] = np.inf
+        res = nat.step_simulation(sim, 0, screen=True)
+        v = res["verdict"]
+        want_fields = sum(int(np.count_nonzero(~np.isfinite(
+            getattr(sim.fields, f).data))) for f in _FIELDS9)
+        got = {"fields": int(v.field_nonfinite), "species": []}
+        if want_fields != got["fields"]:
+            out["mismatch"].append((case, "fields"))
+        for k, sp in enumerate(sim.species):
+            bad = sum(int(np.count_nonzero(~np.isfinite(sp.live(a))))
+                      for a in _ARRAYS7)
+            if bad != v.nonfinite[k]:
+                out["mismatch"].append((case, k, "count"))
+            for a, attr in enumerate("xyz"):
+                pos = sp.live(attr)
+                lo = np.fmin.reduce(pos) if sp.n else np.float32(np.nan)
+                hi = np.fmax.reduce(pos) if sp.n else np.float32(np.nan)
+                want = (np.float32(np.inf) if np.isnan(lo) else lo,
+                        np.float32(-np.inf) if np.isnan(hi) else hi)
+                if (v.lo[k][a], v.hi[k][a]) != want:
+                    out["mismatch"].append((case, k, attr))
+            got["species"].append([int(v.nonfinite[k]),
+                                   [float(x) for x in v.lo[k]],
+                                   [float(x) for x in v.hi[k]]])
+        got["digest"] = _state_digest(sim)
+        out[case] = got
+    return out
+
+
+_VERDICT_CHILD = """
+import json, os
+os.sched_setaffinity(0, {cpus!r})
+from tests import test_validate_guard as t
+print(json.dumps(t._verdict_cases()))
+"""
+
+
+def _pinned_verdicts(cpus) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERDICT_CHILD.format(cpus=sorted(cpus))],
+        cwd=_ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# -- goldens recorded with the file-backed ring and numpy screens -------------
+
+#: The final energy line and the flight recorder's checkpoint events of
+#: ``run-deck uniform --steps 200 --guard raise --record 1`` (no guard
+#: events: the run is clean), recorded at commit b5b323c, before the
+#: step screened itself and the ring moved into memory.
+_RECORDED_ENERGY = ("step 200: E=7.9555e-02 B=6.1547e-03 K=1.8628e+00 "
+                    "total=1.9485e+00 (drift 1.20%)")
+
+#: State sha256 (fields, particle arrays, Mur history) after a rollback
+#: and re-run under ``repair``, recorded at b5b323c with the ring on disk.
+_ROLLBACK_GOLDEN = {
+    "uniform":
+        "5f0c6202491c00075733ab023c27295b1fa0bda2df5aabf05ca7a2b24f728341",
+    "random-sort":
+        "427ad8708455c30b0bb2d1babc2a4198a48c190a53fd65fe2c111ca05cbf9c3d",
+    "absorbing-x":
+        "f5f8dfd122a6b6298d2d6414b29b17e09b20fce92909c0fbafe45e8f01527b78",
+}
+
+
+def _rollback_deck(kind: str):
+    if kind == "uniform":
+        return uniform_plasma_deck(nx=8, ny=8, nz=8, ppc=4, uth=0.05,
+                                   num_steps=40)
+    if kind == "random-sort":
+        return uniform_plasma_deck(nx=8, ny=8, nz=8, ppc=4, uth=0.05,
+                                   num_steps=40, sort_kind=SortKind.RANDOM,
+                                   sort_interval=3)
+    return Deck(name="absorbing", nx=32, ny=4, nz=4, dx=0.5, dy=0.5, dz=0.5,
+                num_steps=40,
+                species=(SpeciesConfig("e", -1.0, 1.0, ppc=2, uth=0.05,
+                                       weight=1e-3),),
+                field_boundary=FieldBoundaryKind.ABSORBING_X,
+                sources=(LaserAntenna(amplitude=0.5, omega=3.0, t_rise=1.0,
+                                      t_flat=2.0, plane_index=2),))
+
+
+def _digest_with_mur(sim) -> str:
+    """:func:`_state_digest`'s bytes, then the Mur history if any."""
+    h = hashlib.sha256()
+    for name in _FIELDS9:
+        h.update(getattr(sim.fields, name).data.tobytes())
+    for sp in sim.species:
+        for attr in sp._ARRAYS:
+            h.update(sp.live(attr).tobytes())
+    mur = getattr(sim.solver, "mur", None)
+    for _, arr in (mur.history_items() if mur is not None else ()):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.native
+class TestGoldensFromFileRing:
+    @pytest.mark.parametrize("kind", sorted(_ROLLBACK_GOLDEN))
+    def test_rollback_from_memory_matches_file_ring(self, kind):
+        """A NaN the guard cannot repair: roll back from the in-memory
+        ring to step 8 and re-run, to the bytes the file ring gave."""
+        sim = _rollback_deck(kind).build()
+        guard = SimulationGuard(policy="repair", checkpoint_interval=4)
+        guard.attach(sim)
+        sim.run(10)
+        sim.fields.ey.data[3, 2, 2] = np.nan
+        sim.run(10)
+        assert [(e.step, e.check, e.action, e.detail)
+                for e in guard.report.events] == [
+            (11, "finite_fields", "rollback",
+             "restored step 8 (2/3 retries left)")]
+        assert sim.step_count == 20
+        assert _digest_with_mur(sim) == _ROLLBACK_GOLDEN[kind]
+
+    def test_recorded_guarded_run_matches_golden(self, tmp_path, capsys):
+        from repro.cli import main
+        rec = tmp_path / "rec"
+        assert main(["run-deck", "uniform", "--steps", "200", "--guard",
+                     "raise", "--record", "1", "--record-dir",
+                     str(rec)]) == 0
+        energy = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("step ")]
+        assert energy[-1] == _RECORDED_ENERGY
+        events = []
+        for path in sorted(rec.glob("flight-*.jsonl")):
+            for line in path.read_text().splitlines():
+                ev = json.loads(line)
+                if ev["ev"] in ("guard", "checkpoint"):
+                    ev.pop("t")
+                    events.append(ev)
+        assert events == [{"ev": "checkpoint", "step": s}
+                          for s in range(0, 201, 20)]
