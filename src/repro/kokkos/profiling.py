@@ -46,9 +46,9 @@ class KernelTimer:
     seconds: float = 0.0
     launches: int = 0
 
-    def add(self, dt: float) -> None:
+    def add(self, dt: float, launches: int = 1) -> None:
         self.seconds += dt
-        self.launches += 1
+        self.launches += launches
 
     @property
     def mean_seconds(self) -> float:
@@ -122,23 +122,27 @@ def record_kernel(label: str, kind: str = "kernel") -> Iterator[None]:
 
 
 def add_kernel_time(label: str, seconds: float,
-                    kind: str = "kernel") -> None:
-    """Credit *seconds* to *label* under the current region path.
+                    kind: str = "kernel", launches: int = 1) -> None:
+    """Credit *seconds* over *launches* launches to *label* under the
+    current region path.
 
     For work whose duration was measured elsewhere — the whole-step
     native lane times its field/push/sort phases inside C and reports
     them back here — so phase attribution stays complete even when
-    Python never wraps the individual kernels. Registered tools see
-    the same event through ``dispatch_complete_kernel``, under the
-    identical region-qualified name a live ``record_kernel`` would
-    have used — that is what keeps tracer spans and counter rows
-    consistent across the native and Python lanes.
+    Python never wraps the individual kernels. A native call that
+    advanced k steps passes ``launches=k``, so the timer keeps
+    counting per step. Registered tools see one event per call
+    through ``dispatch_complete_kernel``, whatever *launches* is,
+    under the identical region-qualified name a live
+    ``record_kernel`` would have used — that is what keeps tracer
+    spans and counter rows consistent across the native and Python
+    lanes.
     """
     key = _qualified(label)
     timer = _timers.get(key)
     if timer is None:
         timer = _timers[key] = KernelTimer(key)
-    timer.add(seconds)
+    timer.add(seconds, launches)
     if _tools.tools_active():
         _tools.dispatch_complete_kernel(kind, key, seconds)
 

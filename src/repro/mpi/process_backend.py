@@ -457,6 +457,19 @@ def _reap(procs, conns, arena) -> None:
     arena.close()
 
 
+def _pin_worker(rank: int) -> None:
+    """Pin this forked worker to one CPU of the affinity mask it
+    inherited: rank r on the r-th CPU, round-robin when ranks outnumber
+    CPUs — as the native step team pins its threads. A kernel that does
+    not balance load (cpuset ``sched_load_balance`` 0) otherwise leaves
+    every worker on the CPU it was forked on. The ranks synchronize by
+    dataflow, so where they run cannot change a byte."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    cpus = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
+
+
 class ProcessBackend:
     """Forked rank workers over one shared arena, driven by pipes.
 
@@ -635,6 +648,7 @@ class ProcessBackend:
         # through the shared stats array instead.
         step = self._steps
         try:
+            _pin_worker(rank)
             from repro.observability.callbacks import clear_tools
             clear_tools()
             for other in self._conns:

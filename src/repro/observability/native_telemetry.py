@@ -1,14 +1,14 @@
 """Drain adapter for the native telemetry channel (ISSUE 8).
 
 The whole-step native lane advances fields, push, and sort inside
-one C call — Python never wraps the individual kernels, so live
-begin/end interposition is impossible there. Instead the C step
-fills a packed per-phase stats struct (CLOCK_MONOTONIC phase
-timings, per-species push seconds, particle / boundary-crossing /
-ghost-fold / sort-event counters; see ``NDeck`` / ``NSpecies`` in
-:mod:`repro.vpic.native`), and this module drains it after every
-native call, synthesizing the exact events the existing stack
-expects:
+one C call — of one step, or of a chunk of steps — so Python never
+wraps the individual kernels and live begin/end interposition is
+impossible there. Instead the C step fills a packed per-phase stats
+struct (CLOCK_MONOTONIC phase timings, per-species push seconds,
+particle / boundary-crossing / ghost-fold / sort-event counters; see
+``NDeck`` / ``NSpecies`` in :mod:`repro.vpic.native`), and this module
+drains it after every native call, synthesizing the exact events the
+existing stack expects:
 
 - kernel timers under the established names (``step/field_solve``,
   ``step/native_push/<species>``, ``step/sort/native``) via
@@ -40,8 +40,7 @@ import time
 from repro.kokkos.profiling import add_kernel_time
 from repro.observability.metrics import default_registry
 
-__all__ = ["drain_step", "drain_push", "drain_batch", "drain_stats",
-           "reset_drain_stats"]
+__all__ = ["drain_step", "drain_push", "drain_stats", "reset_drain_stats"]
 
 _drains = 0
 _drain_seconds = 0.0
@@ -64,30 +63,34 @@ def _account(dt: float) -> None:
     _drain_seconds += dt
 
 
-def _attribute(sim, res, steps: int = 1) -> None:
-    """Fold one drained stats payload into timers/tools/metrics.
+def _attribute(sim, res, steps: int) -> None:
+    """Fold one drained stats payload of *steps* steps into
+    timers/tools/metrics.
 
     Labels match the Python lanes' attribution scheme exactly; the
     per-species push seconds are *measured* in C (not prorated by
     particle count), with the table-build remainder of the push
     phase credited to ``native_push/table`` so the native_push/*
-    family still sums to the phase total.
+    family still sums to the phase total. Each timer counts *steps*
+    launches (the sort timer one per sort the call made), and the
+    ``native/step_seconds`` sample is normalized back to per-step.
     """
     reg = default_registry()
-    add_kernel_time("field_solve", res["field"])
+    add_kernel_time("field_solve", res["field"], launches=steps)
     species = res.get("species") or ()
     accounted = 0.0
     for sp, stats in zip(sim.species, species):
         if sp.n and stats["seconds"] > 0.0:
             add_kernel_time(f"native_push/{sp.name}",
-                            stats["seconds"])
+                            stats["seconds"], launches=steps)
             accounted += stats["seconds"]
     remainder = res["push"] - accounted
     if remainder > 0.0:
-        add_kernel_time("native_push/table", remainder)
+        add_kernel_time("native_push/table", remainder, launches=steps)
     reg.histogram("native/step_seconds").observe(res["push"] / steps)
     if res["sorts_done"]:
-        add_kernel_time("sort/native", res["sort"])
+        add_kernel_time("sort/native", res["sort"],
+                        launches=res["sorts_done"])
     _count(reg, res.get("counters"))
 
 
@@ -100,10 +103,12 @@ def _count(reg, counters) -> None:
                 reg.counter(name).inc(counters[key])
 
 
-def drain_step(sim, res) -> None:
-    """Drain one :func:`repro.vpic.native.step_simulation` payload."""
+def drain_step(sim, res, steps: int = 1) -> None:
+    """Drain one :func:`repro.vpic.native.step_simulation` payload, or
+    one deck's share of a :func:`~repro.vpic.native.step_batch` one —
+    a native call that advanced *sim* by *steps* steps."""
     t0 = time.perf_counter()
-    _attribute(sim, res, steps=1)
+    _attribute(sim, res, steps)
     _account(time.perf_counter() - t0)
 
 
@@ -120,13 +125,4 @@ def drain_push(sim, res) -> None:
             add_kernel_time(f"push/{sp.name}", stats["seconds"])
     reg.histogram("native/step_seconds").observe(res["push"])
     _count(reg, res["counters"])
-    _account(time.perf_counter() - t0)
-
-
-def drain_batch(sim, res, num_steps: int) -> None:
-    """Drain one deck's share of a ``step_batch`` payload (*res*
-    aggregates *num_steps* steps; the histogram sample is
-    normalized back to per-step)."""
-    t0 = time.perf_counter()
-    _attribute(sim, res, steps=max(num_steps, 1))
     _account(time.perf_counter() - t0)

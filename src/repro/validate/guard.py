@@ -275,6 +275,12 @@ def measure_guard_overhead(deck=None, steps: int = 10,
     itself for the finiteness and bounds checks and the ring copies
     into memory, so what is left is the Gauss-law, div-B, energy and
     sort-order checks on their cadences.
+
+    The plain run is ``Simulation.run``, which advances an unobserved
+    deck in multi-step native calls, while the guard keeps one call
+    per step. The reported cost therefore includes the per-step
+    driver (Python step loop, ctypes marshalling, telemetry drain)
+    that attaching a guard brings back, not only the checks.
     """
     from repro.kokkos.profiling import profiling_session
 

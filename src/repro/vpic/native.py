@@ -46,9 +46,12 @@ module provides that lane for the hot loop at two scopes:
   skip their numpy scans when it proves them clean. Unguarded decks
   run the unscreened code.
 
-On top of the step scope sits :func:`step_batch`: N independent
-decks advanced in one native call over their packed arenas (the
-``run-deck --batch`` surface), round-robin per step.
+The step scope takes several steps per call when nothing observes the
+individual steps: ``Simulation.run`` hands :func:`step_simulation` a
+chunk of ``steps=k`` between its diagnostic samples, and
+:func:`step_batch` advances N independent decks in one native call
+over their packed arenas (``Simulation.step_many``, the ``run-deck
+--batch`` surface), round-robin per step.
 
 The step scope, and the push scope's push phase, run on a persistent
 team of threads, one per CPU of the process's affinity mask
@@ -2816,7 +2819,7 @@ def _deck_stats(dk, spp, n_species: int, parts=None) -> dict:
     is reset at the next pack."""
     stats = {
         "field": dk.t_field, "push": dk.t_push, "sort": dk.t_sort,
-        "sorted": dk.sorts_done > 0, "sorts_done": dk.sorts_done,
+        "sorts_done": dk.sorts_done,
         "counters": {
             "particles_pushed": dk.particles_pushed,
             "crossings": dk.crossings,
@@ -2836,24 +2839,25 @@ def _deck_stats(dk, spp, n_species: int, parts=None) -> dict:
     return stats
 
 
-def step_simulation(sim, sort_interval: int = 0,
-                    screen: bool = False) -> "dict | None":
-    """Advance *sim* by one whole native step.
+def step_simulation(sim, sort_interval: int = 0, screen: bool = False,
+                    steps: int = 1) -> "dict | None":
+    """Advance *sim* by *steps* whole native steps in one call.
 
     ``sort_interval`` > 0 hands the counting sort to the C lane (the
     caller has checked the policy is ``SortKind.STANDARD`` with no
-    detail-mode gauges due); 0 leaves any sorting to the caller.
-    *screen* also has the step fill the guard's :class:`StepVerdict`.
-    Returns the drained telemetry struct — per-phase seconds,
-    whether the lane sorted, event counters, measured per-species
-    push stats and, screened, the verdict — or ``None`` when no kernel
-    is available.
+    detail-mode gauges due); 0 leaves any sorting to the caller, who
+    then asks for one step at a time. *screen* also has the step fill
+    the guard's :class:`StepVerdict` (of the last step). Returns the
+    drained telemetry struct, summed over the steps — per-phase
+    seconds, how many steps sorted, event counters, measured
+    per-species push stats and, screened, the verdict — or ``None``
+    when no kernel is available.
     """
     lib = native_push_kernel()
     if lib is None:
         return None
     decks = _pack_cached(sim, sort_interval, screen)
-    lib.step_decks(decks, 1)
+    lib.step_decks(decks, steps)
     *_, parts, spp = sim._native_pack[1]
     return _deck_stats(decks[0], spp, len(sim.species), parts)
 
@@ -2885,23 +2889,17 @@ def step_batch(sims, num_steps: int) -> "list[dict] | None":
     native call, round-robin per step over their packed arenas.
 
     Decks never interact, so the interleaving is byte-identical to
-    running them back to back. Callers have verified every sim is
-    native-step eligible with a natively sortable (or disabled) sort
-    policy. Returns per-sim phase/sort summaries, or ``None`` when no
-    kernel is available.
+    running them back to back. Callers have verified every sim may
+    take several steps per call (``Simulation._multi_step_ok``), so
+    its sort is native or off. Returns per-sim phase/sort summaries,
+    or ``None`` when no kernel is available.
     """
-    from repro.core.sorting import SortKind
-
     lib = native_push_kernel()
     if lib is None:
         return None
     decks = (_CDeck * len(sims))()
-    keeps = []
-    for dk, sim in zip(decks, sims):
-        interval = sim.sort_step.interval
-        if sim.sort_step.kind is not SortKind.STANDARD:
-            interval = 0
-        keeps.append(_fill_deck(dk, sim, interval))
+    keeps = [_fill_deck(dk, sim, sim._native_sort_interval())
+             for dk, sim in zip(decks, sims)]
     lib.step_decks(decks, num_steps)
     return [_deck_stats(dk, keep[-1], len(sim.species))
             for dk, keep, sim in zip(decks, keeps, sims)]

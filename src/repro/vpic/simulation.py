@@ -27,7 +27,7 @@ from repro.core.sorting import SortKind
 from repro.core.tuning import StepPlan
 from repro.kokkos.atomics import accounting_enabled
 from repro.kokkos.profiling import profiling_region, record_kernel
-from repro.observability.callbacks import interposing_tools
+from repro.observability.callbacks import interposing_tools, tools_active
 from repro.observability.metrics import default_registry, detail_enabled
 from repro.vpic.boundary import BoundaryKind, apply_particle_boundaries
 from repro.vpic.boris import advance_positions, boris_push, momentum_gamma
@@ -473,53 +473,125 @@ class Simulation:
         return (self.sort_step.kind is SortKind.STANDARD
                 and not detail_enabled())
 
+    def _native_sort_interval(self) -> int:
+        """The sort interval the C step applies: the policy's when the
+        counting sort may run natively (:meth:`_native_sort_ok`), else
+        0, which leaves any sort to Python."""
+        return self.sort_step.interval if self._native_sort_ok() else 0
+
+    def _multi_step_ok(self) -> bool:
+        """Whether several steps may go to the whole-step native lane
+        in one call — the one rule behind :meth:`run`'s chunks and
+        :meth:`step_many`'s batch.
+
+        Nothing may observe individual steps: no guard, no recorder,
+        no registered tool (a telemetry-compatible one would get one
+        span per phase for the whole call and no ``step`` region per
+        step) and detail mode off (its per-step drift gauge). The sort
+        must be native or off, since a Python sort would have to run
+        between two steps of the call. And the deck must be on the
+        whole-step lane (:meth:`_native_step_ok`). Evaluated on every
+        pass of :meth:`run`'s loop, cheapest gates first.
+        """
+        sort = self.sort_step
+        return (self.guard is None and self.recorder is None
+                and not tools_active() and not detail_enabled()
+                and (sort.interval == 0 or sort.kind is SortKind.NONE
+                     or self._native_sort_ok())
+                and self._native_step_ok())
+
+    def _native_advanced(self, res: dict, steps: int,
+                         sort_interval: int) -> None:
+        """Bookkeeping after a whole-step native call (*res*, its
+        drained stats) that advanced this deck *steps* ≥ 1 steps with
+        the C sort at *sort_interval*; shared by :meth:`_native_step`,
+        :meth:`run`'s chunks and :meth:`step_many`.
+
+        Advances ``step_count``; counts ``sim/steps``,
+        ``sim/particles_pushed`` and ``step_lane/native-step`` by
+        *steps*, and every sort the call made per live species in
+        ``sorts_performed`` and ``sort/applied``; drains the stats once
+        through :func:`~repro.observability.native_telemetry.
+        drain_step`. Voxels are fresh only where the last step sorted
+        (the C sort recomputed them before permuting); any step that
+        did not sort left every species' voxels stale.
+        """
+        from repro.observability import native_telemetry
+
+        self.step_count += steps
+        reg = default_registry()
+        reg.counter("sim/steps").inc(steps)
+        reg.counter("sim/particles_pushed").inc(
+            self.total_particles * steps)
+        reg.counter("step_lane/native-step").inc(steps)
+        native_telemetry.drain_step(self, res, steps)
+        n_sorts = res["sorts_done"]
+        live = sum(1 for sp in self.species if sp.n)
+        if n_sorts and live:
+            self.sort_step.sorts_performed += n_sorts * live
+            reg.counter("sort/applied").inc(n_sorts * live)
+        sorted_last = (sort_interval > 0
+                       and self.step_count % sort_interval == 0)
+        for sp in self.species:
+            if sorted_last and sp.n:
+                sp.mark_voxels_fresh()
+            elif n_sorts < steps:
+                sp.mark_voxels_stale()
+
     def _native_step(self) -> "int | None":
         """One whole-step native advance (fields + push + sort in C).
 
         Returns particles pushed, or ``None`` when no compiled kernel
         is available and the caller should take the Python step. The
         per-phase stats struct the C step filled is drained through
-        :mod:`repro.observability.native_telemetry`: measured phase
-        durations land on the same kernel labels the Python lanes use
-        (``field_solve``, ``native_push/<species>``, ``sort/...``)
-        and are fanned out to any telemetry-compatible tools, so
-        timing folds, tracer spans, counter rows, and the flight
-        recorder all see an unchanged attribution scheme. With a guard
-        attached the step also screens the state it leaves, and its
-        verdict is kept as :attr:`step_verdict` for the step's tool
-        tail.
+        :mod:`repro.observability.native_telemetry` by
+        :meth:`_native_advanced`: measured phase durations land on the
+        same kernel labels the Python lanes use (``field_solve``,
+        ``native_push/<species>``, ``sort/...``) and are fanned out to
+        any telemetry-compatible tools, so timing folds, tracer spans,
+        counter rows, and the flight recorder all see an unchanged
+        attribution scheme. A sort the C step cannot take runs here in
+        Python. With a guard attached the step also screens the state
+        it leaves, and its verdict is kept as :attr:`step_verdict` for
+        the step's tool tail.
         """
-        from repro.observability import native_telemetry
         from repro.vpic import native
 
-        sort_native = self._native_sort_ok()
-        res = native.step_simulation(
-            self, self.sort_step.interval if sort_native else 0,
-            screen=self.guard is not None)
+        sort_interval = self._native_sort_interval()
+        res = native.step_simulation(self, sort_interval,
+                                     screen=self.guard is not None)
         if res is None:
             return None
         self._step_verdict = res.get("verdict")
-        pushed = self.total_particles
-        self.step_count += 1
-        native_telemetry.drain_step(self, res)
-        if res["sorted"]:
-            reg = default_registry()
+        self._native_advanced(res, 1, sort_interval)
+        if sort_interval == 0 and self.sort_step.due(self.step_count):
+            kernels = self._step_kernels()
             for sp in self.species:
-                if sp.n:
-                    # The C sort recomputed voxels before permuting.
-                    sp.mark_voxels_fresh()
-                    self.sort_step.sorts_performed += 1
-                    reg.counter("sort/applied").inc()
-        else:
-            for sp in self.species:
-                sp.mark_voxels_stale()
-            if self.sort_step.due(self.step_count):
-                kernels = self._step_kernels()
-                for sp in self.species:
-                    with record_kernel(f"sort/{sp.name}"):
-                        self.sort_step.apply(sp, scratch=self._arena,
-                                             kernels=kernels)
-        return pushed
+                with record_kernel(f"sort/{sp.name}"):
+                    self.sort_step.apply(sp, scratch=self._arena,
+                                         kernels=kernels)
+        return self.total_particles
+
+    def _native_steps(self, steps: int) -> "float | None":
+        """Advance *steps* steps in one whole-step native call (the
+        caller has checked :meth:`_multi_step_ok`), under the ``step``
+        region like :meth:`step`; returns the call's wall seconds.
+        ``None`` when no compiled kernel is available: nothing ran,
+        and the caller steps in Python."""
+        from repro.vpic import native
+
+        t0 = time.perf_counter()
+        sort_interval = self._native_sort_interval()
+        with profiling_region("step"):
+            res = native.step_simulation(self, sort_interval,
+                                         screen=False, steps=steps)
+            if res is None:
+                return None
+            self._native_advanced(res, steps, sort_interval)
+        seconds = time.perf_counter() - t0
+        default_registry().histogram("sim/step_seconds").observe(
+            seconds / steps)
+        return seconds
 
     def step(self) -> None:
         """Advance the whole system by one timestep.
@@ -577,10 +649,12 @@ class Simulation:
                                                  kernels=kernels)
         step_seconds = time.perf_counter() - t0
         reg = default_registry()
-        reg.counter("sim/steps").inc()
-        reg.counter("sim/particles_pushed").inc(pushed)
+        if native_pushed is None:
+            # The native lane's counters are kept by _native_advanced.
+            reg.counter("sim/steps").inc()
+            reg.counter("sim/particles_pushed").inc(pushed)
+            reg.counter(f"step_lane/{self._lane_taken()}").inc()
         reg.histogram("sim/step_seconds").observe(step_seconds)
-        reg.counter(f"step_lane/{self._lane_taken(native_pushed)}").inc()
         # The tools below share one energy total of the new state.
         self._energy_shared = True
         try:
@@ -598,13 +672,12 @@ class Simulation:
             self._energy_totals = None
             self._step_verdict = None
 
-    def _lane_taken(self, native_pushed: "int | None") -> str:
-        """Which lane the step just ran on (``native-step`` /
-        ``native-push`` / ``numpy-fused`` / ``reference``), counted
+    def _lane_taken(self) -> str:
+        """Which Python-driven lane the step just ran on
+        (``native-push`` / ``numpy-fused`` / ``reference``), counted
         per step under ``step_lane/*`` for the dashboard's
-        lane-occupancy panel and perfbench's declared-lane check."""
-        if native_pushed is not None:
-            return "native-step"
+        lane-occupancy panel and perfbench's declared-lane check;
+        :meth:`_native_advanced` counts ``native-step``."""
         if self.step_plan.reference:
             return "reference"
         if self._fast_step_ok() and self._native_push_ok():
@@ -664,18 +737,17 @@ class Simulation:
     def step_many(cls, sims, num_steps: int) -> None:
         """Advance every simulation in *sims* by *num_steps* steps.
 
-        The batched fast path: every whole-step-eligible sim with no
-        guard or recorder attached (those hook every individual step)
-        and a natively sortable (or disabled) sort policy advances in
-        ONE native call over its packed arena, round-robin per step.
-        Instrumented or ineligible decks are demoted *individually*
-        to interleaved :meth:`step` calls — a recorder on one deck no
-        longer drags the whole batch off the native lane — and their
-        recorders get a ``batch`` metadata event naming which decks
-        ran native. Decks are independent, so any execution order is
-        byte-identical to stepping them back to back.
+        The batched fast path: every sim that may take several steps
+        per native call (:meth:`_multi_step_ok`: nothing observes its
+        steps, its sort is native or off, it is on the whole-step lane)
+        advances in ONE native call over its packed arena, round-robin
+        per step. The others are demoted *individually* to interleaved
+        :meth:`step` calls — a recorder on one deck does not drag the
+        whole batch off the native lane — and their recorders get a
+        ``batch`` metadata event naming which decks ran native. Decks
+        are independent, so any execution order is byte-identical to
+        stepping them back to back.
         """
-        from repro.observability import native_telemetry
         from repro.vpic import native
 
         if num_steps < 0:
@@ -684,47 +756,16 @@ class Simulation:
         sims = list(sims)
         if not sims or num_steps == 0:
             return
-
-        def batch_ok(s: "Simulation") -> bool:
-            return (s.guard is None and s.recorder is None
-                    and s._native_step_ok()
-                    and (s.sort_step.interval == 0
-                         or s.sort_step.kind is SortKind.NONE
-                         or s._native_sort_ok()))
-
-        eligible = [batch_ok(s) for s in sims]
+        eligible = [s._multi_step_ok() for s in sims]
         native_sims = [s for s, ok in zip(sims, eligible) if ok]
         demoted = [s for s, ok in zip(sims, eligible) if not ok]
         results = None
         if native_sims:
             with profiling_region("step"):
                 results = native.step_batch(native_sims, num_steps)
-                if results is not None:
-                    reg = default_registry()
-                    for s, res in zip(native_sims, results):
-                        s.step_count += num_steps
-                        reg.counter("sim/steps").inc(num_steps)
-                        reg.counter("sim/particles_pushed").inc(
-                            s.total_particles * num_steps)
-                        reg.counter("step_lane/native-step").inc(
-                            num_steps)
-                        native_telemetry.drain_batch(s, res, num_steps)
-                        n_sorts = res["sorts_done"]
-                        live = sum(1 for sp in s.species if sp.n)
-                        if n_sorts:
-                            s.sort_step.sorts_performed += n_sorts * live
-                            reg.counter("sort/applied").inc(
-                                n_sorts * live)
-                        # Voxels are fresh only if the *final* step
-                        # sorted; any later push leaves them stale.
-                        sorted_final = (
-                            n_sorts > 0 and s.sort_step.interval > 0
-                            and s.step_count % s.sort_step.interval == 0)
-                        for sp in s.species:
-                            if sorted_final and sp.n:
-                                sp.mark_voxels_fresh()
-                            else:
-                                sp.mark_voxels_stale()
+                for s, res in zip(native_sims, results or ()):
+                    s._native_advanced(res, num_steps,
+                                       s._native_sort_interval())
         if results is None:
             # No compiled kernel: everything interleaves.
             demoted = sims
@@ -755,6 +796,16 @@ class Simulation:
         ``step_count``) re-runs the rewound steps instead of silently
         shortening the run; the guard's retry budget bounds the
         re-execution.
+
+        When nothing observes individual steps (:meth:`_multi_step_ok`,
+        asked on every pass) the loop hands the whole-step native lane
+        a chunk of steps per call instead of calling :meth:`step`. A
+        chunk ends at the next diagnostic sample or the target, and
+        its size follows :func:`_next_chunk`, so a call stays near
+        50 ms and Ctrl-C, which cannot interrupt a C call, still lands
+        within ~0.1 s. State, samples and counters are those of stepping one
+        at a time; ``sim/step_seconds`` gets the chunk's per-step mean
+        once per call.
         """
         if num_steps <= 0:
             raise ValueError(f"num_steps must be positive, got {num_steps}")
@@ -763,9 +814,21 @@ class Simulation:
         if diagnostic is not None and self.step_count == 0:
             diagnostic.record(self)
         target = self.step_count + num_steps
+        chunk = 1
         try:
             while self.step_count < target:
-                self.step()
+                seconds = None
+                if self._multi_step_ok():
+                    stop = target
+                    if diagnostic is not None:
+                        stop = min(stop, (self.step_count // sample_every
+                                          + 1) * sample_every)
+                    steps = min(chunk, stop - self.step_count)
+                    seconds = self._native_steps(steps)
+                if seconds is None:
+                    self.step()
+                else:
+                    chunk = _next_chunk(chunk, steps, seconds)
                 if diagnostic is not None and \
                         self.step_count % sample_every == 0:
                     diagnostic.record(self)
@@ -776,3 +839,20 @@ class Simulation:
             if self.recorder is not None:
                 self.recorder.on_crash(self, exc)
             raise
+
+
+#: A chunk of :meth:`Simulation.run`'s multi-step native calls doubles
+#: while a call returns within this many seconds.
+_CHUNK_SECONDS = 0.025
+
+
+def _next_chunk(chunk: int, steps: int, seconds: float) -> int:
+    """The chunk size after a multi-step native call that took *steps*
+    steps (at most *chunk*) in *seconds*: doubled when the call filled
+    the chunk within :data:`_CHUNK_SECONDS`, else unchanged. A chunk
+    starts at one step, so a call takes about twice that at most; a
+    call cut short by a sample or the target says nothing about the
+    full chunk and does not grow it."""
+    if steps == chunk and seconds < _CHUNK_SECONDS:
+        return 2 * chunk
+    return chunk

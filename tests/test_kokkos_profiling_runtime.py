@@ -5,7 +5,8 @@ import pytest
 from repro.kokkos.core import (fence, finalize, initialize, is_initialized,
                                runtime, scoped_runtime)
 from repro.kokkos.execution import OpenMP
-from repro.kokkos.profiling import (kernel_timings, pop_region,
+from repro.kokkos.profiling import (add_kernel_time, kernel_timings,
+                                    pop_region,
                                     profiling_region, push_region,
                                     record_kernel, region_stack,
                                     reset_kernel_timings)
@@ -44,6 +45,33 @@ class TestKernelTimers:
         assert t.launches == 2
         assert t.seconds >= 0
         assert t.mean_seconds == pytest.approx(t.seconds / 2)
+
+    def test_measured_time_counts_its_launches(self):
+        """A native call that advanced k steps credits k launches; a
+        registered tool still sees one event for it."""
+        from repro.observability.callbacks import (register_tool,
+                                                   unregister_tool)
+
+        class Events:
+            native_telemetry_ok = True
+
+            def __init__(self):
+                self.seen = []
+
+            def complete_kernel(self, name, kind, seconds):
+                self.seen.append((name, seconds))
+
+        reset_kernel_timings()
+        tool = register_tool(Events())
+        try:
+            add_kernel_time("k2", 0.5, launches=4)
+            add_kernel_time("k2", 0.25)
+        finally:
+            unregister_tool(tool)
+        t = kernel_timings()["k2"]
+        assert t.launches == 5
+        assert t.seconds == pytest.approx(0.75)
+        assert tool.seen == [("k2", 0.5), ("k2", 0.25)]
 
     def test_region_qualified_labels(self):
         reset_kernel_timings()

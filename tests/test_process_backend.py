@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import threading
 import time
 
@@ -115,6 +116,40 @@ class TestBitIdentity:
             finally:
                 dsim.close()
         assert totals[8] == pytest.approx(totals[1], rel=0.10)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="needs sched_getaffinity")
+class TestWorkerPinning:
+    """Each rank worker runs on one CPU of the parent's mask: distinct
+    CPUs while ranks fit, round-robin once they outnumber the CPUs."""
+
+    @staticmethod
+    def _worker_cpus(n_ranks):
+        deck = make_deck("uniform", steps=2, seed=0)
+        dsim = DistributedSimulation(deck, n_ranks, backend="processes")
+        try:
+            return [os.sched_getaffinity(p.pid)
+                    for p in dsim._pbackend._procs]
+        finally:
+            dsim.close()
+
+    def test_ranks_within_cpus_get_distinct_cpus(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        n = min(len(cpus), 4)
+        pinned = self._worker_cpus(n)
+        assert all(len(m) == 1 for m in pinned)
+        assert [min(m) for m in pinned] == cpus[:n]
+
+    def test_ranks_beyond_cpus_round_robin(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        n = next((k for k in (2, 4, 8) if k > len(cpus)), None)
+        if n is None:
+            pytest.skip("more CPUs than the deck splits into ranks")
+        pinned = self._worker_cpus(n)
+        assert [min(m) for m in pinned] == [cpus[r % len(cpus)]
+                                            for r in range(n)]
+        assert all(len(m) == 1 for m in pinned)
 
 
 class TestWorkerCrash:
