@@ -8,7 +8,12 @@ What the guard costs is not measured here: perfbench's ``observed``
 workload reports it (``guard.before_s``, ``guard.after_s``,
 ``obs.tools_share``).
 
-    PYTHONPATH=src python scripts/guard_sweep.py
+``--detail`` turns detail metrics on as well, as ``run-deck --metrics``
+does: every deck on the whole-step native lane then takes the step
+that sorts in C, counts the sort's disorder and measures its energy
+for the tools, the path a sanitizer sweep should cover.
+
+    PYTHONPATH=src python scripts/guard_sweep.py [--detail]
 """
 
 from __future__ import annotations
@@ -52,9 +57,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--steps", type=int, default=6,
                         help="steps per deck in the sweep (default 6)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--detail", action="store_true",
+                        help="turn detail metrics on for the sweep")
     args = parser.parse_args(argv)
 
-    if not sweep_decks(args.steps, args.seed):
+    from repro.observability.metrics import set_detail
+    set_detail(args.detail)
+    try:
+        ok = sweep_decks(args.steps, args.seed)
+    finally:
+        set_detail(False)
+    if not ok:
         print("sweep FAILED: at least one deck violated an invariant")
         return 1
     print("sweep passed: all decks clean")

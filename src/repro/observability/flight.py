@@ -294,6 +294,9 @@ class FlightRecorder:
             json.dump(header, f, indent=1)
         self._append(header)
 
+    def reads_energy(self) -> bool:
+        return self.recorder.reads_energy()
+
     def on_step(self, sim, step_seconds: float) -> None:
         self.recorder.on_step(sim, step_seconds)
 

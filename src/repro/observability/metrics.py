@@ -10,7 +10,10 @@ once and cached by the call sites.
 Derived metrics that require extra O(N) work per step — energy-
 conservation drift, particle-order disorder around a sort — are gated
 behind the module-level *detail* flag (:func:`set_detail`), which the
-CLI raises only when a trace or metrics export was requested.
+CLI raises only when a trace or metrics export was requested. On the
+whole-step native lane the step itself measures what they read (the
+energy totals, the descents the C sort sees), the same values the
+numpy passes give elsewhere.
 
 Standard instrument names (see also ``kernels`` in the export, folded
 from :func:`repro.kokkos.profiling.kernel_timings`):
@@ -21,11 +24,16 @@ name                        kind       meaning
 ``sim/steps``               counter    timesteps completed
 ``sim/particles_pushed``    counter    particle pushes executed
 ``sim/step_seconds``        histogram  wall time per step
-``sim/energy_drift``        gauge      |E_total - E_0| / E_0  (detail)
+``sim/energy_drift``        gauge      |E_total - E_0| / E_0  (detail;
+                                       energy from the native step's
+                                       pass on that lane)
 ``native/step_seconds``     histogram  compiled push-tile call time
 ``sort/applied``            counter    species sort events
-``sort/disorder_before``    gauge      adjacent-pair disorder (detail)
-``sort/disorder_after``     gauge      idem, after the sort (detail)
+``sort/disorder_before``    gauge      adjacent-pair disorder of the
+                                       last sorted species (detail;
+                                       C sort: its descent count)
+``sort/disorder_after``     gauge      idem, after the sort: 0.0 for
+                                       the native sort (detail)
 ``mpi/messages``            counter    point-to-point messages sent
 ``mpi/bytes``               counter    payload bytes sent
 ``mpi/log_dropped``         counter    MessageLog rows evicted

@@ -11,7 +11,8 @@ drains it after every native call, synthesizing the exact events the
 existing stack expects:
 
 - kernel timers under the established names (``step/field_solve``,
-  ``step/native_push/<species>``, ``step/sort/native``) via
+  ``step/native_push/<species>``, ``step/sort/native``, and
+  ``step/energy/native`` for the energy pass a tool asked for) via
   :func:`~repro.kokkos.profiling.add_kernel_time`, which also feeds
   telemetry-compatible tools through ``dispatch_complete_kernel`` —
   ChromeTracer records back-dated spans, CounterTool accumulates the
@@ -91,6 +92,8 @@ def _attribute(sim, res, steps: int) -> None:
     if res["sorts_done"]:
         add_kernel_time("sort/native", res["sort"],
                         launches=res["sorts_done"])
+    if "energy_seconds" in res:
+        add_kernel_time("energy/native", res["energy_seconds"])
     _count(reg, res.get("counters"))
 
 

@@ -158,6 +158,12 @@ class TimeSeriesRecorder:
     def on_crash(self, sim, exc: BaseException) -> None:
         """Called when an exception escapes the run loop (hook)."""
 
+    def reads_energy(self) -> bool:
+        """Whether the next :meth:`on_step` samples the energy totals."""
+        return (self.energy_every > 0
+                and (self.steps_seen + 1) % self.stride == 0
+                and self.samples_taken % self.energy_every == 0)
+
     def on_step(self, sim, step_seconds: float) -> None:
         """Sample *sim* after one completed step (stride-gated)."""
         self.steps_seen += 1

@@ -94,6 +94,9 @@ class InvariantCheck:
 
     name = "invariant"
     repairable = False
+    #: Whether :meth:`check` reads ``sim.energy_totals()``: a native step
+    #: the check is due after then measures them in C.
+    reads_energy = False
 
     def __init__(self, cadence: int = 1):
         if cadence < 0:
@@ -426,6 +429,7 @@ class EnergyDriftCheck(InvariantCheck):
     """
 
     name = "energy_drift"
+    reads_energy = True
 
     def __init__(self, cadence: int = 5, max_drift: float = 0.25):
         super().__init__(cadence)

@@ -104,6 +104,12 @@ class SimulationGuard:
             if check.due(next_step):
                 check.prepare(sim)
 
+    def reads_energy(self, step: int) -> bool:
+        """Whether :meth:`after_step` at *step* runs a check that reads
+        the energy totals."""
+        return any(check.reads_energy and check.due(step)
+                   for check in self.checks)
+
     def after_step(self, sim) -> None:
         """Post-step: run due checks, dispatch violations, and push a
         validated snapshot at the checkpoint cadence."""

@@ -43,11 +43,16 @@ class EnergyDiagnostic:
     samples: list[EnergySample] = field(default_factory=list)
 
     def record(self, simulation) -> EnergySample:
-        e, b = simulation.fields.field_energy()
-        k = sum(sp.kinetic_energy() for sp in simulation.species)
-        s = EnergySample(simulation.step_count,
-                         simulation.step_count * simulation.grid.dt,
-                         e, b, k)
+        """Sample *simulation*'s energy totals
+        (:meth:`~repro.vpic.simulation.Simulation.energy_totals`) at its
+        step count. Samples at that step or later are dropped first: a
+        guard rollback rewinds the run, and the steps it re-runs replace
+        the rows of the steps it undid."""
+        step = simulation.step_count
+        while self.samples and self.samples[-1].step >= step:
+            self.samples.pop()
+        e, b, k = simulation.energy_totals()
+        s = EnergySample(step, step * simulation.grid.dt, e, b, k)
         self.samples.append(s)
         return s
 

@@ -34,17 +34,28 @@ module provides that lane for the hot loop at two scopes:
   function with numpy as fallback and oracle: the CIC charge deposit
   (``deposit_charge``'s atomic path — the Gauss-law and continuity
   checks and the Gauss repair), the kinetic-energy terms
-  (``Species.kinetic_energy`` — the energy line, the drift check, the
-  detail gauge; numpy still sums them) and the voxel refresh
-  (``Species.update_voxels`` — deck build, ``live("voxel")``, the
-  detail-mode sort). The guard's three every-step scans need no pass
-  of their own on the step scope: asked by the packed deck (a guard is
-  attached), ``step_one`` counts non-finite particle values and takes
-  the NaN-skipping min/max of every final position axis as it pushes,
+  (``Species.kinetic_energy`` off the step scope; numpy sums them
+  there) and the voxel refresh (``Species.update_voxels`` — deck
+  build, ``live("voxel")``). On the step scope the tools that read a
+  step ask the packed deck for what they read, and the step measures
+  it where the state already is. A guard asks for its screen:
+  ``step_one`` counts non-finite particle values and takes the
+  NaN-skipping min/max of every final position axis as it pushes,
   then counts non-finite field values in one pass at the end, and
   returns that :class:`StepVerdict` with its telemetry; the checks
-  skip their numpy scans when it proves them clean. Unguarded decks
-  run the unscreened code.
+  skip their numpy scans when it proves them clean. The detail gauge,
+  a recorder's energy sample, the guard's drift check and
+  ``Simulation.run``'s diagnostic ask for the energy: after the call's
+  last step (its sort included, since particle order fixes the
+  summation order) one pass computes the six field sums and each
+  species' kinetic sum as numpy's pairwise ``np.sum`` does, its top
+  subtrees on the step team, so ``(electric, magnetic, kinetic)`` is
+  bit-identical to ``FieldArrays.field_energy`` and
+  ``Species.kinetic_energy`` for any team size. Detail mode asks for
+  the disorder: a sort counts the descents of the voxels it is about
+  to refresh, so the ``sort/disorder_*`` gauges need no numpy scan
+  and the detail-mode sort stays in the step. Decks nothing observes
+  run the code they ran without any of this.
 
 The step scope takes several steps per call when nothing observes the
 individual steps: ``Simulation.run`` hands :func:`step_simulation` a
@@ -166,7 +177,9 @@ _SOURCE = r"""
  * NSpecies and NDeck carry per-call telemetry beside their inputs, and
  * a deck with its screen set (a guard is attached) also gets the
  * guard's verdict on the state the step leaves (see "the guard's
- * screen"); new fields go at the end of both structs.
+ * screen"); one that asks for energy or disorder gets those (see "the
+ * step's reductions for the tools"); new fields go at the end of both
+ * structs.
  */
 #define _GNU_SOURCE             /* CPU_COUNT, sched_getaffinity */
 #include <stdint.h>
@@ -237,6 +250,18 @@ typedef struct {
      * partials per thread, reduced into the first */
     int64_t screen, field_nonfinite;
     Screen *parts;
+    /* what the tools that read the step ask of it (see "the step's
+     * reductions"): energy asks for the energy pass after the call's
+     * last step, into sums, which holds 6 + n_species totals and then
+     * PW_PARTS subtree sums per total; mass is each species' m.
+     * disorder asks each sort for the descents of the voxels it
+     * refreshes, per species into descents. t_energy: the pass's
+     * seconds */
+    int64_t energy, disorder;
+    const double *mass;
+    double *sums;
+    int64_t *descents;
+    double t_energy;
 } NDeck;
 
 static double now_s(void) {
@@ -1708,9 +1733,43 @@ static inline __attribute__((always_inline)) void push_phase(
     dk->t_push += now_s() - t0;
 }
 
-/* screened (a compile-time constant) also fills the guard's verdict. */
+/* For NDeck.disorder (see "the step's reductions"): ahead of a sort,
+ * each species' voxels refreshed exactly as sort_one and team_sort
+ * refresh them, and the descents among them — voxel[i] < voxel[i - 1]
+ * — into descents[s]. The sort then recomputes the same voxels: a
+ * second pass over the positions, but the sort's code stays as it is. */
+__attribute__((noinline, section(".text.tools")))
+static void count_descents(NDeck *dk)
+{
+    const int64_t gsy = dk->sy, gsz = dk->sz;
+    for (int64_t s = 0; s < dk->n_species; s++) {
+        NSpecies *sp = &dk->species[s];
+        int64_t *restrict vox = sp->voxel;
+        const float *restrict px = sp->x, *restrict py = sp->y,
+                    *restrict pz = sp->z;
+        int64_t descents = 0;
+        for (int64_t i = 0; i < sp->n; i++) {   /* sort_one's refresh */
+            double cx = ((double)px[i] - dk->x0) / dk->dx;
+            double cy = ((double)py[i] - dk->y0) / dk->dy;
+            double cz = ((double)pz[i] - dk->z0) / dk->dz;
+            cx = cx < 0.0 ? 0.0 : (cx > dk->hx ? dk->hx : cx);
+            cy = cy < 0.0 ? 0.0 : (cy > dk->hy ? dk->hy : cy);
+            cz = cz < 0.0 ? 0.0 : (cz > dk->hz ? dk->hz : cz);
+            vox[i] = (((int64_t)cx + 1) * gsy + ((int64_t)cy + 1)) * gsz
+                     + ((int64_t)cz + 1);
+        }
+        for (int64_t i = 1; i < sp->n; i++)
+            descents += vox[i] < vox[i - 1];
+        dk->descents[s] = descents;
+    }
+}
+
+/* observed (a compile-time constant) also fills the guard's verdict
+ * when the deck's screen is set, and counts the sort's descents when
+ * its disorder is. */
 static inline __attribute__((always_inline)) void step_body(
-    NDeck *dk, int teamed, const int screened) {
+    NDeck *dk, int teamed, const int observed) {
+    const int screened = observed && dk->screen;
     const int64_t nx = dk->nx, ny = dk->ny, nz = dk->nz, nv = dk->nv;
     double t0 = now_s();
     /* half B advance (E ghosts synced first, as the numpy solver) */
@@ -1749,6 +1808,8 @@ static inline __attribute__((always_inline)) void step_body(
     if (dk->sort_interval > 0
             && dk->step_count % dk->sort_interval == 0) {
         t0 = now_s();
+        if (observed && dk->disorder)
+            count_descents(dk);
         const int split_sort = teamed && team_sorts(dk);
         if (split_sort)
             team_run(dk, team_sort);
@@ -1768,12 +1829,210 @@ static void step_one(NDeck *dk, int teamed)
     step_body(dk, teamed, 0);
 }
 
-/* A deck with its screen set steps here, out of the unscreened step's
- * way. */
+/* A deck with its screen or its disorder set steps here, out of the
+ * unobserved step's way. */
 __attribute__((noinline, section(".text.screen")))
 static void step_one_screened(NDeck *dk, int teamed)
 {
     step_body(dk, teamed, 1);
+}
+
+/* ---- the step's reductions for the tools -------------------------- */
+
+/* Besides the guard's screen, a tool that reads a step may ask it for
+ * two numbers it would otherwise get from numpy passes afterwards.
+ *
+ * NDeck.energy: after the call's last step — after its sort, since the
+ * particle order fixes the summation order — sums[0 .. 5] get
+ * sum(E_c^2) and sum(B_c^2) over the interior cells and
+ * sums[6 + s] species s's sum of w m (gamma - 1), each the float64 that
+ * np.sum returns for FieldArrays.field_energy's and
+ * Species.kinetic_energy's terms: 0.0 plus numpy's pairwise sum. Below
+ * PW_BLOCK + 1 terms that is eight strided accumulators, combined as a
+ * tree, then the tail (a plain running sum below eight terms); above,
+ * the two halves, split at n / 2 rounded down to a multiple of eight.
+ * The terms are computed on the fly, a block at a time, in the float64
+ * operations of the numpy code; the caller combines the totals as
+ * those two functions do. The top PW_TOP levels of every tree are
+ * split into at most PW_PARTS subtrees, which the team's threads claim
+ * as they come free, and the caller adds the subtree sums as the tree
+ * does: the bytes are the same for any team size.
+ *
+ * NDeck.disorder: ahead of each sort, count_descents counts the
+ * descents of the voxels the sort will refresh into descents[s]:
+ * disorder_fraction's numerator before the sort; after it the count
+ * is 0.
+ *
+ * Everything here, count_descents included, sits in .text.tools,
+ * which the linker places after .text.screen: the unobserved step and
+ * the screened functions keep their places (only step_decks grows, by
+ * the call to energy_passes). */
+#define PW_BLOCK 128            /* numpy's PW_BLOCKSIZE */
+#define PW_TOP 3
+#define PW_PARTS (1 << PW_TOP)
+
+/* Terms in sum a: interior cells for a field, particles for a species. */
+static inline __attribute__((always_inline)) int64_t pw_count(
+    const NDeck *dk, int64_t a)
+{
+    return a < 6 ? dk->nx * dk->ny * dk->nz : dk->species[a - 6].n;
+}
+
+/* Terms k0 .. k0 + n - 1 of sum a into v: the squares of a field's
+ * interior values in C order, or a species' w m (gamma - 1) with gamma
+ * in Species._gamma_into's order. */
+static inline __attribute__((always_inline)) void pw_terms(
+    const NDeck *dk, int64_t a, int64_t k0, int64_t n, double *restrict v)
+{
+    if (a < 6) {
+        const float *const f[6] = { dk->ex, dk->ey, dk->ez,
+                                    dk->bx, dk->by, dk->bz };
+        const int64_t ny = dk->ny, nz = dk->nz;
+        int64_t iz = k0 % nz, iy = k0 / nz % ny, ix = k0 / nz / ny;
+        for (int64_t j = 0; j < n; iz = 0) {      /* row by row */
+            const float *restrict row =
+                f[a] + ((ix + 1) * dk->sy + iy + 1) * dk->sz + 1 + iz;
+            const int64_t len = nz - iz < n - j ? nz - iz : n - j;
+            for (int64_t i = 0; i < len; i++) {
+                const double e = (double)row[i];
+                v[j + i] = e * e;
+            }
+            j += len;
+            if (++iy == ny) {
+                iy = 0;
+                ix++;
+            }
+        }
+    } else {
+        const NSpecies *sp = &dk->species[a - 6];
+        const float *restrict ux = sp->ux + k0, *restrict uy = sp->uy + k0,
+                    *restrict uz = sp->uz + k0, *restrict w = sp->w + k0;
+        const double m = dk->mass[a - 6];
+        for (int64_t i = 0; i < n; i++) {
+            const double p = (double)ux[i], q = (double)uy[i],
+                         r = (double)uz[i];
+            double g = 1.0 + p * p;
+            g = g + q * q;
+            g = g + r * r;
+            v[i] = (double)w[i] * m * (sqrt(g) - 1.0);
+        }
+    }
+}
+
+/* numpy's pairwise sum of terms k0 .. k0 + n - 1 of sum a. */
+__attribute__((noinline, section(".text.tools")))
+static double pw_sum(const NDeck *dk, int64_t a, int64_t k0, int64_t n)
+{
+    if (n > PW_BLOCK) {
+        const int64_t n2 = n / 2 - n / 2 % 8;
+        const double lo = pw_sum(dk, a, k0, n2);
+        return lo + pw_sum(dk, a, k0 + n2, n - n2);
+    }
+    double v[PW_BLOCK];
+    pw_terms(dk, a, k0, n, v);
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += v[i];
+        return res;
+    }
+    double r[8];
+    for (int j = 0; j < 8; j++)
+        r[j] = v[j];
+    int64_t i = 8;
+    for (; i < n - n % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += v[i + j];
+    double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += v[i];
+    return res;
+}
+
+/* The subtrees of the top depth levels of the tree over n terms from
+ * k0, in order, as (first term, terms) into part; returns how many. */
+__attribute__((noinline, section(".text.tools")))
+static int pw_split(int64_t k0, int64_t n, int depth, int64_t (*part)[2])
+{
+    if (depth == 0 || n <= PW_BLOCK) {
+        part[0][0] = k0;
+        part[0][1] = n;
+        return 1;
+    }
+    const int64_t n2 = n / 2 - n / 2 % 8;
+    const int k = pw_split(k0, n2, depth - 1, part);
+    return k + pw_split(k0 + n2, n - n2, depth - 1, part + k);
+}
+
+/* The sum of that tree from its subtree sums r[*k ..], in the tree's
+ * order of adds. */
+__attribute__((noinline, section(".text.tools")))
+static double pw_join(int64_t n, int depth, const double *r, int *k)
+{
+    if (depth == 0 || n <= PW_BLOCK)
+        return r[(*k)++];
+    const int64_t n2 = n / 2 - n / 2 % 8;
+    const double lo = pw_join(n2, depth - 1, r, k);
+    return lo + pw_join(n - n2, depth - 1, r, k);
+}
+
+/* The subtree sums of every total, on the team (teamed, a compile-time
+ * constant: claiming subtrees as push_tiles claims tiles) or all of
+ * them on this thread. */
+static inline __attribute__((always_inline)) void energy_parts(
+    NDeck *dk, const int teamed)
+{
+    const int64_t totals = 6 + dk->n_species;
+    double *restrict r = dk->sums + totals;
+    int64_t claim = teamed
+        ? __atomic_fetch_add(&team.next, 1, __ATOMIC_RELAXED) : 0;
+    for (int64_t a = 0, g = 0; a < totals; a++) {
+        int64_t part[PW_PARTS][2];
+        const int np = pw_split(0, pw_count(dk, a), PW_TOP, part);
+        for (int p = 0; p < np; p++, g++)
+            if (g == claim) {
+                r[a * PW_PARTS + p] = pw_sum(dk, a, part[p][0], part[p][1]);
+                claim = teamed
+                    ? __atomic_fetch_add(&team.next, 1, __ATOMIC_RELAXED)
+                    : claim + 1;
+            }
+    }
+}
+
+__attribute__((noinline, section(".text.tools")))
+static void team_energy(NDeck *dk, int64_t id)
+{
+    (void)id;
+    energy_parts(dk, 1);
+}
+
+/* The energy pass of one deck, timed into t_energy. */
+__attribute__((noinline, section(".text.tools")))
+static void energy_pass(NDeck *dk, int teamed)
+{
+    const double t0 = now_s();
+    const int64_t totals = 6 + dk->n_species;
+    if (teamed && team_worth(dk))
+        team_run(dk, team_energy);
+    else
+        energy_parts(dk, 0);
+    for (int64_t a = 0; a < totals; a++) {
+        int k = 0;
+        dk->sums[a] = 0.0 + pw_join(pw_count(dk, a), PW_TOP,
+                                    dk->sums + totals + a * PW_PARTS, &k);
+    }
+    dk->t_energy += now_s() - t0;
+}
+
+/* The energy pass of every deck that asked for one: its own function,
+ * so step_decks grows by a call. */
+__attribute__((noinline, section(".text.tools")))
+static void energy_passes(NDeck *decks, int64_t n_decks, int teamed)
+{
+    for (int64_t d = 0; d < n_decks; d++)
+        if (decks[d].energy)
+            energy_pass(&decks[d], teamed);
 }
 
 /* On a 64-byte line, as it was before the Esirkepov entry moved to the
@@ -1784,11 +2043,12 @@ void step_decks(NDeck *decks, int64_t n_decks, int64_t n_steps) {
     const int teamed = team_claim();
     for (int64_t s = 0; s < n_steps; s++)
         for (int64_t d = 0; d < n_decks; d++) {
-            if (decks[d].screen)
+            if (decks[d].screen | decks[d].disorder)
                 step_one_screened(&decks[d], teamed);
             else
                 step_one(&decks[d], teamed);
         }
+    energy_passes(decks, n_decks, teamed);
     if (teamed)
         team_release();
 }
@@ -1923,7 +2183,10 @@ void push_deck(NDeck *dk)
  * Returns the number of wraps, or -1 — with J untouched — when a
  * particle moved more than one cell. Last in the file: its code is the
  * one that changes with the Esirkepov stages, and from here its size
- * moves no other entry. */
+ * moves no other entry. On a 64-byte line, where it started before the
+ * energy pass grew step_decks by 0x60 bytes: 0x20 into a line,
+ * reference-lane measured 7-9 % slower. */
+__attribute__((aligned(64)))
 int64_t fused_push_esirkepov(
     float *x, float *y, float *z, float *ux, float *uy, float *uz,
     const float *w, int64_t n, const float *tab, double *acc,
@@ -1974,9 +2237,12 @@ _STRICT_FLAGS = ("-O3", "-fno-fast-math", "-fno-math-errno",
 _CFLAGS = _STRICT_FLAGS + ("-march=native", "-funroll-loops")
 _PORTABLE_CFLAGS = _STRICT_FLAGS
 
-#: The push's tile size and the step team's thread cap, from the C source.
-_TILE, _TEAM_MAX = (int(re.search(rf"#define {name} (\d+)", _SOURCE).group(1))
-                    for name in ("TILE", "TEAM_MAX"))
+#: The push's tile size, the step team's thread cap and the subtree sums
+#: per energy total, from the C source.
+_TILE, _TEAM_MAX, _PW_TOP = (
+    int(re.search(rf"#define {name} (\d+)", _SOURCE).group(1))
+    for name in ("TILE", "TEAM_MAX", "PW_TOP"))
+_PW_PARTS = 1 << _PW_TOP
 
 
 def step_team_size(sim=None) -> int:
@@ -2039,7 +2305,10 @@ class _CDeck(ctypes.Structure):
                 ("particles_pushed", _i64), ("crossings", _i64),
                 ("ghost_folds", _i64), ("sort_events", _i64),
                 ("screen", _i64), ("field_nonfinite", _i64),
-                ("parts", ctypes.POINTER(_CScreen))]
+                ("parts", ctypes.POINTER(_CScreen)),
+                ("energy", _i64), ("disorder", _i64),
+                ("mass", _pd), ("sums", _pd), ("descents", _pi),
+                ("t_energy", _f64)]
 
 
 #: Address-keyed cache of float32 pointers. The ctypes pointer value
@@ -2723,6 +2992,9 @@ def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
         cs.pushed = cs.crossings = 0
         cs.t_push = 0.0
     parts = (_CScreen * (_TEAM_MAX * max(n_sp, 1)))()
+    mass = np.array([sp.m for sp in sim.species] or [0.0], np.float64)
+    sums = np.zeros((6 + n_sp) * (1 + _PW_PARTS), np.float64)
+    descents = np.zeros(max(n_sp, 1), np.int64)
     dk.species = ctypes.cast(spp, ctypes.POINTER(_CSpecies))
     dk.n_species = n_sp
     dk.sort_interval = sort_interval
@@ -2739,7 +3011,13 @@ def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
     dk.ghost_folds = dk.sort_events = 0
     dk.screen = dk.field_nonfinite = 0
     dk.parts = ctypes.cast(parts, ctypes.POINTER(_CScreen))
-    return (tab, acc, counts, perm, scr_i, scr_f, parts, spp)
+    dk.energy = dk.disorder = 0
+    dk.mass = mass.ctypes.data_as(_pd)
+    dk.sums = sums.ctypes.data_as(_pd)
+    dk.descents = descents.ctypes.data_as(_pi)
+    dk.t_energy = 0.0
+    return (tab, acc, counts, perm, scr_i, scr_f, mass, sums, descents,
+            parts, spp)
 
 
 def _pack_identity(sim) -> tuple:
@@ -2757,12 +3035,15 @@ def _pack_identity(sim) -> tuple:
     return tuple(parts)
 
 
-def _pack_cached(sim, sort_interval: int, screen: bool = False):
+def _pack_cached(sim, sort_interval: int, screen: bool = False,
+                 energy: bool = False, disorder: bool = False):
     """One-deck pack with per-sim reuse: repacking costs ~0.2 ms of
     ctypes traffic, a visible fraction of a small-deck step, so the
     descriptor is cached on the sim and only the per-step fields are
     refreshed while the underlying arrays are unchanged. *screen* asks
-    the step for the guard's verdict (:class:`StepVerdict`)."""
+    the step for the guard's verdict (:class:`StepVerdict`), *energy*
+    for the energy totals of the state the call leaves, *disorder* for
+    the descents each sort finds."""
     cached = getattr(sim, "_native_pack", None)
     ident = _pack_identity(sim)
     if cached is not None:
@@ -2771,6 +3052,9 @@ def _pack_cached(sim, sort_interval: int, screen: bool = False):
                 a is b for a, b in zip(old_ident, ident)):
             dk = decks[0]
             dk.screen = screen
+            dk.energy = energy
+            dk.disorder = disorder
+            dk.t_energy = 0.0
             dk.sort_interval = sort_interval
             dk.step_count = sim.step_count
             dk.sorts_done = 0
@@ -2786,6 +3070,8 @@ def _pack_cached(sim, sort_interval: int, screen: bool = False):
     decks = (_CDeck * 1)()
     keep = _fill_deck(decks[0], sim, sort_interval)
     decks[0].screen = screen
+    decks[0].energy = energy
+    decks[0].disorder = disorder
     sim._native_pack = (decks, keep, ident)
     return decks
 
@@ -2810,13 +3096,19 @@ _SCREEN_DTYPE = np.dtype([("nonfinite", np.int64), ("lo", np.float32, 3),
 assert _SCREEN_DTYPE.itemsize == ctypes.sizeof(_CScreen)
 
 
-def _deck_stats(dk, spp, n_species: int, parts=None) -> dict:
-    """Drain one packed deck's telemetry struct into a plain dict —
-    the per-phase seconds the callers always consumed plus the new
-    counters and per-species push stats (ISSUE 8), and, when the deck
-    was screened, the :class:`StepVerdict` (first row of *parts*)
-    under ``"verdict"``. Reading is the only side effect; the struct
-    is reset at the next pack."""
+def _deck_stats(dk, keep, sim) -> dict:
+    """Drain one packed deck's telemetry struct (*keep*, its buffers
+    from :func:`_fill_deck`) into a plain dict — the per-phase seconds
+    the callers always consumed plus the counters and per-species push
+    stats; when the deck was screened, the :class:`StepVerdict` under
+    ``"verdict"``; when it asked for energy, the
+    ``(electric, magnetic, kinetic)`` totals under ``"energy"`` and the
+    pass's seconds under ``"energy_seconds"``; when it asked for
+    disorder, each species' descent count before the last sort under
+    ``"descents"``. Reading is the only side effect; the struct is
+    reset at the next pack."""
+    *_, sums, descents, parts, spp = keep
+    n_species = len(sim.species)
     stats = {
         "field": dk.t_field, "push": dk.t_push, "sort": dk.t_sort,
         "sorts_done": dk.sorts_done,
@@ -2836,30 +3128,50 @@ def _deck_stats(dk, spp, n_species: int, parts=None) -> dict:
         stats["verdict"] = StepVerdict(
             dk.field_nonfinite, screens["nonfinite"].copy(),
             screens["lo"].copy(), screens["hi"].copy())
+    if dk.energy:
+        stats["energy"] = _energy_from_sums(
+            sim, sums[:6 + n_species].tolist())
+        stats["energy_seconds"] = dk.t_energy
+    if dk.disorder:
+        stats["descents"] = descents[:n_species].tolist()
     return stats
 
 
+def _energy_from_sums(sim, sums: list) -> tuple:
+    """``(electric, magnetic, kinetic)`` from the energy pass's totals,
+    in the Python operations of ``FieldArrays.field_energy`` and of
+    ``Simulation.energy_totals``' sum over ``Species.kinetic_energy``,
+    so the floats are theirs."""
+    dv = sim.grid.cell_volume
+    e2 = sum(sums[0:3])
+    b2 = sum(sums[3:6])
+    return 0.5 * e2 * dv, 0.5 * b2 * dv, sum(sums[6:])
+
+
 def step_simulation(sim, sort_interval: int = 0, screen: bool = False,
-                    steps: int = 1) -> "dict | None":
+                    steps: int = 1, energy: bool = False,
+                    disorder: bool = False) -> "dict | None":
     """Advance *sim* by *steps* whole native steps in one call.
 
     ``sort_interval`` > 0 hands the counting sort to the C lane (the
-    caller has checked the policy is ``SortKind.STANDARD`` with no
-    detail-mode gauges due); 0 leaves any sorting to the caller, who
-    then asks for one step at a time. *screen* also has the step fill
-    the guard's :class:`StepVerdict` (of the last step). Returns the
-    drained telemetry struct, summed over the steps — per-phase
-    seconds, how many steps sorted, event counters, measured
-    per-species push stats and, screened, the verdict — or ``None``
-    when no kernel is available.
+    caller has checked the policy is ``SortKind.STANDARD``); 0 leaves
+    any sorting to the caller, who then asks for one step at a time.
+    *screen* also has the step fill the guard's :class:`StepVerdict`
+    (of the last step), *energy* measure the energy totals of the state
+    the call leaves — bit-identical to ``FieldArrays.field_energy`` and
+    the sum of ``Species.kinetic_energy`` — and *disorder* count the
+    descents of the voxels each sort refreshes. Returns the drained
+    telemetry struct, summed over the steps — per-phase seconds, how
+    many steps sorted, event counters, measured per-species push stats
+    and what was asked for (see :func:`_deck_stats`) — or ``None`` when
+    no kernel is available.
     """
     lib = native_push_kernel()
     if lib is None:
         return None
-    decks = _pack_cached(sim, sort_interval, screen)
+    decks = _pack_cached(sim, sort_interval, screen, energy, disorder)
     lib.step_decks(decks, steps)
-    *_, parts, spp = sim._native_pack[1]
-    return _deck_stats(decks[0], spp, len(sim.species), parts)
+    return _deck_stats(decks[0], sim._native_pack[1], sim)
 
 
 def push_simulation(sim) -> "dict | None":
@@ -2880,8 +3192,7 @@ def push_simulation(sim) -> "dict | None":
     decks = _pack_cached(sim, 0)
     with record_kernel("native_push"):
         lib.push_deck(decks)
-    spp = sim._native_pack[1][-1]
-    return _deck_stats(decks[0], spp, len(sim.species))
+    return _deck_stats(decks[0], sim._native_pack[1], sim)
 
 
 def step_batch(sims, num_steps: int) -> "list[dict] | None":
@@ -2901,5 +3212,5 @@ def step_batch(sims, num_steps: int) -> "list[dict] | None":
     keeps = [_fill_deck(dk, sim, sim._native_sort_interval())
              for dk, sim in zip(decks, sims)]
     lib.step_decks(decks, num_steps)
-    return [_deck_stats(dk, keep[-1], len(sim.species))
+    return [_deck_stats(dk, keep, sim)
             for dk, keep, sim in zip(decks, keeps, sims)]

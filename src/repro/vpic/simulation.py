@@ -129,9 +129,11 @@ class Simulation:
     def __post_init__(self) -> None:
         self._solver = self._make_solver()
         self._energy0: float | None = None
-        # The step's shared energy total (see energy_totals).
+        # The step's shared energy total (see energy_totals); run()
+        # sets _sample_due before a step its diagnostic will record.
         self._energy_totals: "tuple[float, float, float] | None" = None
         self._energy_shared = False
+        self._sample_due = False
         # The guarded native step's verdict (see step_verdict).
         self._step_verdict = None
         # Scratch for the fused push and the sort permutation: named
@@ -468,10 +470,9 @@ class Simulation:
 
     def _native_sort_ok(self) -> bool:
         """Whether the C lane may also apply the counting sort: only
-        the STANDARD ordering has a native twin, and detail mode needs
-        the Python path for its disorder gauges."""
-        return (self.sort_step.kind is SortKind.STANDARD
-                and not detail_enabled())
+        the STANDARD ordering has a native twin (detail mode's disorder
+        gauges are counted by the C sort itself)."""
+        return self.sort_step.kind is SortKind.STANDARD
 
     def _native_sort_interval(self) -> int:
         """The sort interval the C step applies: the policy's when the
@@ -553,17 +554,33 @@ class Simulation:
         attribution scheme. A sort the C step cannot take runs here in
         Python. With a guard attached the step also screens the state
         it leaves, and its verdict is kept as :attr:`step_verdict` for
-        the step's tool tail.
+        the step's tool tail. When a tool will read the energy
+        (:meth:`_energy_read`) the step measures it after its sort and
+        :meth:`energy_totals` returns that; in detail mode a C sort
+        counts its own disorder for the ``sort/disorder_*`` gauges.
         """
         from repro.vpic import native
 
         sort_interval = self._native_sort_interval()
-        res = native.step_simulation(self, sort_interval,
-                                     screen=self.guard is not None)
+        sorts = self.sort_step.due(self.step_count + 1)
+        res = native.step_simulation(
+            self, sort_interval, screen=self.guard is not None,
+            # a Python sort after the call would reorder the kinetic sum
+            energy=(sort_interval > 0 or not sorts) and self._energy_read(),
+            disorder=sort_interval > 0 and sorts and detail_enabled())
         if res is None:
             return None
         self._step_verdict = res.get("verdict")
+        self._energy_totals = res.get("energy")
         self._native_advanced(res, 1, sort_interval)
+        if "descents" in res and res["sorts_done"]:
+            # SortStep.apply's gauges, per live species in order
+            reg = default_registry()
+            for sp, descents in zip(self.species, res["descents"]):
+                if sp.n:
+                    reg.gauge("sort/disorder_before").set(
+                        descents / (sp.n - 1) if sp.n > 1 else 0.0)
+                    reg.gauge("sort/disorder_after").set(0.0)
         if sort_interval == 0 and self.sort_step.due(self.step_count):
             kernels = self._step_kernels()
             for sp in self.species:
@@ -572,21 +589,27 @@ class Simulation:
                                          kernels=kernels)
         return self.total_particles
 
-    def _native_steps(self, steps: int) -> "float | None":
+    def _native_steps(self, steps: int,
+                      energy: bool = False) -> "float | None":
         """Advance *steps* steps in one whole-step native call (the
         caller has checked :meth:`_multi_step_ok`), under the ``step``
         region like :meth:`step`; returns the call's wall seconds.
         ``None`` when no compiled kernel is available: nothing ran,
-        and the caller steps in Python."""
+        and the caller steps in Python. With *energy* the call also
+        measures the energy totals of the state it leaves, which
+        :meth:`energy_totals` returns until the caller closes the
+        window."""
         from repro.vpic import native
 
         t0 = time.perf_counter()
         sort_interval = self._native_sort_interval()
         with profiling_region("step"):
             res = native.step_simulation(self, sort_interval,
-                                         screen=False, steps=steps)
+                                         screen=False, steps=steps,
+                                         energy=energy)
             if res is None:
                 return None
+            self._energy_totals = res.get("energy")
             self._native_advanced(res, steps, sort_interval)
         seconds = time.perf_counter() - t0
         default_registry().histogram("sim/step_seconds").observe(
@@ -602,6 +625,15 @@ class Simulation:
         warn, raise, repair in place, or roll the state back to the
         newest validated checkpoint (rewinding ``step_count``).
         """
+        try:
+            self._step()
+        finally:
+            if not self._sample_due:
+                self._close_window()
+
+    def _step(self) -> None:
+        """:meth:`step`'s body; leaves the window of the step's shared
+        energy total and verdict open (see :meth:`energy_totals`)."""
         t0 = time.perf_counter()
         pushed = 0
         if self.guard is not None:
@@ -657,20 +689,36 @@ class Simulation:
         reg.histogram("sim/step_seconds").observe(step_seconds)
         # The tools below share one energy total of the new state.
         self._energy_shared = True
-        try:
-            if detail_enabled():
-                self._record_energy_drift(reg)
-            # Sample before the guard verdict: a step that the guard
-            # then rejects (raise/rollback) still happened, and the
-            # flight recorder's job is to have seen it.
-            if self.recorder is not None:
-                self.recorder.on_step(self, step_seconds)
-            if self.guard is not None:
-                self.guard.after_step(self)
-        finally:
-            self._energy_shared = False
-            self._energy_totals = None
-            self._step_verdict = None
+        if detail_enabled():
+            self._record_energy_drift(reg)
+        # Sample before the guard verdict: a step that the guard then
+        # rejects (raise/rollback) still happened, and the flight
+        # recorder's job is to have seen it.
+        if self.recorder is not None:
+            self.recorder.on_step(self, step_seconds)
+        if self.guard is not None:
+            self.guard.after_step(self)
+
+    def _close_window(self) -> None:
+        """End the step's window: drop the shared energy total and the
+        verdict, and compute afresh from here on."""
+        self._energy_shared = False
+        self._energy_totals = None
+        self._step_verdict = None
+
+    def _energy_read(self) -> bool:
+        """Whether something reads :meth:`energy_totals` after the
+        coming step, so the native step should measure it: the detail
+        gauge, :meth:`run`'s diagnostic, or a recorder or guard whose
+        ``reads_energy`` says so (one without it is assumed to)."""
+        if self._sample_due or detail_enabled():
+            return True
+        rec, guard = self.recorder, self.guard
+        return ((rec is not None
+                 and getattr(rec, "reads_energy", lambda: True)())
+                or (guard is not None
+                    and getattr(guard, "reads_energy", lambda step: True)(
+                        self.step_count + 1)))
 
     def _lane_taken(self) -> str:
         """Which Python-driven lane the step just ran on
@@ -702,11 +750,14 @@ class Simulation:
     def energy_totals(self) -> "tuple[float, float, float]":
         """``(electric, magnetic, kinetic)`` energy of the current state.
 
-        After a step the detail gauge, the flight recorder's sample and
-        the guard's drift check all ask for it: they share one
-        computation, kept until :meth:`step` returns or
-        :meth:`state_changed` drops it. Outside that window every call
-        computes afresh.
+        After a step the detail gauge, the flight recorder's sample,
+        the guard's drift check and :meth:`run`'s diagnostic all ask for
+        it: they share one computation, kept until :meth:`step` returns
+        (or, inside :meth:`run`, until the diagnostic has recorded) or
+        :meth:`state_changed` drops it. A native step that one of them
+        will read measures it in C (:meth:`_energy_read`), bit-identical
+        to ``FieldArrays.field_energy`` and ``Species.kinetic_energy``.
+        Outside that window every call computes afresh.
         """
         totals = self._energy_totals
         if totals is None:
@@ -806,6 +857,11 @@ class Simulation:
         within ~0.1 s. State, samples and counters are those of stepping one
         at a time; ``sim/step_seconds`` gets the chunk's per-step mean
         once per call.
+
+        *diagnostic* records through :meth:`energy_totals` inside the
+        window of the step (or chunk) it samples, so a native step that
+        ends at a sample measures the energy in C and the tools of that
+        step and the diagnostic share it.
         """
         if num_steps <= 0:
             raise ValueError(f"num_steps must be positive, got {num_steps}")
@@ -815,23 +871,34 @@ class Simulation:
             diagnostic.record(self)
         target = self.step_count + num_steps
         chunk = 1
+
+        def sampled(step: int) -> bool:
+            return diagnostic is not None and step % sample_every == 0
+
         try:
             while self.step_count < target:
-                seconds = None
-                if self._multi_step_ok():
-                    stop = target
-                    if diagnostic is not None:
-                        stop = min(stop, (self.step_count // sample_every
-                                          + 1) * sample_every)
-                    steps = min(chunk, stop - self.step_count)
-                    seconds = self._native_steps(steps)
-                if seconds is None:
-                    self.step()
-                else:
-                    chunk = _next_chunk(chunk, steps, seconds)
-                if diagnostic is not None and \
-                        self.step_count % sample_every == 0:
-                    diagnostic.record(self)
+                # The step's energy window stays open over the record.
+                try:
+                    seconds = None
+                    if self._multi_step_ok():
+                        stop = target
+                        if diagnostic is not None:
+                            stop = min(stop, (self.step_count
+                                              // sample_every + 1)
+                                       * sample_every)
+                        steps = min(chunk, stop - self.step_count)
+                        seconds = self._native_steps(
+                            steps, energy=sampled(self.step_count + steps))
+                    if seconds is None:
+                        self._sample_due = sampled(self.step_count + 1)
+                        self.step()
+                    else:
+                        chunk = _next_chunk(chunk, steps, seconds)
+                    if sampled(self.step_count):
+                        diagnostic.record(self)
+                finally:
+                    self._sample_due = False
+                    self._close_window()
         except BaseException as exc:
             # Flight-recorder contract: anything that escapes the run
             # loop — guard raise, numerical blow-up, Ctrl-C — dumps

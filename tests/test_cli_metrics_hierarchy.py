@@ -1,74 +1,14 @@
-"""Tests for the CLI, order metrics, and hierarchical helpers."""
+"""Tests for the CLI and hierarchical helpers."""
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.order_metrics import (OrderMetrics, analyze_order,
-                                      coalescing_score,
-                                      median_reuse_distance,
-                                      run_length_stats)
-from repro.core.sorting import standard_sort, strided_sort, tiled_strided_sort
 from repro.kokkos.hierarchy import (parallel_for_team, team_reduce,
                                     team_thread_range,
                                     thread_vector_range)
 from repro.kokkos.policy import TeamMember, TeamPolicy
 from repro.kokkos.execution import Serial
-
-
-def repeated_keys(unique=500, reps=20, seed=0):
-    rng = np.random.default_rng(seed)
-    keys = np.repeat(np.arange(unique, dtype=np.int64), reps)
-    rng.shuffle(keys)
-    return keys
-
-
-class TestOrderMetrics:
-    def test_strided_order_is_most_coalesced(self):
-        base = repeated_keys()
-        k_std = base.copy()
-        standard_sort(k_std)
-        k_str = base.copy()
-        strided_sort(k_str)
-        # Rounds shrink as multiplicities thin out, so strided isn't a
-        # perfect 1.0 but sits far above the unsorted baseline.
-        assert coalescing_score(k_str) > 0.8
-        # standard order re-reads the same line per run: few distinct
-        # lines per warp, but the metric measures useful-line density.
-        assert coalescing_score(k_str) >= coalescing_score(base)
-
-    def test_run_lengths_standard_vs_strided(self):
-        base = repeated_keys()
-        k_std = base.copy()
-        standard_sort(k_std)
-        k_str = base.copy()
-        strided_sort(k_str)
-        mean_std, max_std = run_length_stats(k_std)
-        mean_str, max_str = run_length_stats(k_str)
-        assert max_std == 20          # the full repeat count
-        assert max_str == 1           # strictly increasing rounds
-
-    def test_reuse_distance_tiled_smallest(self):
-        base = repeated_keys()
-        k_str = base.copy()
-        strided_sort(k_str)
-        k_tiled = base.copy()
-        tiled_strided_sort(k_tiled, tile_size=32)
-        assert median_reuse_distance(k_tiled) < \
-            median_reuse_distance(k_str)
-
-    def test_reuse_distance_unique_inf(self):
-        assert median_reuse_distance(np.arange(100)) == float("inf")
-
-    def test_analyze_bundle(self):
-        m = analyze_order(repeated_keys())
-        assert isinstance(m, OrderMetrics)
-        assert 0 < m.coalescing <= 1
-        assert "coalescing" in m.summary()
-
-    def test_empty_keys(self):
-        assert coalescing_score(np.zeros(0, dtype=np.int64)) == 1.0
-        assert run_length_stats(np.zeros(0)) == (0.0, 0)
 
 
 class TestHierarchy:

@@ -322,7 +322,11 @@ class TestSharedEnergyTotal:
     check compute one energy total per step between them; a repair or
     a rollback restore inside the step drops it."""
 
-    def test_computed_once_per_step(self, tmp_path, monkeypatch):
+    def _measurements(self, tmp_path, monkeypatch, numpy_lane: bool):
+        """The energy measurements of a three-step run that the detail
+        gauge, a recorder and a drift check all read every step, then
+        of two calls outside a step: ``"native"`` for a native step's
+        energy pass, ``"numpy"`` for a ``field_energy`` call."""
         from repro.observability.flight import FlightRecorder
         from repro.observability.metrics import set_detail
         from repro.vpic.fields import FieldArrays
@@ -330,8 +334,18 @@ class TestSharedEnergyTotal:
         calls = []
         energy = FieldArrays.field_energy
         monkeypatch.setattr(FieldArrays, "field_energy",
-                            lambda f: calls.append(1) or energy(f))
+                            lambda f: calls.append("numpy") or energy(f))
+        step_simulation = native.step_simulation
+
+        def counted(sim, *args, energy=False, **kwargs):
+            if energy:
+                calls.append("native")
+            return step_simulation(sim, *args, energy=energy, **kwargs)
+
+        monkeypatch.setattr(native, "step_simulation", counted)
         sim = small_sim()
+        if numpy_lane:
+            sim.step_plan = replace(sim.step_plan, native=False)
         SimulationGuard(checks=[EnergyDriftCheck(cadence=1)],
                         checkpoint_interval=0).attach(sim)
         recorder = FlightRecorder(str(tmp_path / "run"), stride=1,
@@ -343,9 +357,57 @@ class TestSharedEnergyTotal:
         finally:
             set_detail(False)
             recorder.close()
-        assert len(calls) == 3
         assert sim.energy_totals() == sim.energy_totals()
-        assert len(calls) == 5          # outside a step: always afresh
+        return calls
+
+    def test_computed_once_per_step(self, tmp_path, monkeypatch):
+        """One measurement per step — the native step's energy pass on
+        the whole-step lane — and fresh numpy values outside the
+        window."""
+        calls = self._measurements(tmp_path, monkeypatch, False)
+        measured = "native" if native.native_available() else "numpy"
+        assert calls == [measured] * 3 + ["numpy"] * 2
+
+    def test_computed_once_per_step_off_the_native_step(self, tmp_path,
+                                                        monkeypatch):
+        calls = self._measurements(tmp_path, monkeypatch, True)
+        assert calls == ["numpy"] * 5
+
+    def test_native_step_measures_only_what_is_read(self, tmp_path,
+                                                    monkeypatch):
+        """Detail mode off: the native step measures the energy on the
+        steps a tool reads it — the recorder's every third sample, the
+        drift check's every fifth step — and numpy never runs."""
+        from repro.observability.flight import FlightRecorder
+        from repro.vpic.fields import FieldArrays
+
+        if not native.native_available():
+            pytest.skip("no compiled kernel")
+        numpy_calls = []
+        energy = FieldArrays.field_energy
+        monkeypatch.setattr(FieldArrays, "field_energy",
+                            lambda f: numpy_calls.append(1) or energy(f))
+        measured = []
+        step_simulation = native.step_simulation
+
+        def counted(sim, *args, energy=False, **kwargs):
+            if energy:
+                measured.append(sim.step_count + 1)
+            return step_simulation(sim, *args, energy=energy, **kwargs)
+
+        monkeypatch.setattr(native, "step_simulation", counted)
+        sim = small_sim()
+        SimulationGuard(checks=[EnergyDriftCheck(cadence=5)],
+                        checkpoint_interval=0).attach(sim)
+        recorder = FlightRecorder(str(tmp_path / "run"), stride=1,
+                                  energy_every=3)
+        recorder.attach(sim)
+        try:
+            sim.run(15)
+        finally:
+            recorder.close()
+        assert measured == [1, 4, 5, 7, 10, 13, 15]
+        assert numpy_calls == []
 
     def test_repair_drops_the_total(self):
         sim = small_sim()
@@ -372,6 +434,26 @@ class TestSharedEnergyTotal:
         sim.step()                      # drift check fails: back to step 2
         assert guard.report.rollbacks == 1 and sim.step_count == 2
         assert seen == [sim.energy_totals()]
+
+    def test_rollback_rerun_records_each_step_once(self):
+        """run() records the step a rollback rewound to again; that row
+        replaces the old one instead of following it."""
+        from repro.vpic.diagnostics import EnergyDiagnostic
+
+        sim = small_sim()
+        guard = SimulationGuard(checks=[EnergyDriftCheck(cadence=1,
+                                                         max_drift=0.5)],
+                                policy="repair", checkpoint_interval=2)
+        guard.attach(sim)
+        diag = EnergyDiagnostic()
+        sim.run(2, diag)
+        at_two = diag.samples[-1]
+        for attr in ("ux", "uy", "uz"):
+            sim.species[0].live(attr)[:] *= 3.0
+        sim.run(2, diag)                # step 3 rolls back to step 2
+        assert guard.report.rollbacks == 1
+        assert [s.step for s in diag.samples] == [0, 1, 2, 3, 4]
+        assert diag.samples[2] == at_two
 
 
 class TestRankGuard:
