@@ -13,6 +13,11 @@ does: every deck on the whole-step native lane then takes the step
 that sorts in C, counts the sort's disorder and measures its energy
 for the tools, the path a sanitizer sweep should cover.
 
+A deck with a moving window runs at least until the window has shifted
+twice (its ``start + 2 * interval``), however few ``--steps`` ask for:
+the wakefield window waits out the laser launch, and a sweep that stops
+before it never runs the shift.
+
     PYTHONPATH=src python scripts/guard_sweep.py [--detail]
 """
 
@@ -25,6 +30,15 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+
+
+def window_steps(sim) -> int:
+    """Steps that take *sim*'s moving windows through two shifts; 0
+    without one."""
+    from repro.vpic.window import MovingWindow
+
+    return max((src.start + 2 * src.interval for src in sim.sources
+                if isinstance(src, MovingWindow)), default=0)
 
 
 def sweep_decks(steps: int, seed: int) -> bool:
@@ -40,7 +54,7 @@ def sweep_decks(steps: int, seed: int) -> bool:
         guard.attach(sim)
         t0 = time.perf_counter()
         try:
-            sim.run(steps)
+            sim.run(max(steps, window_steps(sim)))
             status = "clean"
         except GuardViolationError as exc:
             status = "VIOLATION"

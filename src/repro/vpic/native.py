@@ -27,8 +27,11 @@ module provides that lane for the hot loop at two scopes:
   absorbing x boundary, Esirkepov deposition) calls the same Yee
   cores phase by phase from ``FieldSolver``'s own methods — plus the
   y/z-only ghost sync and the first-order Mur update an absorbing x
-  boundary needs — and the same counting sort from
-  ``SortStep.apply``, so only the sources stay numpy there. Outside
+  boundary needs — the same counting sort from ``SortStep.apply``,
+  and one window phase from ``MovingWindow.shift``
+  (:func:`shift_window`: field shift, Mur history refresh, particle
+  drop and compaction, reload column), so only the laser antenna and
+  the reload column's RNG stay numpy there. Outside
   the step, the three passes the guard and the diagnostics make over
   freshly pushed particles run here too, each from inside its public
   function with numpy as fallback and oracle: the CIC charge deposit
@@ -2144,6 +2147,18 @@ void kinetic_terms(const float *restrict ux, const float *restrict uy,
     }
 }
 
+/* Grid.voxel_of_position of particle i: the ghost-inclusive voxel of
+ * its cell, hx = nx - 1e-9 and so on capping the cell index. */
+static inline __attribute__((always_inline)) int64_t voxel_of(
+    const float *x, const float *y, const float *z, int64_t i,
+    double x0, double y0, double z0, double dx, double dy, double dz,
+    double hx, double hy, double hz, int64_t sy, int64_t sz)
+{
+    return ((grid_cell(((double)x[i] - x0) / dx, hx) + 1) * sy
+            + grid_cell(((double)y[i] - y0) / dy, hy) + 1) * sz
+           + grid_cell(((double)z[i] - z0) / dz, hz) + 1;
+}
+
 /* Grid.voxel_of_position into voxel. */
 void voxel_refresh(const float *restrict x, const float *restrict y,
                    const float *restrict z, int64_t *restrict voxel,
@@ -2155,9 +2170,8 @@ void voxel_refresh(const float *restrict x, const float *restrict y,
     const double hx = (double)nx - 1e-9, hy = (double)ny - 1e-9,
                  hz = (double)nz - 1e-9;
     for (int64_t i = 0; i < n; i++)
-        voxel[i] = ((grid_cell(((double)x[i] - x0) / dx, hx) + 1) * sy
-                    + grid_cell(((double)y[i] - y0) / dy, hy) + 1) * sz
-                   + grid_cell(((double)z[i] - z0) / dz, hz) + 1;
+        voxel[i] = voxel_of(x, y, z, i, x0, y0, z0, dx, dy, dz,
+                            hx, hy, hz, sy, sz);
 }
 
 /* ---- the push-scope step ------------------------------------------ */
@@ -2171,6 +2185,168 @@ void push_deck(NDeck *dk)
     push_phase(dk, teamed, 0);
     if (teamed)
         team_release();
+}
+
+/* ---- the moving window -------------------------------------------- */
+
+/* MovingWindow.shift's one-cell slide of the box in +x, on the packed
+ * deck, leaving the bytes of the numpy shift (its fallback and oracle):
+ *
+ * 1. each of the nine ghost-inclusive field arrays moves one x plane
+ *    down (arr[:-1] = arr[1:]) and its last two planes are zeroed;
+ * 2. a Mur history block (absorbing x; NULL otherwise) re-reads its
+ *    eight planes as MurBoundary.refresh_history does: for ey, ez, by
+ *    and bz, the low boundary plane (x index 1), then the high (nx);
+ * 3. per species, x -= dx over the live particles in float32, then the
+ *    particles with x < x0 are dropped and the rest compacted stably
+ *    over all nine arrays, as Species.remove's boolean mask does: NaN
+ *    is not < x0 and stays, and the slots past the new count keep what
+ *    they held, the subtracted x included;
+ * 4. the species' reload column, when it fits its capacity, is
+ *    appended as MovingWindow._load_column does from the same random
+ *    draws, staged by the caller: per particle j of the ny * nz * ppc,
+ *    in cell c = j / ppc of the face (iy = c / nz, iz = c % nz),
+ *    x = x0 + ((nx - 1) + u0) * dx, y = y0 + (iy + u1) * dy and
+ *    z = z0 + (iz + u2) * dz in float64, each cast to float32; momenta
+ *    the float32 casts of the three normal rows of a warm column, else
+ *    zero; the weight; tag -1 and voxel_refresh's voxels. A column
+ *    that does not fit is left to the caller, which grows the arrays
+ *    as Species.append does;
+ * 5. every species' n is written back.
+ *
+ * The compaction lists the runs of survivors after the first dropped
+ * particle in dk->perm (the sort's scratch, one slot per particle; a
+ * run takes two and follows a drop), then moves them array by array,
+ * one memmove per run: this is the phase's memory traffic, since the
+ * trailing column sits at the head of sorted arrays and every survivor
+ * moves. The phase sits in .text.window, after .text.tools. */
+
+typedef struct {
+    const double *draws; /* (3 or 6, n) uniforms, normals; NULL: none */
+    int64_t n, ppc;      /* particles in the column, per cell */
+    int64_t warm;        /* momenta from the normal rows, else zero */
+    double weight;
+    int64_t capacity;    /* length of the species' arrays */
+    int64_t loaded;      /* out: the column was appended */
+} NColumn;
+
+/* Move the listed runs of one array of elements of size bytes down to
+ * k on. */
+static inline __attribute__((always_inline)) void window_move(
+    char *a, const size_t size, const int64_t *runs, int64_t n_runs,
+    int64_t k)
+{
+    for (int64_t r = 0; r < n_runs; r++) {
+        const int64_t i = runs[2 * r], end = runs[2 * r + 1];
+        memmove(a + k * size, a + i * size, (size_t)(end - i) * size);
+        k += end - i;
+    }
+}
+
+/* The first index from i on whose x is behind x0, or n: whole blocks
+ * of eight survivors are skipped with one vector compare (GCC does not
+ * vectorize the scalar loop's compare under these flags). */
+static inline __attribute__((always_inline)) int64_t window_next_drop(
+    const float *restrict x, int64_t i, const int64_t n, const float fx0)
+{
+    const v8f lim = (v8f){ 0 } + fx0;
+    for (; i + 8 <= n; i += 8) {
+        v8f v;
+        int64_t q[4];
+        memcpy(&v, x + i, sizeof v);
+        const v8i behind = v < lim;
+        memcpy(q, &behind, sizeof q);
+        if (q[0] | q[1] | q[2] | q[3])
+            break;
+    }
+    while (i < n && !(x[i] < fx0))
+        i++;
+    return i;
+}
+
+/* The window phase, on the calling thread. */
+__attribute__((noinline, section(".text.window")))
+static void window_core(NDeck *dk, NColumn *cols, float *history)
+{
+    const int64_t nx = dk->nx, ps = dk->sy * dk->sz;
+    const size_t plane = (size_t)ps * sizeof(float);
+    float *fields[9] = { dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
+                         dk->jx, dk->jy, dk->jz };
+    for (int f = 0; f < 9; f++) {
+        memmove(fields[f], fields[f] + ps, (size_t)(nx + 1) * plane);
+        memset(fields[f] + nx * ps, 0, 2 * plane);
+    }
+    if (history) {
+        const float *mur[4] = { dk->ey, dk->ez, dk->by, dk->bz };
+        for (int c = 0; c < 4; c++) {
+            memcpy(history + (2 * c) * ps, mur[c] + ps, plane);
+            memcpy(history + (2 * c + 1) * ps, mur[c] + nx * ps, plane);
+        }
+    }
+    const float fdx = dk->fdx, fx0 = dk->fx0;
+    for (int64_t s = 0; s < dk->n_species; s++) {
+        NSpecies *sp = &dk->species[s];
+        NColumn *col = &cols[s];
+        float *x = sp->x;
+        const int64_t n = sp->n;
+        for (int64_t i = 0; i < n; i++)
+            x[i] -= fdx;
+        const int64_t first = window_next_drop(x, 0, n, fx0);
+        int64_t *runs = dk->perm, n_runs = 0, k = first;
+        for (int64_t i = first + 1; i < n;) {
+            if (x[i] < fx0) {
+                i++;
+                continue;
+            }
+            const int64_t start = i;
+            i = window_next_drop(x, i, n, fx0);
+            runs[2 * n_runs] = start;
+            runs[2 * n_runs + 1] = i;
+            n_runs++;
+            k += i - start;
+        }
+        char *arrays[9] = { (char *)x, (char *)sp->y, (char *)sp->z,
+                            (char *)sp->ux, (char *)sp->uy, (char *)sp->uz,
+                            (char *)sp->w, (char *)sp->voxel,
+                            (char *)sp->tag };
+        for (int a = 0; a < 9; a++)
+            window_move(arrays[a], a < 7 ? sizeof(float) : sizeof(int64_t),
+                        runs, n_runs, first);
+        const int64_t m = col->n;
+        col->loaded = col->draws != NULL && k + m <= col->capacity;
+        if (col->loaded) {
+            const double *u = col->draws;
+            const double xa = (double)(nx - 1);
+            const float w = (float)col->weight;
+            for (int64_t j = 0; j < m; j++) {
+                const int64_t c = j / col->ppc, i = k + j;
+                x[i] = (float)(dk->x0 + (xa + u[j]) * dk->dx);
+                sp->y[i] = (float)(dk->y0 + ((double)(c / dk->nz)
+                                             + u[m + j]) * dk->dy);
+                sp->z[i] = (float)(dk->z0 + ((double)(c % dk->nz)
+                                             + u[2 * m + j]) * dk->dz);
+                sp->ux[i] = col->warm ? (float)u[3 * m + j] : 0.0f;
+                sp->uy[i] = col->warm ? (float)u[4 * m + j] : 0.0f;
+                sp->uz[i] = col->warm ? (float)u[5 * m + j] : 0.0f;
+                sp->w[i] = w;
+                sp->voxel[i] = voxel_of(x, sp->y, sp->z, i, dk->x0, dk->y0,
+                                        dk->z0, dk->dx, dk->dy, dk->dz,
+                                        dk->hx, dk->hy, dk->hz, dk->sy,
+                                        dk->sz);
+                sp->tag[i] = -1;
+            }
+            k += m;
+        }
+        sp->n = k;
+    }
+}
+
+/* The window phase alone, for the step that stays in Python
+ * (MovingWindow.shift): cols holds one entry per species. */
+__attribute__((section(".text.window")))
+void window_deck(NDeck *dk, NColumn *cols, float *history)
+{
+    window_core(dk, cols, history);
 }
 
 /* ---- the Esirkepov push ------------------------------------------- */
@@ -2311,6 +2487,12 @@ class _CDeck(ctypes.Structure):
                 ("t_energy", _f64)]
 
 
+class _CColumn(ctypes.Structure):
+    _fields_ = [("draws", _pd), ("n", _i64), ("ppc", _i64),
+                ("warm", _i64), ("weight", _f64), ("capacity", _i64),
+                ("loaded", _i64)]
+
+
 #: Address-keyed cache of float32 pointers. The ctypes pointer value
 #: is a pure function of the data address, so a cached entry is
 #: byte-identical to a fresh cast even if the original array was freed
@@ -2372,6 +2554,9 @@ class _NativeLib:
         lib.voxel_refresh.restype = None
         lib.push_deck.argtypes = [ctypes.POINTER(_CDeck)]
         lib.push_deck.restype = None
+        lib.window_deck.argtypes = [ctypes.POINTER(_CDeck),
+                                    ctypes.POINTER(_CColumn), _pf]
+        lib.window_deck.restype = None
         self._lib = lib
         self.path = lib_path
         self.key = key
@@ -2562,6 +2747,9 @@ class _NativeLib:
 
     def push_deck(self, decks) -> None:
         self._lib.push_deck(decks)
+
+    def window_deck(self, decks, cols, history) -> None:
+        self._lib.window_deck(decks, cols, history)
 
     # -- guard and diagnostics scope ---------------------------------
     #
@@ -3193,6 +3381,47 @@ def push_simulation(sim) -> "dict | None":
     with record_kernel("native_push"):
         lib.push_deck(decks)
     return _deck_stats(decks[0], sim._native_pack[1], sim)
+
+
+def shift_window(sim, lib, loads) -> list:
+    """Slide *sim*'s box one cell in +x in one native call on its
+    cached pack — ``MovingWindow.shift``'s field shift, Mur history
+    refresh, particle drop and compaction, and reload — with the bytes
+    of the numpy shift. *lib* is the kernel ``sim._step_kernels()``
+    returned; *loads* holds per species ``None`` or its reload
+    ``(SpeciesConfig, draws)``, the column's random draws from
+    ``MovingWindow._draws``. Returns the indices of the species whose
+    column was not loaded: none was asked for, or it would have
+    overflowed the species' capacity (the caller then loads it with
+    ``MovingWindow._load_column``, whose ``Species.append`` grows the
+    arrays as the numpy shift does)."""
+    decks = _pack_cached(sim, 0)
+    spp = sim._native_pack[1][-1]
+    cols = (_CColumn * max(len(sim.species), 1))()
+    for col, sp, load in zip(cols, sim.species, loads):
+        col.capacity = sp.capacity
+        if load is not None:
+            cfg, draws = load
+            n = sim.grid.ny * sim.grid.nz * cfg.ppc
+            if (draws.dtype != np.float64 or not draws.flags.c_contiguous
+                    or draws.shape not in ((3, n), (6, n))):
+                raise ValueError(
+                    f"reload draws must be C-contiguous float64 (3 or 6, "
+                    f"{n}), got {draws.dtype} {draws.shape}")
+            col.draws = draws.ctypes.data_as(_pd)
+            col.n = n
+            col.ppc = cfg.ppc
+            col.warm = draws.shape[0] == 6
+            col.weight = cfg.weight
+    mur = getattr(sim.solver, "mur", None)
+    lib.window_deck(decks, cols,
+                    None if mur is None else _fptr(mur._history))
+    unloaded = []
+    for i, sp in enumerate(sim.species):
+        sp.n = spp[i].n
+        if not cols[i].loaded:
+            unloaded.append(i)
+    return unloaded
 
 
 def step_batch(sims, num_steps: int) -> "list[dict] | None":

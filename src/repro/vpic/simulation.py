@@ -82,7 +82,9 @@ class Simulation:
     #: whole-step native lane (the C step owns the field solve and
     #: has no injection point); the push-scope lane takes the step —
     #: one native push per step on the step team — and the field solve
-    #: and sort around it stay on native kernels.
+    #: and sort around it stay on native kernels, as does a window's
+    #: shift (one C call on the same packed deck). The antenna and the
+    #: reload column's RNG are what stays numpy.
     sources: list = field(default_factory=list)
 
     # -- construction -----------------------------------------------------------

@@ -88,33 +88,14 @@ class Species:
         self.n += k
         self.update_voxels(s)
 
-    #: Live particles per removed run below which :meth:`remove` takes
-    #: the boolean mask: a run costs nine slice copies, the mask a pass
-    #: per live particle, and the two cost the same near one run per
-    #: 600-1000 live particles (measured from 4k to 655k particles).
-    _PARTICLES_PER_RUN = 768
-
     def remove(self, indices: np.ndarray) -> None:
-        """Delete particles at *indices* by stable compaction: the
-        survivors keep their relative order. That order is
-        load-bearing — the deposit accumulates in particle order, so
-        a backfill from the tail would change J in the last bits.
-
-        Few runs of consecutive indices (the moving window's trailing
-        column) move each stretch of survivors down in order by slice
-        copies; scattered indices (rank migration) compact through a
-        boolean mask. Both leave the same bytes, dead tail included."""
+        """Delete particles at integer *indices* by stable compaction
+        through a boolean mask: the survivors keep their relative
+        order. That order is load-bearing — the deposit accumulates
+        in particle order, so a backfill from the tail would change J
+        in the last bits. Slots past the new count keep what they
+        held."""
         n = self.n
-        gone = np.asarray(indices)
-        if gone.dtype.kind in "iu" and gone.ndim == 1 and gone.size:
-            if gone.size > 1 and not (gone[1:] > gone[:-1]).all():
-                gone = np.unique(gone)
-            cut = np.flatnonzero(gone[1:] != gone[:-1] + 1)
-            runs = cut.size + 1
-            if (0 <= gone[0] and gone[-1] < n
-                    and runs * self._PARTICLES_PER_RUN <= n):
-                self._remove_runs(gone, cut)
-                return
         keep = np.ones(n, dtype=bool)
         keep[indices] = False
         k = int(keep.sum())
@@ -122,20 +103,6 @@ class Species:
             arr = getattr(self, name)
             arr[:k] = arr[:n][keep]
         self.n = k
-
-    def _remove_runs(self, gone: np.ndarray, cut: np.ndarray) -> None:
-        """:meth:`remove` for sorted unique in-range *gone*, whose runs
-        of consecutive indices end where *cut* says."""
-        n = self.n
-        starts = gone[np.r_[0, cut + 1]].tolist()
-        ends = (gone[np.r_[cut, gone.size - 1]] + 1).tolist()
-        arrays = [getattr(self, name) for name in self._ARRAYS]
-        dst = starts[0]
-        for a, b in zip(ends, starts[1:] + [n]):    # survivors [a, b)
-            for arr in arrays:
-                arr[dst:dst + b - a] = arr[a:b]
-            dst += b - a
-        self.n = n - gone.size
 
     # -- views over live particles -------------------------------------------------
 

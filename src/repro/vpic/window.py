@@ -15,6 +15,14 @@ functions of the step index, preserving the checkpoint determinism
 contract: a restored run replays the same shifts with the same fresh
 particles.
 
+A shift draws the reload columns' random numbers in numpy, then, when
+the step's field solve and sort run on the native kernels, slides the
+box and loads the columns in one C call on the packed deck
+(:func:`repro.vpic.native.shift_window`; PIConGPU likewise runs its
+window as a kernel beside the push). The numpy shift is the fallback
+without a compiler and the oracle: both leave the same bytes, the dead
+tail of every particle array included.
+
 The window is a physical approximation, not an invariant-preserving
 transform — it deliberately discards trailing fields/particles and
 injects new ones, so the energy-drift guard check does not apply to
@@ -107,7 +115,38 @@ class MovingWindow:
 
     def shift(self, sim, step: int) -> None:
         """One-cell +x slide: fields left, drop trailing particles,
-        load a fresh leading-edge plasma column."""
+        load a fresh leading-edge plasma column.
+
+        The reload columns' random draws come first (a pure function
+        of ``(seed, step, species)``). With the step's native kernels
+        on (``sim._step_kernels()``) the rest is one C call on the
+        packed deck (:func:`~repro.vpic.native.shift_window`), which
+        also turns the draws into the column; otherwise the numpy
+        code below runs, which is the fallback and the oracle: both
+        leave the same bytes. A column the C call could not fit in its
+        species' capacity is loaded here, by :meth:`_load_column`, as
+        the numpy shift loads every column."""
+        reload_by_name = {cfg.name: cfg for cfg in self.reload}
+        loads = [None] * len(sim.species)
+        for i, sp in enumerate(sim.species):
+            cfg = reload_by_name.get(sp.name)
+            if cfg is not None:
+                loads[i] = (cfg, self._draws(cfg, sim.grid, step, i))
+        kernels = sim._step_kernels()
+        if kernels is not None:
+            from repro.vpic import native
+            unloaded = native.shift_window(sim, kernels, loads)
+        else:
+            self._shift_numpy(sim)
+            unloaded = range(len(sim.species))
+        for i in unloaded:
+            if loads[i] is not None:
+                self._load_column(sim.species[i], *loads[i], sim.grid)
+        for sp in sim.species:
+            sp.mark_voxels_stale()
+        self.shifts_applied += 1
+
+    def _shift_numpy(self, sim) -> None:
         g = sim.grid
         for name in _FIELDS:
             arr = getattr(sim.fields, name).data
@@ -130,24 +169,35 @@ class MovingWindow:
             mur.refresh_history()
         dx = np.float32(g.dx)
         x_lo = np.float32(g.x0)
-        reload_by_name = {cfg.name: cfg for cfg in self.reload}
-        for i, sp in enumerate(sim.species):
+        for sp in sim.species:
             if sp.n:
                 x = sp.live("x")
                 x -= dx
                 gone = np.nonzero(x < x_lo)[0]
                 if gone.size:
                     sp.remove(gone)
-            cfg = reload_by_name.get(sp.name)
-            if cfg is not None:
-                self._load_column(sp, cfg, g, step, i)
-            sp.mark_voxels_stale()
-        self.shifts_applied += 1
 
-    def _load_column(self, sp, cfg: SpeciesConfig, g, step: int,
-                     species_index: int) -> None:
-        """Fresh stratified plasma in the leading-edge cell column."""
+    def _draws(self, cfg: SpeciesConfig, g, step: int,
+               species_index: int) -> np.ndarray:
+        """The random draws of one species' reload column, float64
+        rows of ``ny * nz * ppc``: three uniforms (x, y, z within the
+        cell), then, for a warm or drifting plasma, three normals
+        (ux, uy, uz) — ``maxwellian_momenta``'s draws before its cast."""
         rng = np.random.default_rng((self.seed, step, species_index))
+        n = g.ny * g.nz * cfg.ppc
+        warm = cfg.uth > 0 or any(cfg.drift)
+        draws = np.empty((6 if warm else 3, n))
+        for row in draws[:3]:
+            rng.random(out=row)
+        if warm:
+            for a in range(3):
+                draws[3 + a] = rng.normal(cfg.drift[a], cfg.uth, n)
+        return draws
+
+    def _load_column(self, sp, cfg: SpeciesConfig, draws: np.ndarray,
+                     g) -> None:
+        """Fresh stratified plasma in the leading-edge cell column,
+        from :meth:`_draws`: the numpy twin of the C window's reload."""
         key = (g.ny, g.nz, cfg.ppc)
         cells = self._column_cells.get(key)
         if cells is None:
@@ -158,12 +208,11 @@ class MovingWindow:
                 np.repeat(iz.ravel(), cfg.ppc).astype(np.float64))
         cy, cz = cells
         n = cy.size
-        x = g.x0 + (g.nx - 1 + rng.random(n)) * g.dx
-        y = g.y0 + (cy + rng.random(n)) * g.dy
-        z = g.z0 + (cz + rng.random(n)) * g.dz
-        from repro.vpic.particles import maxwellian_momenta
-        if cfg.uth > 0 or any(cfg.drift):
-            ux, uy, uz = maxwellian_momenta(n, cfg.uth, cfg.drift, rng)
+        x = g.x0 + (g.nx - 1 + draws[0]) * g.dx
+        y = g.y0 + (cy + draws[1]) * g.dy
+        z = g.z0 + (cz + draws[2]) * g.dz
+        if draws.shape[0] == 6:
+            ux, uy, uz = draws[3:].astype(np.float32)
         else:
             ux = uy = uz = np.zeros(n, dtype=np.float32)
         sp.append(x.astype(np.float32), y.astype(np.float32),

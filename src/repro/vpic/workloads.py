@@ -378,7 +378,9 @@ def laser_wakefield_deck(nx: int = 96, ny: int = 8, nz: int = 8,
     (:mod:`repro.vpic.absorbing`), and the moving window
     (:mod:`repro.vpic.window`) — and therefore runs on the
     push-scope lanes (per-step sources demote the whole-step native
-    lane by design).
+    lane by design). There the push, the field solve, the Mur update,
+    the sort and the window's shift are native calls; the antenna and
+    the reload column's RNG stay numpy.
     """
     if omega <= 1.0:
         raise ValueError(

@@ -1,60 +1,8 @@
-"""Tests for the CLI and hierarchical helpers."""
+"""Tests for the command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.kokkos.hierarchy import (parallel_for_team, team_reduce,
-                                    team_thread_range,
-                                    thread_vector_range)
-from repro.kokkos.policy import TeamMember, TeamPolicy
-from repro.kokkos.execution import Serial
-
-
-class TestHierarchy:
-    def test_team_thread_range_partitions(self):
-        policy = TeamPolicy(4, 2, space=Serial())
-        members = list(policy.members())
-        chunks = [team_thread_range(m, 10, 110) for m in members]
-        total = np.concatenate(chunks)
-        assert np.array_equal(total, np.arange(10, 110))
-
-    def test_team_thread_range_validates(self):
-        m = TeamMember(0, 1, 1, np.arange(1))
-        with pytest.raises(ValueError):
-            team_thread_range(m, 5, 3)
-
-    def test_thread_vector_range_batches(self):
-        batches = thread_vector_range(np.arange(10), 4)
-        assert len(batches) == 3
-        assert np.array_equal(np.concatenate(batches), np.arange(10))
-
-    def test_thread_vector_range_empty(self):
-        assert thread_vector_range(np.zeros(0, dtype=np.int64), 4) == []
-
-    def test_thread_vector_range_bad_width(self):
-        with pytest.raises(ValueError):
-            thread_vector_range(np.arange(4), 0)
-
-    def test_team_reduce_accumulates(self):
-        m = TeamMember(0, 1, 4, np.arange(4))
-        assert team_reduce(m, 3.0) == 3.0
-        assert team_reduce(m, 2.0) == 5.0
-        assert team_reduce(m, 7.0, op="max") == 7.0
-        with pytest.raises(ValueError):
-            team_reduce(m, 1.0, op="xor")
-
-    def test_parallel_for_team_covers_work(self):
-        policy = TeamPolicy(3, 2, space=Serial())
-        seen = []
-        parallel_for_team(policy, 11,
-                          lambda m, idx: seen.append(idx))
-        assert np.array_equal(np.concatenate(seen), np.arange(11))
-
-    def test_parallel_for_team_negative_work(self):
-        policy = TeamPolicy(2, 2, space=Serial())
-        with pytest.raises(ValueError):
-            parallel_for_team(policy, -1, lambda m, i: None)
 
 
 class TestCli:

@@ -14,7 +14,9 @@ Two kinds of check:
   to any float in any array after 25 steps fails them. They pin numpy's
   seeded generator and libm's sin/cos as well as the kernel, so a
   mismatch on a different numpy/libc is a reason to re-record from the
-  parent commit, not a kernel defect by itself;
+  parent commit, not a kernel defect by itself. The wakefield digest
+  (600 push-scope steps, 273 moving-window shifts) was recorded at
+  13d8fa6, before the window moved to C;
 - adversarial run shapes through ``fused_push_species`` against the
   numpy lane (particles equal, CIC J within 1 ulp — the lanes'
   standing relation), and the portable build against the host-tuned
@@ -78,6 +80,10 @@ GOLDEN = {
         "fed61950ebd14e0cb282468e493510a0e200c966c9a669005bfcf1c8a7cc8753",
     "laser-plasma":
         "b81a3a371a462bf6e17e729219e852fbc47903a81806ab8936051e90fa378520",
+    # _run_wakefield (seed 3, WAKE_STEPS steps, 273 window shifts),
+    # recorded at 13d8fa6, where the window was numpy
+    "wakefield":
+        "fa3f0d2addfec28e24c354162bfc0521589e30bc0832a6bca412f28866ab7930",
 }
 
 
@@ -111,6 +117,14 @@ def test_golden_digest_from_parent_commit(deck, path):
     sim = _run(deck, path)
     assert sim.sort_step.sorts_performed > 0, "no sorted runs exercised"
     assert _digest(sim) == GOLDEN[deck]
+
+
+def test_wakefield_golden_digest_from_parent_commit():
+    """The push-scope lane with its window shifting in C ends on the
+    digest the numpy window left."""
+    sim = _run_wakefield()
+    assert sim.sources[1].shifts_applied == 273
+    assert _digest(sim) == GOLDEN["wakefield"]
 
 
 def test_portable_build_same_bytes_as_host_tuned():
@@ -339,7 +353,7 @@ def test_concurrent_push_scope_threads_keep_their_bytes():
     """Two Python threads on the push-scope lane at once: whichever
     pushes while the other holds the team pushes on its own thread.
     Both sims end on their sequential digests."""
-    want = {"wakefield": _digest(_run_wakefield()),
+    want = {"wakefield": GOLDEN["wakefield"],
             "laser-plasma": GOLDEN["laser-plasma"]}
     digests = _digests_in_threads(
         {"wakefield": _run_wakefield,

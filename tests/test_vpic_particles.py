@@ -106,20 +106,25 @@ class TestSpecies:
             assert np.array_equal(electrons.live(attr),
                                   before[attr][keep]), attr
 
-    @pytest.mark.parametrize("per_run", [1, 10**9], ids=["runs", "mask"])
+    @pytest.mark.parametrize("form", ["runs", "mask"])
     @settings(max_examples=60, deadline=None)
     @given(case=_removals())
-    def test_remove_matches_the_mask_compaction(self, per_run, case):
-        """Both ways of removing — slice copies per run of consecutive
-        indices, the boolean mask — leave the bytes the mask
-        compaction leaves, in every array up to its capacity, for
-        unsorted, duplicate, head, tail and scattered indices."""
+    def test_remove_matches_the_mask_compaction(self, form, case):
+        """Removing leaves the bytes the mask compaction leaves, in
+        every array up to its capacity, for head, tail, run and
+        scattered indices — as drawn (unsorted, with duplicates), or
+        sorted and unique as the callers build them from a mask
+        (``np.nonzero(mask)[0]``)."""
         n, indices = case
         sp = _filled(n, seed=len(indices))
-        sp._PARTICLES_PER_RUN = per_run
         want = [getattr(sp, a).copy() for a in Species._ARRAYS]
         k = _mask_remove(want, n, indices)
-        sp.remove(np.array(indices, dtype=np.int64))
+        gone = np.array(indices, dtype=np.int64)
+        if form == "mask":
+            mask = np.zeros(n, dtype=bool)
+            mask[gone] = True
+            gone = np.nonzero(mask)[0]
+        sp.remove(gone)
         assert sp.n == k
         for attr, arr in zip(Species._ARRAYS, want):
             assert np.array_equal(getattr(sp, attr), arr), attr
@@ -127,9 +132,9 @@ class TestSpecies:
     @pytest.mark.parametrize("case", [
         "empty", "all", "first", "head", "tail", "duplicates", "window"])
     def test_remove_edge_cases_match_the_mask(self, case):
-        """The default split on 3000 particles: nothing, everything,
-        head runs, the tail run, duplicates, and a trailing column
-        spread over a few runs (what the moving window drops)."""
+        """3000 particles: nothing, everything, head runs, the tail
+        run, duplicates, and a trailing column spread over a few runs
+        (what the moving window drops)."""
         n = 3000
         indices = {
             "empty": [], "all": list(range(n)), "first": [0],
