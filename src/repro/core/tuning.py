@@ -67,8 +67,9 @@ class StepPlan:
 
     The default is the fast path: bin-reduce (segment reduction)
     deposition, the fused zero-allocation push, the native compiled
-    kernel when a C compiler is available, and concurrent rank
-    stepping in distributed runs. ``StepPlan.reference_plan()`` is the
+    kernel when a C compiler is available. Distributed runs step their
+    ranks concurrently under any non-reference plan.
+    ``StepPlan.reference_plan()`` is the
     original kernel-by-kernel path the equivalence tests compare
     against.
     """
@@ -90,14 +91,13 @@ class StepPlan:
     #: usual spans/metrics/samples, and any demotion is explained by
     #: ``Simulation.native_fallback_reason()`` instead of silent.
     native_scope: str = "step"
-    threaded_ranks: bool = True  # concurrent rank kernels (distributed)
     tile_size: int = STEP_TILE
     reason: str = "default fast path"
 
     @classmethod
     def reference_plan(cls) -> "StepPlan":
         return cls(reference=True, bin_deposit=False, fused=False,
-                   native=False, threaded_ranks=False,
+                   native=False,
                    reason="reference kernels (equivalence baseline)")
 
     def __str__(self) -> str:
@@ -106,8 +106,7 @@ class StepPlan:
         native_part = f"native-{self.native_scope}"
         parts = [p for p, on in (("bin-deposit", self.bin_deposit),
                                  ("fused", self.fused),
-                                 (native_part, self.native),
-                                 ("threaded-ranks", self.threaded_ranks))
+                                 (native_part, self.native))
                  if on]
         return f"fast[{'+'.join(parts)}] tile={self.tile_size} ({self.reason})"
 

@@ -8,14 +8,23 @@ does. It exists to exercise the full distributed pipeline (the tests
 compare conserved quantities against single-rank runs) and to let the
 cost model price *measured* message logs rather than estimates.
 
-The step keeps VPIC's ordering: local field half-advance, push,
-particle migration, ghost-current reduction, field completion, and
-E/B ghost refresh.
+The step is written once, as data: :data:`STEP` lists the rank-local
+kernels in VPIC's order (half-B, push, half-B, full E) and, between
+them, every exchange with the components it carries — E/B ghosts
+before the first half-B, B ghosts before the push, particle
+migration, the ghost-current fold, and B ghosts after the second
+half-B, so the E advance reads current B across brick faces. The
+threads backend walks it directly; the processes backend
+(:mod:`repro.mpi.process_backend`) walks :func:`schedule`'s post/wait
+split of it, serialized or overlapped. A fields-only run is therefore
+byte-identical to the single-domain
+:class:`~repro.vpic.simulation.Simulation` on the interior.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,7 +49,8 @@ from repro.vpic.particles import load_maxwellian, load_uniform
 from repro.vpic.scratch import ScratchArena
 from repro.vpic.species import Species
 
-__all__ = ["DistributedSimulation", "RankState"]
+__all__ = ["DistributedSimulation", "Exchange", "Kernel", "RankState",
+           "STEP", "rank_lane", "schedule"]
 
 #: Upper bound on concurrent rank-stepping threads. Rank counts above
 #: this share threads; determinism is unaffected (ranks touch
@@ -50,6 +60,8 @@ MAX_RANK_THREADS = 8
 _E_NAMES = ("ex", "ey", "ez")
 _B_NAMES = ("bx", "by", "bz")
 _J_NAMES = ("jx", "jy", "jz")
+#: The rank's particle arrays, as a payload and as a kernel operand.
+_PARTICLES = ("particles",)
 
 
 @dataclass
@@ -64,6 +76,154 @@ class RankState:
     #: Per-rank scratch for the fused push lane — ranks step
     #: concurrently, so scratch must never be shared across them.
     arena: ScratchArena = field(default_factory=ScratchArena)
+    #: Pre-marshalled native push per species, set only by the
+    #: processes backend, whose arena-backed species never reallocate.
+    prepared_push: list | None = None
+
+
+# -- the step, written once ------------------------------------------
+
+
+def rank_push(rs: RankState, plan: StepPlan) -> None:
+    """One rank's particle phase; positions are left unwrapped for the
+    migration.
+
+    The pre-marshalled native calls when the rank has them, the fused
+    (optionally native) lane when the plan allows — positions and
+    momenta bit-identical to the reference sequence, currents to 1 ulp
+    (float64 accumulation) — and the reference kernel sequence
+    otherwise. Atomics accounting keeps the prepared calls off, as it
+    keeps the fused lane on numpy, so its hook sees the deposition.
+    """
+    prepared = None if accounting_enabled() else rs.prepared_push
+    fused = not plan.reference and plan.fused
+    for si, sp in enumerate(rs.species):
+        if sp.n == 0:
+            continue
+        with rank_activity(rs.rank, f"push/{sp.name}"):
+            if prepared is not None:
+                prepared[si]()
+            elif fused:
+                fused_push_species(rs.fields, sp, rs.arena, plan,
+                                   wrap=False)
+            else:
+                x, y, z = sp.positions()
+                ux, uy, uz = sp.momenta()
+                ex, ey, ez, bx, by, bz = gather_fields(rs.fields, x, y, z)
+                boris_push(ux, uy, uz, ex, ey, ez, bx, by, bz,
+                           sp.q, sp.m, rs.grid.dt)
+                deposit_current(rs.fields, x, y, z, ux, uy, uz,
+                                sp.live("w"), sp.q)
+                advance_positions(x, y, z, ux, uy, uz, rs.grid.dt)
+
+
+def _clear_currents(rs: RankState, plan: StepPlan) -> None:
+    with rank_activity(rs.rank, "field/clear_j"):
+        rs.fields.clear_currents()
+
+
+def _half_advance_b(rs: RankState, plan: StepPlan) -> None:
+    with rank_activity(rs.rank, "field/advance_b"):
+        rs.solver.advance_b(0.5)
+
+
+def _advance_e(rs: RankState, plan: StepPlan) -> None:
+    with rank_activity(rs.rank, "field/advance_e"):
+        rs.solver.advance_e(1.0)
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """A collective point of the step and what it carries.
+
+    ``ghosts`` fills the carried components' ghost layers from the
+    neighbors' boundary layers; ``fold`` sums the carried currents'
+    ghost spill into the owning neighbor's boundary and zeroes it;
+    ``migrate`` hands particles that left the brick to their new rank.
+    """
+
+    kind: str
+    carries: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """A rank-local phase: ``run(rank_state, plan)`` and every array it
+    reads or writes (what decides which exchanges it may overlap)."""
+
+    run: Callable[[RankState, StepPlan], None]
+    touches: tuple[str, ...]
+
+
+#: One distributed timestep. Both backends and both processes-backend
+#: schedules execute this tuple; the components each exchange carries
+#: are written here and nowhere else.
+STEP = (
+    Exchange("ghosts", _E_NAMES + _B_NAMES),
+    Kernel(_clear_currents, _J_NAMES),
+    Kernel(_half_advance_b, _E_NAMES + _B_NAMES),
+    Exchange("ghosts", _B_NAMES),
+    Kernel(rank_push, _E_NAMES + _B_NAMES + _J_NAMES + _PARTICLES),
+    Exchange("migrate", _PARTICLES),
+    Exchange("fold", _J_NAMES),
+    Kernel(_half_advance_b, _E_NAMES + _B_NAMES),
+    Exchange("ghosts", _B_NAMES),
+    Kernel(_advance_e, _E_NAMES + _B_NAMES + _J_NAMES),
+)
+
+
+def _waits_before(phase, exchange: Exchange) -> bool:
+    """Whether *exchange* must complete before *phase* starts: the
+    phase touches what it carries, or is an exchange on the same
+    channel (ghosts and folds share one, migration has its own)."""
+    touches = (phase.carries if isinstance(phase, Exchange)
+               else phase.touches)
+    same_channel = (isinstance(phase, Exchange)
+                    and (phase.kind == "migrate")
+                    == (exchange.kind == "migrate"))
+    return same_channel or not set(touches).isdisjoint(exchange.carries)
+
+
+def schedule(overlap: bool) -> tuple[tuple[str, int], ...]:
+    """:data:`STEP` as ``(action, index)`` pairs for a rank that posts
+    and waits on its own: ``post``/``wait`` for an exchange, ``run``
+    for a kernel.
+
+    Serialized, every exchange completes before the next phase. With
+    *overlap* an exchange completes only before the first later phase
+    that :func:`_waits_before` it, so the phases in between run while
+    its messages are in flight. Either way every phase sees the same
+    data, so both orders give the same bytes.
+    """
+    actions: list[tuple[str, int]] = []
+    pending: list[int] = []
+    for i, phase in enumerate(STEP):
+        for j in [j for j in pending
+                  if not overlap or _waits_before(phase, STEP[j])]:
+            actions.append(("wait", j))
+            pending.remove(j)
+        if isinstance(phase, Exchange):
+            actions.append(("post", i))
+            pending.append(i)
+        else:
+            actions.append(("run", i))
+    actions += [("wait", j) for j in pending]
+    return tuple(actions)
+
+
+def rank_lane(plan: StepPlan) -> tuple[str, str | None]:
+    """(lane, fallback reason) a rank runs under *plan* in this
+    process."""
+    from repro.vpic.native import native_available, native_status
+    if plan.reference:
+        return "reference", "plan.reference selects the reference kernels"
+    if plan.native:
+        if native_available():
+            return "native-push", None
+        return "numpy-fused", f"native lane unavailable: {native_status()}"
+    if not plan.fused:
+        return "numpy-fused", "fused push ineligible (plan.fused off)"
+    return "numpy-fused", "plan.native disabled"
 
 
 class DistributedSimulation:
@@ -125,7 +285,7 @@ class DistributedSimulation:
         #: rank violation aborts the step deterministically (all
         #: ranks are checked, then the lowest-rank violation raises).
         self.guard = guard
-        #: Step-path selection; ``threaded_ranks`` fans the
+        #: Step-path selection. Any non-reference plan fans the
         #: independent per-rank kernel loops out over a persistent
         #: thread pool (ranks touch disjoint state between the serial
         #: exchange/reduce barriers, so results are bit-identical to
@@ -137,16 +297,31 @@ class DistributedSimulation:
         self.recorder = None
         self._pool: ThreadPoolExecutor | None = None
         #: Exchange schedule selection: threads ranks in one process
-        #: under serialized collective barriers (the bit-identity
-        #: reference); processes forks one worker per rank over a
-        #: shared-memory arena with the overlapped halo schedule.
+        #: under serialized collective barriers; processes forks one
+        #: worker per rank over a shared-memory arena with the
+        #: overlapped (or, without *overlap*, serialized) schedule.
         self.backend = backend
         self.overlap = overlap
         self._pbackend = None
         if backend == "processes":
+            # Sets the rank solvers' kernels itself, once the field
+            # views point into shared memory.
             from repro.mpi.process_backend import ProcessBackend
             self._pbackend = ProcessBackend(self, overlap=overlap,
                                             inject_fault=_inject_fault)
+        else:
+            self._attach_kernels()
+
+    def _attach_kernels(self) -> None:
+        """Point every rank's field solver at the plan's kernels. The
+        native calls cache raw array addresses, so this runs only once
+        the field arrays are final."""
+        kernels = None
+        if not self.plan.reference and self.plan.native:
+            from repro.vpic.native import native_push_kernel
+            kernels = native_push_kernel()
+        for rs in self.ranks:
+            rs.solver.kernels = kernels
 
     def close(self) -> None:
         """Shut down the rank workers / thread pool (idempotent)."""
@@ -192,8 +367,8 @@ class DistributedSimulation:
         for arrays in self._component_arrays(names):
             exchange_ghost_cells(self.world, self.decomp, arrays)
 
-    def _reduce_currents(self) -> None:
-        for arrays in self._component_arrays(_J_NAMES):
+    def _reduce_currents(self, names) -> None:
+        for arrays in self._component_arrays(names):
             reduce_ghost_sums(self.world, self.decomp, arrays)
 
     def _migrate(self) -> int:
@@ -213,23 +388,23 @@ class DistributedSimulation:
     def _threading_ok(self) -> bool:
         """Whether this step may fan ranks out over threads.
 
-        Threading is plan-gated and disabled whenever an *interposing*
-        observability tool or atomic-contention accounting is live:
-        those record into shared per-process state whose event order
-        matters more than overlapping rank loops.
+        Threading is off under the reference plan and whenever an
+        *interposing* observability tool or atomic-contention
+        accounting is live: those record into shared per-process state
+        whose event order matters more than overlapping rank loops.
         Telemetry-compatible tools (``native_telemetry_ok`` — order-
         independent accumulation, per-thread trace lanes) keep the
         threaded fan-out, so a traced run measures the production
         step, not a serialized stand-in.
         """
-        return (self.plan.threaded_ranks
-                and not self.plan.reference
+        return (not self.plan.reference
                 and self.world.size > 1
                 and not interposing_tools()
                 and not accounting_enabled())
 
     def _for_each_rank(self, fn) -> None:
-        """Run *fn(rank_state)* for every rank, threaded when allowed.
+        """Run *fn(rank_state, plan)* for every rank, threaded when
+        allowed.
 
         Ranks touch only their own state between barriers, so the
         threaded fan-out is bit-identical to the serial loop; the
@@ -238,62 +413,13 @@ class DistributedSimulation:
         """
         if not self._threading_ok():
             for rs in self.ranks:
-                fn(rs)
+                fn(rs, self.plan)
             return
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=min(MAX_RANK_THREADS, self.world.size),
                 thread_name_prefix="rank-step")
-        list(self._pool.map(fn, self.ranks))
-
-    def _fused_push_ok(self) -> bool:
-        """Whether ranks may push through the fused lane.
-
-        Positions and momenta are bit-identical to the reference
-        kernel sequence (no wrap is involved — migration handles
-        boundaries); deposited currents agree to 1 ulp (float64
-        accumulation instead of the reference's float32).
-        """
-        return not self.plan.reference and self.plan.fused
-
-    def _rank_push(self, rs: RankState) -> None:
-        """One rank's particle phase.
-
-        The fused (optionally native) lane when the plan allows —
-        positions are left unwrapped for the migration phase — and the
-        reference kernel sequence otherwise.
-        """
-        fused = self._fused_push_ok()
-        for sp in rs.species:
-            if sp.n == 0:
-                continue
-            with rank_activity(rs.rank, f"push/{sp.name}"):
-                if fused:
-                    fused_push_species(rs.fields, sp, rs.arena,
-                                       self.plan, wrap=False)
-                    continue
-                x, y, z = sp.positions()
-                ux, uy, uz = sp.momenta()
-                ex, ey, ez, bx, by, bz = gather_fields(
-                    rs.fields, x, y, z)
-                boris_push(ux, uy, uz, ex, ey, ez, bx, by, bz,
-                           sp.q, sp.m, self.dt)
-                deposit_current(rs.fields, x, y, z, ux, uy, uz,
-                                sp.live("w"), sp.q)
-                advance_positions(x, y, z, ux, uy, uz, self.dt)
-
-    def _threads_lane(self) -> tuple[str, str | None]:
-        """(lane, fallback reason) the threads backend runs per rank."""
-        from repro.vpic.native import native_available, native_status
-        if self.plan.reference:
-            return "reference", "plan.reference selects the reference kernels"
-        if self.plan.native:
-            if native_available():
-                return "native-push", None
-            return "numpy-fused", f"native lane unavailable: {native_status()}"
-        if not self._fused_push_ok():
-            return "numpy-fused", "fused push ineligible (plan.fused off)"
-        return "numpy-fused", "plan.native disabled"
+        list(self._pool.map(lambda rs: fn(rs, self.plan), self.ranks))
 
     def rank_lanes(self) -> list[tuple[str, str | None]]:
         """Per-rank ``(lane, fallback_reason)`` as the ranks actually
@@ -304,7 +430,7 @@ class DistributedSimulation:
         """
         if self._pbackend is not None:
             return list(self._pbackend.rank_lanes)
-        return [self._threads_lane()] * self.n_ranks
+        return [rank_lane(self.plan)] * self.n_ranks
 
     def native_fallback_reason(self) -> str | None:
         """Why this run is not on the whole-step native lane.
@@ -321,28 +447,30 @@ class DistributedSimulation:
                 f"per-rank lane is {per_rank} "
                 f"({self.backend} backend, {self.n_ranks} ranks)")
 
-    def _step_processes(self, k: int) -> None:
-        """Advance *k* steps on the processes backend (one command to
-        the whole worker fleet) and run the parent-side per-step
-        bookkeeping."""
-        t0 = time.perf_counter()
-        self._pbackend.run_steps(k)
-        self.step_count += k
+    def _finish_steps(self, k: int, lane: str, seconds: float) -> None:
+        """The parent-side bookkeeping after *k* collective steps."""
         from repro.observability.metrics import default_registry
-        lanes = self._pbackend.rank_lanes
-        lane = lanes[0][0] if lanes else "numpy-fused"
+        self.step_count += k
         default_registry().counter(f"step_lane/{lane}").inc(k)
         if self.recorder is not None:
-            self.recorder.on_step(self, (time.perf_counter() - t0) / k)
+            self.recorder.on_step(self, seconds / k)
         if self.guard is not None:
             self.guard.check_step(self)
 
-    def step(self) -> None:
-        """One full distributed timestep (VPIC ordering).
+    def _step_processes(self, k: int) -> None:
+        """Advance *k* steps on the processes backend (one command to
+        the whole worker fleet)."""
+        t0 = time.perf_counter()
+        self._pbackend.run_steps(k)
+        lanes = self._pbackend.rank_lanes
+        lane = lanes[0][0] if lanes else "numpy-fused"
+        self._finish_steps(k, lane, time.perf_counter() - t0)
 
-        The independent per-rank kernel loops (field half-advances,
-        pushes, E advance) run through :meth:`_for_each_rank` — a
-        persistent thread pool when the plan allows, serial otherwise;
+    def step(self) -> None:
+        """One full distributed timestep: :data:`STEP` in order.
+
+        The per-rank kernels run through :meth:`_for_each_rank` — a
+        persistent thread pool when allowed, serial otherwise;
         exchanges, migration, and ghost reductions stay serial at the
         barriers so the collective ordering is deterministic either
         way. Each rank's local work runs under a
@@ -353,59 +481,19 @@ class DistributedSimulation:
         if self._pbackend is not None:
             self._step_processes(1)
             return
-
-        # Field advances go through the native Yee kernels when the
-        # plan allows and a compiled lane exists (bit-identical to the
-        # numpy solver; under external_ghosts no sync is involved).
-        # The ctypes calls release the GIL, so threaded ranks overlap
-        # their field updates too.
-        use_native = not self.plan.reference and self.plan.native
-        if use_native:
-            from repro.vpic import native as _native
-        else:
-            _native = None
-
-        def half_b_and_clear(rs: RankState) -> None:
-            with rank_activity(rs.rank, "field/advance_b"):
-                if _native is None or not _native.field_advance_b(
-                        rs.solver, 0.5):
-                    rs.solver.advance_b(0.5)
-                rs.fields.clear_currents()
-
-        def half_b(rs: RankState) -> None:
-            with rank_activity(rs.rank, "field/advance_b"):
-                if _native is None or not _native.field_advance_b(
-                        rs.solver, 0.5):
-                    rs.solver.advance_b(0.5)
-
-        def full_e(rs: RankState) -> None:
-            with rank_activity(rs.rank, "field/advance_e"):
-                if _native is None or not _native.field_advance_e(
-                        rs.solver, 1.0):
-                    rs.solver.advance_e(1.0)
-
         t0 = time.perf_counter()
-        self._exchange_fields(_E_NAMES + _B_NAMES)
-        self._for_each_rank(half_b_and_clear)
-        self._exchange_fields(_B_NAMES)
-        self._for_each_rank(self._rank_push)
-        with rank_activity(None, "migrate", kind="comm"):
-            self._migrate()
-        self._reduce_currents()
-        self._for_each_rank(half_b)
-        self._exchange_fields(_E_NAMES)
-        self._for_each_rank(full_e)
-        self.step_count += 1
-        from repro.observability.metrics import default_registry
-        from repro.vpic.native import native_available
-        lane = ("reference" if self.plan.reference
-                else "native-push" if use_native and native_available()
-                else "numpy-fused")
-        default_registry().counter(f"step_lane/{lane}").inc()
-        if self.recorder is not None:
-            self.recorder.on_step(self, time.perf_counter() - t0)
-        if self.guard is not None:
-            self.guard.check_step(self)
+        for phase in STEP:
+            if isinstance(phase, Kernel):
+                self._for_each_rank(phase.run)
+            elif phase.kind == "ghosts":
+                self._exchange_fields(phase.carries)
+            elif phase.kind == "fold":
+                self._reduce_currents(phase.carries)
+            else:
+                with rank_activity(None, "migrate", kind="comm"):
+                    self._migrate()
+        self._finish_steps(1, rank_lane(self.plan)[0],
+                           time.perf_counter() - t0)
 
     def run(self, num_steps: int) -> None:
         if self.recorder is not None:

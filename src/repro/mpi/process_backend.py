@@ -11,40 +11,40 @@ and neighbor exchange is a memcpy into a preallocated mailbox slab
 published through :class:`~repro.mpi.comm.NeighborChannels` sequence
 counters.
 
-Two step schedules, selected by ``overlap``:
+Both step schedules walk :data:`~repro.mpi.distributed.STEP`, the one
+definition of the step, through
+:func:`~repro.mpi.distributed.schedule`; ``overlap`` selects which:
 
-- **serialized** — the reference shape: each exchange posts its slabs
-  and waits immediately, field updates run over the full interior
-  afterwards. Structurally identical to the threads backend's
-  dataflow, useful as the overlap-efficiency baseline.
-- **overlapped** — sends post early and interior work runs while the
-  slabs are in flight: the first half-B advances the deep interior
-  (:func:`~repro.vpic.fields.interior_split`) during the E/B
-  exchange and completes the boundary shell once ghosts land; the
-  second half-B runs inside the ghost-current reduction window; the
-  full-E advance splits the same way around the E exchange; particle
-  migration is posted right after the push and drained only after
-  the current folds.
+- **serialized** — each exchange posts its slabs and waits
+  immediately: the threads backend's dataflow on this substrate, and
+  the overlap-efficiency baseline.
+- **overlapped** — each exchange waits only before the first phase
+  that touches what it carries, so work that does not runs while its
+  slabs are in flight: the current clear inside the E/B ghost
+  exchange, the second half-B inside the ghost-current fold, and the
+  fold, the half-B, the B ghost exchange and the E advance while the
+  migrants are in flight.
 
 Both schedules are **bit-identical** to each other and to the
 threads backend: ranks own disjoint state between dependency points,
-the Yee updates are elementwise (any partition of the interior
-computes the same values), and every cross-rank fold/append runs in
-the same deterministic order (axis-sequential, face 0 before face 1,
-species in deck order). Synchronization is dataflow (sequence
-counters), never wall-clock, so scheduling jitter cannot reorder
-arithmetic.
+each phase reads the same data in either order, and every cross-rank
+fold/append runs in the same deterministic order (axis-sequential,
+face 0 before face 1, species in deck order). Synchronization is
+dataflow (sequence counters), never wall-clock, so scheduling jitter
+cannot reorder arithmetic.
 
-Mailbox safety: each (rank, face) owns one slab per exchange phase
-per **step parity**. Distinct phase slabs keep a fast rank's later
-phase from overwriting a slab its neighbor still reads this step;
+Mailbox safety: each (rank, face) owns one slab per field exchange
+of the step per **step parity**. Distinct per-exchange slabs keep a
+fast rank's later exchange from overwriting a slab its neighbor still
+reads this step;
 parity double-buffering covers the cross-step case (consuming a
 neighbor's step-``s+1`` post proves, through the chain of that
 neighbor's own waits, that it finished every step-``s-1`` read of
 the same-parity slab). Migration mailboxes are single-buffered: a
 rank posts its step-``s`` leavers only after waiting on all six
 neighbors' step-``s`` field posts, which happen after those
-neighbors drained its step-``s-1`` migrants.
+neighbors drained its step-``s-1`` migrants (a step drains its
+migrants before it ends).
 """
 
 from __future__ import annotations
@@ -55,28 +55,24 @@ import traceback
 
 import numpy as np
 
-from repro.kokkos.atomics import accounting_enabled
 from repro.mpi.comm import ChannelAborted, NeighborChannels
+from repro.mpi.distributed import (STEP, Exchange, rank_lane, rank_push,
+                                   schedule)
 from repro.mpi.halo import _FACE_AXES, _boundary_slice
 from repro.mpi.shm import SharedArena, SharedSpecies
-from repro.vpic.boris import advance_positions, boris_push
-from repro.vpic.deposit import deposit_current
-from repro.vpic.fastpath import fused_push_species
-from repro.vpic.fields import interior_split
-from repro.vpic.interpolate import gather_fields
 
 __all__ = ["ProcessBackend", "RankWorkerError"]
 
-_E_NAMES = ("ex", "ey", "ez")
-_B_NAMES = ("bx", "by", "bz")
-_J_NAMES = ("jx", "jy", "jz")
+_FIELD_NAMES = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz")
 
-#: Exchange phases, in per-step schedule order. Each face's sequence
-#: counter advances once per phase per step, so a reader's absolute
-#: target is ``4*step + phase + 1``.
-_PH_A, _PH_B, _PH_J, _PH_E = range(4)
-_PHASE_NAMES = {_PH_A: _E_NAMES + _B_NAMES, _PH_B: _B_NAMES,
-                _PH_J: _J_NAMES, _PH_E: _E_NAMES}
+#: The step's field exchanges (ghosts and folds) by their index in
+#: :data:`STEP`, numbered in step order: the mailbox slab set and the
+#: sequence-counter offset of each. Each face's counter advances once
+#: per field exchange per step, so a reader's absolute target is
+#: ``len(_FIELD_PHASES)*step + phase + 1``.
+_FIELD_PHASES = {i: n for n, i in enumerate(
+    i for i, ph in enumerate(STEP)
+    if isinstance(ph, Exchange) and ph.kind != "migrate")}
 
 #: Particle attributes packed into migration mailboxes (float32 rows
 #: plus the int64 tag row kept in a separate buffer).
@@ -111,9 +107,8 @@ class _RankStepper:
 
     def __init__(self, rank: int, rs, nbrs, channels: NeighborChannels,
                  mig_channels: NeighborChannels, field_bufs, mig_f32,
-                 mig_i64, mig_count, stats_row, plan, dt, glob, bounds,
-                 overlap: bool, use_native: bool, fused: bool,
-                 inject_fault=None):
+                 mig_i64, mig_count, stats_row, plan, glob, bounds,
+                 overlap: bool, inject_fault=None):
         self.rank = rank
         self.rs = rs
         self.nbrs = nbrs
@@ -125,122 +120,64 @@ class _RankStepper:
         self.mig_count = mig_count        # int64[n_ranks, 6, n_species]
         self.stats = stats_row            # float64[N_STATS]
         self.plan = plan
-        self.dt = dt
         self.glob = glob                  # global box extents
         self.bounds = bounds              # ((x0,x1),(y0,y1),(z0,z1))
-        self.overlap = overlap
-        self.fused = fused
+        self.actions = schedule(overlap)
         self.inject_fault = inject_fault
-        self._native = None
-        self._prep_push = None
-        self._prep_field = None
-        if use_native:
-            from repro.vpic import native as _native
-            self._native = _native
-            lib = _native.native_push_kernel()
-            if lib is not None:
-                # Every pointer in the worker's kernel calls is stable
-                # for the life of the rank (arena-backed storage at
-                # fixed capacity), so the ctypes argument tuples are
-                # marshalled once here, pre-fork.
-                self._prep_field = _native.PreparedFieldAdvance(
-                    lib, rs.solver)
-                if fused and plan.native:
-                    self._prep_push = [
-                        _native.PreparedSpeciesPush(
-                            lib, rs.fields, sp, rs.arena, wrap=False)
-                        for sp in rs.species]
-        g = rs.grid
-        shape = g.shape
+        shape = rs.grid.shape
         self.data = {name: getattr(rs.fields, name).data
-                     for name in _E_NAMES + _B_NAMES + _J_NAMES}
+                     for name in _FIELD_NAMES}
         self.snd = [_boundary_slice(shape, a, h, ghost=False)
                     for a, h in _FACE_AXES]
         self.gst = [_boundary_slice(shape, a, h, ghost=True)
                     for a, h in _FACE_AXES]
-        self.deep, self.shells = interior_split(g.nx, g.ny, g.nz)
-        #: Whether the overlapped schedule splits the A/E field
-        #: advances into deep+shell boxes. The split runs through the
-        #: boxed numpy kernels, so it only pays when the rank is on
-        #: the numpy lane anyway and the deep box carries most of the
-        #: brick; on the native lane a full-box C advance after the
-        #: exchange beats hiding a numpy-boxed one inside it.
-        self.split_fields = not use_native and self.deep is not None
         self.n_species = len(rs.species)
 
-    # -- field exchange ------------------------------------------------------
+    # -- field exchanges (ghosts and folds) ----------------------------------
 
-    def _post_slabs(self, phase: int, axis: int, names, parity: int
-                    ) -> None:
+    def _post_axis(self, i: int, axis: int, step: int) -> None:
+        """Pack and publish exchange ``STEP[i]``'s two *axis* faces: the
+        boundary layers for a ghost refresh, the ghost spill (then
+        zeroed) for a fold."""
+        ex = STEP[i]
+        fold = ex.kind == "fold"
+        src = self.gst if fold else self.snd
+        phase = _FIELD_PHASES[i]
         t0 = time.perf_counter()
         for face in (2 * axis, 2 * axis + 1):
-            buf = self.field_bufs[(self.rank, face, phase, parity)]
-            snd = self.snd[face]
-            for c, name in enumerate(names):
-                buf[c] = self.data[name][snd]
+            buf = self.field_bufs[(self.rank, face, phase, step & 1)]
+            sl = src[face]
+            for c, name in enumerate(ex.carries):
+                buf[c] = self.data[name][sl]
+                if fold:
+                    self.data[name][sl] = 0
             self.ch.publish(self.rank, face)
             self.stats[STAT_MSGS] += 1
             self.stats[STAT_BYTES] += buf.nbytes
         self.stats[STAT_PACK] += time.perf_counter() - t0
 
-    def _wait_slabs(self, phase: int, axis: int, names, parity: int,
-                    target: int) -> None:
+    def _wait_axis(self, i: int, axis: int, step: int) -> None:
+        """Wait for the two *axis* neighbors' slabs of ``STEP[i]`` and
+        land them: into the ghost layers, or added into the boundary
+        layers for a fold."""
+        ex = STEP[i]
+        fold = ex.kind == "fold"
+        dst = self.snd if fold else self.gst
+        phase = _FIELD_PHASES[i]
+        target = len(_FIELD_PHASES) * step + phase + 1
         for face in (2 * axis, 2 * axis + 1):
             nbr = self.nbrs[face]
             opp = face ^ 1
             self.stats[STAT_WAIT] += self.ch.wait(nbr, opp, target)
             t0 = time.perf_counter()
-            buf = self.field_bufs[(nbr, opp, phase, parity)]
-            gst = self.gst[face]
-            for c, name in enumerate(names):
-                self.data[name][gst] = buf[c]
+            buf = self.field_bufs[(nbr, opp, phase, step & 1)]
+            sl = dst[face]
+            for c, name in enumerate(ex.carries):
+                if fold:
+                    self.data[name][sl] += buf[c]
+                else:
+                    self.data[name][sl] = buf[c]
             self.stats[STAT_PACK] += time.perf_counter() - t0
-
-    def _field_exchange(self, phase: int, step: int, during=None) -> None:
-        """Axis-sequential ghost exchange of the phase's components;
-        *during* (the overlap window) runs after the x-axis slabs are
-        posted, while they are in flight."""
-        names = _PHASE_NAMES[phase]
-        parity = step & 1
-        target = 4 * step + phase + 1
-        for axis in (0, 1, 2):
-            self._post_slabs(phase, axis, names, parity)
-            if axis == 0 and during is not None:
-                during()
-            self._wait_slabs(phase, axis, names, parity, target)
-
-    # -- ghost-current reduction ---------------------------------------------
-
-    def _reduce_currents(self, step: int, during=None) -> None:
-        """Fold ghost-layer current spill into the owning neighbor's
-        boundary (axis-sequential so corner spill cascades), with the
-        x-axis in-flight window available for *during*."""
-        parity = step & 1
-        target = 4 * step + _PH_J + 1
-        for axis in (0, 1, 2):
-            t0 = time.perf_counter()
-            for face in (2 * axis, 2 * axis + 1):
-                buf = self.field_bufs[(self.rank, face, _PH_J, parity)]
-                gst = self.gst[face]
-                for c, name in enumerate(_J_NAMES):
-                    buf[c] = self.data[name][gst]
-                    self.data[name][gst] = 0
-                self.ch.publish(self.rank, face)
-                self.stats[STAT_MSGS] += 1
-                self.stats[STAT_BYTES] += buf.nbytes
-            self.stats[STAT_PACK] += time.perf_counter() - t0
-            if axis == 0 and during is not None:
-                during()
-            for face in (2 * axis, 2 * axis + 1):
-                nbr = self.nbrs[face]
-                opp = face ^ 1
-                self.stats[STAT_WAIT] += self.ch.wait(nbr, opp, target)
-                t0 = time.perf_counter()
-                buf = self.field_bufs[(nbr, opp, _PH_J, parity)]
-                snd = self.snd[face]
-                for c, name in enumerate(_J_NAMES):
-                    self.data[name][snd] += buf[c]
-                self.stats[STAT_PACK] += time.perf_counter() - t0
 
     # -- migration -----------------------------------------------------------
 
@@ -304,135 +241,36 @@ class _RankStepper:
         for sp in self.rs.species:
             sp.update_voxels()
 
-    # -- local kernels -------------------------------------------------------
-
-    def _push(self) -> None:
-        t0 = time.perf_counter()
-        prep = self._prep_push if not accounting_enabled() else None
-        for si, sp in enumerate(self.rs.species):
-            if sp.n == 0:
-                continue
-            if prep is not None:
-                prep[si]()
-                continue
-            if self.fused:
-                fused_push_species(self.rs.fields, sp, self.rs.arena,
-                                   self.plan, wrap=False)
-                continue
-            x, y, z = sp.positions()
-            ux, uy, uz = sp.momenta()
-            ex, ey, ez, bx, by, bz = gather_fields(self.rs.fields, x, y, z)
-            boris_push(ux, uy, uz, ex, ey, ez, bx, by, bz,
-                       sp.q, sp.m, self.dt)
-            deposit_current(self.rs.fields, x, y, z, ux, uy, uz,
-                            sp.live("w"), sp.q)
-            advance_positions(x, y, z, ux, uy, uz, self.dt)
-        self.stats[STAT_PUSH] += time.perf_counter() - t0
-
-    def _advance_b_full(self, frac: float) -> None:
-        t0 = time.perf_counter()
-        if self._prep_field is not None and frac == 0.5:
-            self._prep_field.advance_b()
-        elif self._native is None or not self._native.field_advance_b(
-                self.rs.solver, frac):
-            self.rs.solver.advance_b(frac)
-        self.stats[STAT_FIELD] += time.perf_counter() - t0
-
-    def _advance_e_full(self) -> None:
-        t0 = time.perf_counter()
-        if self._prep_field is not None:
-            self._prep_field.advance_e()
-        elif self._native is None or not self._native.field_advance_e(
-                self.rs.solver, 1.0):
-            self.rs.solver.advance_e(1.0)
-        self.stats[STAT_FIELD] += time.perf_counter() - t0
-
-    def _advance_b_boxes(self, boxes, frac: float) -> None:
-        t0 = time.perf_counter()
-        for box in boxes:
-            self.rs.solver.advance_b(frac, box=box)
-        self.stats[STAT_FIELD] += time.perf_counter() - t0
-
-    def _advance_e_boxes(self, boxes) -> None:
-        t0 = time.perf_counter()
-        for box in boxes:
-            self.rs.solver.advance_e(1.0, box=box)
-        self.stats[STAT_FIELD] += time.perf_counter() - t0
-
     # -- the step ------------------------------------------------------------
 
     def step(self, s: int) -> None:
+        """One step: :data:`STEP` in this rank's schedule order. A field
+        exchange's post covers the x faces only; its wait completes the
+        x round and runs the y and z rounds, so corner ghosts cascade
+        axis by axis."""
         if self.inject_fault is not None and \
                 self.inject_fault == (self.rank, s):
             raise RuntimeError(
                 f"injected fault on rank {self.rank} at step {s}")
-        if self.overlap:
-            self._step_overlapped(s)
-        else:
-            self._step_serialized(s)
-
-    def _step_serialized(self, s: int) -> None:
-        """Post-then-wait exchanges, full-interior updates — the
-        threads backend's dataflow on the shared-memory substrate."""
-        self._field_exchange(_PH_A, s)
-        self._advance_b_full(0.5)
-        self.rs.fields.clear_currents()
-        self._field_exchange(_PH_B, s)
-        self._push()
-        self._post_migration(s)
-        self._recv_migration(s)
-        self._reduce_currents(s)
-        self._advance_b_full(0.5)
-        self._field_exchange(_PH_E, s)
-        self._advance_e_full()
-
-    def _step_overlapped(self, s: int) -> None:
-        """Interior work runs while halo slabs are in flight.
-
-        Bit-identical to the serialized schedule: the deep interior
-        box touches no layer the exchange reads or writes, the
-        boundary shell runs only after its ghosts landed, and the
-        reorderings (second half-B inside the J window, migration
-        drained after the folds) swap operations on disjoint arrays.
-        """
-
-        def during_a() -> None:
-            # Deep half-B needs no ghosts (Yee stencil reads +1 along
-            # one axis) and writes no boundary layer the y/z rounds
-            # still have to pack; the current clear is independent.
-            if self.split_fields:
+        for action, i in self.actions:
+            phase = STEP[i]
+            if action == "run":
                 t0 = time.perf_counter()
-                self.rs.solver.advance_b(0.5, box=self.deep)
-                self.stats[STAT_FIELD] += time.perf_counter() - t0
-            self.rs.fields.clear_currents()
-
-        self._field_exchange(_PH_A, s, during=during_a)
-        if self.split_fields:
-            self._advance_b_boxes(self.shells, 0.5)
-        else:
-            self._advance_b_full(0.5)
-        # The pre-push B exchange has no independent interior work
-        # left to hide (the push needs corner-complete ghosts).
-        self._field_exchange(_PH_B, s)
-        self._push()
-        # Leavers go out immediately; the J folds and second half-B
-        # run while neighbors' migrants are in flight.
-        self._post_migration(s)
-        self._reduce_currents(
-            s, during=lambda: self._advance_b_full(0.5))
-        self._recv_migration(s)
-
-        def during_e() -> None:
-            if self.split_fields:
-                t0 = time.perf_counter()
-                self.rs.solver.advance_e(1.0, box=self.deep)
-                self.stats[STAT_FIELD] += time.perf_counter() - t0
-
-        self._field_exchange(_PH_E, s, during=during_e)
-        if self.split_fields:
-            self._advance_e_boxes(self.shells)
-        else:
-            self._advance_e_full()
+                phase.run(self.rs, self.plan)
+                slot = STAT_PUSH if phase.run is rank_push else STAT_FIELD
+                self.stats[slot] += time.perf_counter() - t0
+            elif phase.kind == "migrate":
+                if action == "post":
+                    self._post_migration(s)
+                else:
+                    self._recv_migration(s)
+            elif action == "post":
+                self._post_axis(i, 0, s)
+            else:
+                self._wait_axis(i, 0, s)
+                for axis in (1, 2):
+                    self._post_axis(i, axis, s)
+                    self._wait_axis(i, axis, s)
 
 
 def _reap(procs, conns, arena) -> None:
@@ -496,19 +334,14 @@ class ProcessBackend:
         self._dsim = dsim
         self.overlap = overlap
         self.n_ranks = dsim.n_ranks
-        plan = dsim.plan
-        self._use_native = not plan.reference and plan.native
-        if self._use_native:
-            # Build/load the native lane once, before forking, so
-            # every worker inherits the loaded library instead of
-            # racing to compile it.
-            from repro.vpic.native import native_available
-            native_available()
-        self._fused = dsim._fused_push_ok()
         self.arena = SharedArena()
         self._reserve_layout(dsim)
         self.arena.allocate()
         self._adopt_shared_state(dsim)
+        # Built (or loaded) once, before forking, so every worker
+        # inherits the loaded library instead of racing to compile it.
+        dsim._attach_kernels()
+        self._prepare_push(dsim)
         self.stats = self.arena.get("stats")
         self._stats_seen = np.zeros_like(self.stats)
         abort = self.arena.get("abort")
@@ -535,10 +368,8 @@ class ProcessBackend:
         arena = self.arena
         n_sp = len(dsim.deck.species)
         shape = dsim.ranks[0].grid.shape
-        slab_cells = {0: shape[1] * shape[2], 1: shape[0] * shape[2],
-                      2: shape[0] * shape[1]}
         for r in range(self.n_ranks):
-            for name in _E_NAMES + _B_NAMES + _J_NAMES:
+            for name in _FIELD_NAMES:
                 arena.reserve(f"f/{r}/{name}", shape, np.float32)
             for si, sp in enumerate(dsim.ranks[r].species):
                 for attr, sh, dt in SharedSpecies.array_specs(sp.capacity):
@@ -552,16 +383,12 @@ class ProcessBackend:
                                   (sp.capacity,), np.int64)
             for f in range(6):
                 axis = f // 2
-                d1d2 = slab_cells[axis]
-                for phase, names in _PHASE_NAMES.items():
-                    sub = (shape[1], shape[2]) if axis == 0 else \
-                          (shape[0], shape[2]) if axis == 1 else \
-                          (shape[0], shape[1])
-                    assert sub[0] * sub[1] == d1d2
+                slab = shape[:axis] + shape[axis + 1:]
+                for i, phase in _FIELD_PHASES.items():
                     for parity in (0, 1):
                         arena.reserve(
                             f"mb/{r}/{f}/{phase}/{parity}",
-                            (len(names),) + sub, np.float32)
+                            (len(STEP[i].carries),) + slab, np.float32)
         arena.reserve("seq/field", (self.n_ranks, 6), np.int64)
         arena.reserve("seq/mig", (self.n_ranks, 6), np.int64)
         arena.reserve("mig/count", (self.n_ranks, 6, n_sp), np.int64)
@@ -576,7 +403,7 @@ class ProcessBackend:
         :class:`SharedSpecies` copies of the loaded prototypes.
         """
         for r, rs in enumerate(dsim.ranks):
-            for name in _E_NAMES + _B_NAMES + _J_NAMES:
+            for name in _FIELD_NAMES:
                 view = getattr(rs.fields, name)
                 shared = self.arena.get(f"f/{r}/{name}")
                 shared[...] = view.data
@@ -586,6 +413,21 @@ class ProcessBackend:
                           for attr in SharedSpecies._ARRAYS}
                 state = self.arena.get(f"sp/{r}/{si}/state")
                 rs.species[si] = SharedSpecies(sp, arrays, state)
+
+    def _prepare_push(self, dsim) -> None:
+        """Marshal each rank's native push calls once, pre-fork: the
+        arena-backed species never reallocate, so the pointers hold
+        for the life of the rank."""
+        plan = dsim.plan
+        lib = dsim.ranks[0].solver.kernels
+        if lib is None or not plan.fused:
+            return
+        from repro.vpic.native import PreparedSpeciesPush
+        for rs in dsim.ranks:
+            rs.prepared_push = [
+                PreparedSpeciesPush(lib, rs.fields, sp, rs.arena,
+                                    wrap=False)
+                for sp in rs.species]
 
     def _build_stepper(self, dsim, rank: int, inject_fault) -> _RankStepper:
         decomp = dsim.decomp
@@ -602,7 +444,7 @@ class ProcessBackend:
         n_sp = len(dsim.deck.species)
         for r in range(self.n_ranks):
             for f in range(6):
-                for phase in _PHASE_NAMES:
+                for phase in _FIELD_PHASES.values():
                     for parity in (0, 1):
                         field_bufs[(r, f, phase, parity)] = \
                             self.arena.get(f"mb/{r}/{f}/{phase}/{parity}")
@@ -615,9 +457,8 @@ class ProcessBackend:
             rank, dsim.ranks[rank], decomp.neighbors(rank),
             self.channels, self.mig_channels, field_bufs, mig_f32,
             mig_i64, self.arena.get("mig/count"),
-            self.stats[rank], dsim.plan, dsim.dt, glob, bounds,
-            overlap=self.overlap, use_native=self._use_native,
-            fused=self._fused, inject_fault=inject_fault)
+            self.stats[rank], dsim.plan, glob, bounds,
+            overlap=self.overlap, inject_fault=inject_fault)
 
     def _spawn_workers(self, ctx) -> None:
         import weakref
@@ -656,7 +497,7 @@ class ProcessBackend:
                     other.close()
                 except OSError:
                     pass
-            conn.send(("ready", rank) + self._worker_lane())
+            conn.send(("ready", rank) + rank_lane(self._dsim.plan))
             stepper = self._steppers[rank]
             while True:
                 msg = conn.recv()
@@ -677,20 +518,6 @@ class ProcessBackend:
                 pass
         finally:
             os._exit(0)
-
-    def _worker_lane(self) -> tuple[str, str | None]:
-        """(lane, fallback reason) as this worker will actually run."""
-        plan = self._dsim.plan
-        if plan.reference:
-            return "reference", "plan.reference selects the reference kernels"
-        if self._use_native:
-            from repro.vpic.native import native_available, native_status
-            if native_available():
-                return "native-push", None
-            return "numpy-fused", f"native lane unavailable: {native_status()}"
-        if not self._fused:
-            return "numpy-fused", "fused push ineligible (plan.fused off)"
-        return "numpy-fused", "plan.native disabled"
 
     # -- parent side ---------------------------------------------------------
 

@@ -24,54 +24,9 @@ import numpy as np
 from repro.kokkos.view import Layout, View
 from repro.vpic.grid import Grid
 
-__all__ = ["FieldArrays", "FieldSolver", "interior_split"]
+__all__ = ["FieldArrays", "FieldSolver"]
 
 _FIELD_NAMES = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz")
-
-#: Full-interior box sentinel: ``advance_b``/``advance_e`` accept a
-#: half-open (ghost-inclusive index) box so a driver can update a
-#: sub-brick; the Yee updates are elementwise over grid points, so
-#: any disjoint partition of the interior is bit-identical to the
-#: one-shot update.
-Box = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-
-
-def _axis_edges(n: int) -> list[tuple[int, int]]:
-    """The one-layer-thick edge ranges of interior axis extent *n*
-    (ghost-inclusive indices): ``[1, 2)`` and ``[n, n+1)``, deduped
-    when the axis is a single layer."""
-    if n <= 1:
-        return [(1, 2)]
-    return [(1, 2), (n, n + 1)]
-
-
-def interior_split(nx: int, ny: int, nz: int
-                   ) -> tuple[Box | None, list[Box]]:
-    """Split the interior ``[1..n]^3`` into a deep box plus boundary
-    shell boxes (disjoint, covering).
-
-    The deep box ``[2..n-1]^3`` touches no boundary layer: its update
-    neither reads ghost cells (Yee stencils reach at most one cell
-    along one axis) nor writes any layer a halo exchange still has to
-    send — so it can run while slabs are in flight. The shell boxes
-    cover the rest and run once the exchange completes. Empty boxes
-    are omitted; ``deep`` is ``None`` when every interior cell is a
-    boundary cell (extent < 3 on some axis).
-    """
-    deep: Box | None = ((2, nx), (2, ny), (2, nz))
-    if nx < 3 or ny < 3 or nz < 3:
-        deep = None
-    shells: list[Box] = []
-    for i0, i1 in _axis_edges(nx):
-        shells.append(((i0, i1), (1, ny + 1), (1, nz + 1)))
-    for j0, j1 in _axis_edges(ny):
-        if nx > 2:
-            shells.append(((2, nx), (j0, j1), (1, nz + 1)))
-    for k0, k1 in _axis_edges(nz):
-        if nx > 2 and ny > 2:
-            shells.append(((2, nx), (2, ny), (k0, k1)))
-    return deep, shells
-
 
 @dataclass
 class FieldArrays:
@@ -132,15 +87,17 @@ class FieldSolver:
         #: them with local periodic images.
         self.external_ghosts = external_ghosts
         #: The compiled library (:mod:`repro.vpic.native`) that
-        #: full-interior ``advance_b`` / ``advance_e`` /
-        #: ``reduce_ghost_currents`` calls run on, bit-identical to
-        #: the numpy code below — or ``None``: numpy. The owning
+        #: ``advance_b`` / ``advance_e`` / ``reduce_ghost_currents``
+        #: calls run on, bit-identical to the numpy code below — or
+        #: ``None``: numpy. The owning
         #: :class:`~repro.vpic.simulation.Simulation` sets it at the
         #: top of every kernel-by-kernel step from its one gate
         #: (``Simulation._step_kernels_off``), which is what vouches
-        #: for this exact solver class. The calls are marshalled once
-        #: per library, so the field arrays must not be replaced
-        #: while it is set (a Simulation's never are).
+        #: for this exact solver class; a distributed run sets it on
+        #: every rank's solver from its plan. The calls are marshalled
+        #: once per library, so the field arrays must not be replaced
+        #: while it is set (a Simulation's never are; a processes
+        #: backend sets it only once the bricks live in shared memory).
         self.kernels = None
         self._prepared = None
 
@@ -216,19 +173,15 @@ class FieldSolver:
 
     # -- updates ---------------------------------------------------------------------
 
-    def advance_b(self, frac: float = 0.5, sync: bool = True,
-                  box: Box | None = None) -> None:
+    def advance_b(self, frac: float = 0.5, sync: bool = True) -> None:
         """B -= frac*dt * curl E over the interior.
 
         ``sync=False`` skips the E ghost refresh — valid (and
         bit-identical) when E has not changed since the last sync,
         e.g. the second half-B push of a step where only currents were
-        deposited in between. *box* restricts the update to a
-        half-open sub-brick in ghost-inclusive indices (default: the
-        whole interior); the update is elementwise per grid point, so
-        partitioned updates are bit-identical to the full one.
+        deposited in between.
         """
-        if self.kernels is not None and box is None:
+        if self.kernels is not None:
             self._native().advance_b(frac, sync)
             return
         g = self.grid
@@ -236,18 +189,13 @@ class FieldSolver:
         f = self.fields
         if sync:
             self.sync_periodic(("ex", "ey", "ez"))
-        if box is None:
-            box = ((1, g.nx + 1), (1, g.ny + 1), (1, g.nz + 1))
-        (i0, i1), (j0, j1), (k0, k1) = box
-        if i0 >= i1 or j0 >= j1 or k0 >= k1:
-            return
         ex, ey, ez = f.ex.data, f.ey.data, f.ez.data
-        i = slice(i0, i1)
-        j = slice(j0, j1)
-        k = slice(k0, k1)
-        ip = slice(i0 + 1, i1 + 1)
-        jp = slice(j0 + 1, j1 + 1)
-        kp = slice(k0 + 1, k1 + 1)
+        i = slice(1, g.nx + 1)
+        j = slice(1, g.ny + 1)
+        k = slice(1, g.nz + 1)
+        ip = slice(2, g.nx + 2)
+        jp = slice(2, g.ny + 2)
+        kp = slice(2, g.nz + 2)
         # curl E on the Yee lattice (forward differences to faces)
         dez_dy = (ez[i, jp, k] - ez[i, j, k]) / g.dy
         dey_dz = (ey[i, j, kp] - ey[i, j, k]) / g.dz
@@ -259,32 +207,22 @@ class FieldSolver:
         f.by.data[i, j, k] -= dt * (dex_dz - dez_dx)
         f.bz.data[i, j, k] -= dt * (dey_dx - dex_dy)
 
-    def advance_e(self, frac: float = 1.0,
-                  box: Box | None = None) -> None:
-        """E += frac*dt * (curl B - J) over the interior.
-
-        *box* restricts the update to a half-open sub-brick in
-        ghost-inclusive indices (see :meth:`advance_b`).
-        """
-        if self.kernels is not None and box is None:
+    def advance_e(self, frac: float = 1.0) -> None:
+        """E += frac*dt * (curl B - J) over the interior."""
+        if self.kernels is not None:
             self._native().advance_e(frac)
             return
         g = self.grid
         dt = frac * g.dt
         f = self.fields
         self.sync_periodic(("bx", "by", "bz"))
-        if box is None:
-            box = ((1, g.nx + 1), (1, g.ny + 1), (1, g.nz + 1))
-        (i0, i1), (j0, j1), (k0, k1) = box
-        if i0 >= i1 or j0 >= j1 or k0 >= k1:
-            return
         bx, by, bz = f.bx.data, f.by.data, f.bz.data
-        i = slice(i0, i1)
-        j = slice(j0, j1)
-        k = slice(k0, k1)
-        im = slice(i0 - 1, i1 - 1)
-        jm = slice(j0 - 1, j1 - 1)
-        km = slice(k0 - 1, k1 - 1)
+        i = slice(1, g.nx + 1)
+        j = slice(1, g.ny + 1)
+        k = slice(1, g.nz + 1)
+        im = slice(0, g.nx)
+        jm = slice(0, g.ny)
+        km = slice(0, g.nz)
         # curl B (backward differences to edges)
         dbz_dy = (bz[i, j, k] - bz[i, jm, k]) / g.dy
         dby_dz = (by[i, j, k] - by[i, j, km]) / g.dz

@@ -3104,7 +3104,8 @@ def native_build_key() -> "str | None":
     return _last_key
 
 
-# -- field helpers (distributed ranks, Yee bit-identity tests) --------
+# -- field helpers (Yee bit-identity tests; perfbench's tracer names
+# them, so they stay while it does) -------------------------------------
 
 def field_advance_b(solver, frac: float = 0.5) -> bool:
     """Native ``FieldSolver.advance_b`` (bit-identical). Returns

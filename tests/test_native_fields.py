@@ -126,19 +126,6 @@ def test_periodic_solver_matches_numpy(shape):
         _assert_fields_equal(a, b)
 
 
-def test_sub_brick_advances_stay_on_numpy(monkeypatch):
-    """A *box* update is the distributed drivers' business: it must
-    not reach the full-interior kernel."""
-    a, b = _random_solver_pair(FieldSolver, (6, 6, 6))
-    monkeypatch.setattr(
-        a, "_native", lambda: pytest.fail("box update went native"))
-    box = ((2, 5), (1, 7), (3, 4))
-    for solver in (a, b):
-        solver.advance_b(0.5, box=box)
-        solver.advance_e(1.0, box=box)
-    _assert_fields_equal(a, b)
-
-
 def test_other_absorbing_axes_are_refused():
     grid = Grid(4, 4, 4)
     solver = AbsorbingFieldSolver(FieldArrays(grid), axes=(1,))

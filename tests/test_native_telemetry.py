@@ -170,9 +170,10 @@ def test_interposing_tool_demotes_with_named_reason():
 
 def test_drain_overhead_under_five_percent(telemetry_stack):
     """The self-measured drain cost (struct read + event synthesis)
-    must stay under 5% of telemetered step wall time — the ISSUE 8
-    overhead budget. Best drain fraction of three measured windows,
-    so scheduler noise doesn't flake the bound."""
+    must stay under 5% of telemetered step wall time — the
+    observability overhead budget. Best drain fraction of three
+    100-step windows: long enough that a scheduler hiccup in one step
+    does not move a window's fraction past the bound."""
     import time
 
     from repro.observability import native_telemetry
@@ -185,11 +186,11 @@ def test_drain_overhead_under_five_percent(telemetry_stack):
     for _ in range(3):
         native_telemetry.reset_drain_stats()
         t0 = time.perf_counter()
-        for _ in range(20):
+        for _ in range(100):
             sim.step()
         elapsed = time.perf_counter() - t0
         stats = native_telemetry.drain_stats()
-        assert stats["drains"] == 20
+        assert stats["drains"] == 100
         fractions.append(stats["seconds"] / elapsed)
     best = min(fractions)
     assert best < 0.05, (

@@ -18,7 +18,6 @@ from repro.vpic.deposit import deposit_charge
 from repro.vpic.esirkepov import continuity_residual, deposit_current_esirkepov
 from repro.vpic.fields import FieldArrays, FieldSolver
 from repro.vpic.grid import Grid
-from repro.vpic.positions import CellOffsetPositions
 
 GRID = Grid(6, 6, 6, dx=0.5, dy=0.5, dz=0.5, dt=0.1)
 BOX = 3.0
@@ -127,34 +126,6 @@ class TestBorisProperties:
         boris_push(ux, z.copy(), z.copy(), e_arr, z, z, z, z, z,
                    q=q, m=1.0, dt=dt)
         assert ux[0] == pytest.approx(q * e * dt, rel=1e-5, abs=1e-7)
-
-
-class TestPositionProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(x=positions)
-    def test_cell_offset_roundtrip(self, x):
-        y = (x + 0.3) % BOX
-        z = (x + 0.9) % BOX
-        pos = CellOffsetPositions.from_global(GRID, x, y, z)
-        rx, ry, rz = pos.to_global()
-        np.testing.assert_allclose(rx, x, atol=1e-6)
-        np.testing.assert_allclose(ry, y, atol=1e-6)
-        np.testing.assert_allclose(rz, z, atol=1e-6)
-
-    @settings(max_examples=30, deadline=None)
-    @given(x=positions, seed=st.integers(0, 1000))
-    def test_advance_matches_float64_reference(self, x, seed):
-        rng = np.random.default_rng(seed)
-        n = x.size
-        y = (x + 0.3) % BOX
-        z = (x + 0.9) % BOX
-        pos = CellOffsetPositions.from_global(GRID, x, y, z)
-        ref = np.stack([x.copy(), y.copy(), z.copy()])
-        d = rng.uniform(-0.2, 0.2, (3, n))
-        pos.advance(*d)
-        ref = (ref + d) % BOX
-        got = np.stack(pos.to_global())
-        np.testing.assert_allclose(got, ref, atol=1e-5)
 
 
 class TestFieldProperties:

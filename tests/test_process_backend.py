@@ -11,8 +11,7 @@ Covers the contract the processes backend makes:
   traceback, and dumps the standard ``crash.json`` artifact when a
   flight recorder is attached;
 - units for the shared-memory substrate (:class:`SharedArena`,
-  :class:`SharedSpecies`, :class:`NeighborChannels`,
-  :func:`interior_split`);
+  :class:`SharedSpecies`, :class:`NeighborChannels`);
 - the distributed fuzz axis (eligibility triage,
   :func:`run_deck_distributed`, corpus replay at the recorded rank
   count).
@@ -34,7 +33,6 @@ from repro.mpi.comm import ChannelAborted, NeighborChannels
 from repro.mpi.distributed import DistributedSimulation
 from repro.mpi.process_backend import RankWorkerError
 from repro.mpi.shm import SharedArena, SharedSpecies
-from repro.vpic.fields import interior_split
 from repro.vpic.workloads import make_deck
 
 #: Zoo decks that can run distributed (plain periodic CIC decks on
@@ -330,27 +328,6 @@ class TestNeighborChannels:
         assert ch.wait(0, 3, 2) == 0.0
         assert ch.wait(0, 3, 3) == 0.0
         assert ch.seq[0, 3] == 3
-
-
-class TestInteriorSplit:
-    @pytest.mark.parametrize("dims", [(4, 4, 4), (3, 5, 7), (8, 2, 4),
-                                      (2, 2, 2), (1, 4, 4)])
-    def test_boxes_disjoint_and_covering(self, dims):
-        nx, ny, nz = dims
-        deep, shells = interior_split(nx, ny, nz)
-        cover = np.zeros((nx + 2, ny + 2, nz + 2), dtype=int)
-        boxes = ([deep] if deep is not None else []) + shells
-        for (x0, x1), (y0, y1), (z0, z1) in boxes:
-            cover[x0:x1, y0:y1, z0:z1] += 1
-        interior = cover[1:nx + 1, 1:ny + 1, 1:nz + 1]
-        assert np.all(interior == 1), "interior not exactly covered"
-        cover[1:nx + 1, 1:ny + 1, 1:nz + 1] = 0
-        assert np.all(cover == 0), "a box leaked into the ghost layer"
-
-    def test_deep_box_none_for_thin_bricks(self):
-        deep, shells = interior_split(2, 8, 8)
-        assert deep is None
-        assert shells
 
 
 class TestDistributedFuzz:

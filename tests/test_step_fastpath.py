@@ -18,6 +18,7 @@ from repro.core.tuning import STEP_TILE, StepPlan, select_step_plan
 from repro.kokkos.atomics import (AtomicCounters, collect_atomics,
                                   segment_add)
 from repro.mpi.distributed import DistributedSimulation
+from repro.observability.callbacks import register_tool, unregister_tool
 from repro.vpic import workloads
 from repro.vpic.native import native_available
 from repro.vpic.scratch import ScratchArena
@@ -138,13 +139,21 @@ def test_fast_step_voxels_refresh_lazily():
 
 
 def test_threaded_rank_stepping_bit_identical_to_serial():
-    def run(plan):
-        sim = DistributedSimulation(two_stream_deck(seed=7), 4, plan=plan)
+    def run():
+        sim = DistributedSimulation(two_stream_deck(seed=7), 4)
         sim.run(5)
         return sim
 
-    serial = run(StepPlan(threaded_ranks=False))
-    threaded = run(StepPlan())
+    # An interposing tool (one without ``native_telemetry_ok``) is one
+    # of the conditions that keep ranks on the serial loop.
+    tool = register_tool(object())
+    try:
+        serial = run()
+        assert not serial._threading_ok()
+    finally:
+        unregister_tool(tool)
+    threaded = run()
+    assert threaded._threading_ok()
     try:
         for ra, rb in zip(serial.ranks, threaded.ranks):
             for sa, sb in zip(ra.species, rb.species):
@@ -256,7 +265,7 @@ def test_step_plan_strings_and_defaults():
     assert plan.tile_size == STEP_TILE
     assert "fast[" in str(plan) and "bin-deposit" in str(plan)
     ref = StepPlan.reference_plan()
-    assert ref.reference and not ref.fused and not ref.threaded_ranks
+    assert ref.reference and not ref.fused and not ref.native
     assert str(ref).startswith("reference")
 
 

@@ -1,72 +1,12 @@
-"""Tests for the sort auto-tuner and the laser antenna source."""
+"""Tests for the laser antenna source."""
 
 import numpy as np
 import pytest
 
-from repro.core.autotune import autotune_sort
-from repro.core.sorting import SortKind
-from repro.machine.specs import get_platform
 from repro.vpic.absorbing import AbsorbingFieldSolver
 from repro.vpic.fields import FieldArrays, FieldSolver
 from repro.vpic.grid import Grid
 from repro.vpic.injection import LaserAntenna
-
-
-def repeated_keys(unique=4000, reps=100, seed=0):
-    rng = np.random.default_rng(seed)
-    keys = np.repeat(np.arange(unique, dtype=np.int64), reps)
-    rng.shuffle(keys)
-    return keys
-
-
-class TestAutotune:
-    @pytest.fixture(scope="class")
-    def keys(self):
-        return repeated_keys()
-
-    def test_search_covers_all_orderings(self, keys, a100):
-        result = autotune_sort(a100, keys, 4000, cache_scale=4e-4)
-        kinds = {c.kind for c in result.candidates}
-        assert {SortKind.STANDARD, SortKind.STRIDED,
-                SortKind.TILED_STRIDED} <= kinds
-
-    def test_gpu_rules_near_searched_optimum(self, keys):
-        """§5.4's tuning rules hold up under exhaustive search.
-
-        On NVIDIA the rule's scaled tile prices at the optimum; on
-        AMD the wavefront floor distorts the *scaled* tile, so we
-        assert the rule picked the right ordering family there.
-        """
-        for name in ("A100", "H100"):
-            p = get_platform(name)
-            result = autotune_sort(p, keys, 4000, cache_scale=4e-4)
-            assert result.rule_gap < 1.6, (name, result.summary())
-        for name in ("A100", "H100", "MI250"):
-            p = get_platform(name)
-            result = autotune_sort(p, keys, 4000, cache_scale=4e-4)
-            assert result.best.kind in (SortKind.STRIDED,
-                                        SortKind.TILED_STRIDED)
-            assert result.rule_based.kind is SortKind.TILED_STRIDED
-
-    def test_cpu_search_rejects_standard_for_atomic_bench(self, keys, spr):
-        # The atomic microbenchmark punishes the standard order even
-        # on CPUs (Fig. 5b) — search must see that.
-        result = autotune_sort(spr, keys, 4000, cache_scale=4e-4)
-        std = next(c for c in result.candidates
-                   if c.kind is SortKind.STANDARD)
-        assert result.best.seconds < 0.5 * std.seconds
-
-    def test_cache_resident_rule_reference(self, a100):
-        # Small full-scale table: the rule says NONE (the §5.5
-        # cache-resident regime); the tuner prices the unsorted trace.
-        small = repeated_keys(unique=400, reps=100)
-        result = autotune_sort(a100, small, 400, cache_scale=1.0)
-        assert result.rule_based.kind is SortKind.NONE
-
-    def test_summary_format(self, keys, a100):
-        result = autotune_sort(a100, keys, 4000, cache_scale=4e-4)
-        s = result.summary()
-        assert "best" in s and "rule-based" in s
 
 
 class TestLaserAntenna:
