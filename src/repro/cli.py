@@ -71,7 +71,7 @@ def _run_deck_batch(args, count: int) -> int:
         sim = deck.build()
         if getattr(args, "reference_step", False):
             from repro.core.tuning import StepPlan
-            sim.step_plan = StepPlan.reference_plan()
+            sim.step_plan = StepPlan.REFERENCE
         sims.append(sim)
     print(f"deck '{deck.name}' x{count} (seeds {args.seed}.."
           f"{args.seed + count - 1}): {sims[0].grid.n_cells} cells, "
@@ -233,7 +233,7 @@ def cmd_run_deck(args) -> int:
     sim = deck.build()
     if getattr(args, "reference_step", False):
         from repro.core.tuning import StepPlan
-        sim.step_plan = StepPlan.reference_plan()
+        sim.step_plan = StepPlan.REFERENCE
     print(f"deck '{deck.name}': {sim.grid.n_cells} cells, "
           f"{sim.total_particles} particles, {deck.num_steps} steps")
     print(f"step plan: {sim.step_plan}")
@@ -550,14 +550,9 @@ def cmd_checkpoint(args) -> int:
     return 0 if match else 1
 
 
-def _lane_plan(lane: str):
-    from repro.core.tuning import StepPlan
-    return {
-        "numpy": lambda: StepPlan(native=False, fused=False),
-        "push": lambda: StepPlan(native_scope="push"),
-        "native": lambda: StepPlan(),
-        "reference": StepPlan.reference_plan,
-    }[lane]()
+#: ``validate --lane`` choices: the StepPlan member each asks for.
+_LANE_PLANS = {"numpy": "NUMPY", "push": "NATIVE_PUSH",
+               "native": "NATIVE_STEP", "reference": "REFERENCE"}
 
 
 def cmd_validate(args) -> int:
@@ -568,7 +563,8 @@ def cmd_validate(args) -> int:
     sim = deck.build()
     lane = getattr(args, "lane", None)
     if lane is not None:
-        sim.step_plan = _lane_plan(lane)
+        from repro.core.tuning import StepPlan
+        sim.step_plan = StepPlan[_LANE_PLANS[lane]]
     guard = SimulationGuard(policy=args.policy,
                             checkpoint_interval=args.checkpoint_interval)
     guard.attach(sim)
@@ -576,9 +572,10 @@ def cmd_validate(args) -> int:
           f"{sim.total_particles} particles, {deck.num_steps} steps, "
           f"policy={args.policy}"
           + (f", lane={lane}" if lane else ""))
-    fallback = sim.native_fallback_reason()
-    if fallback is not None:
-        print(f"note: whole-step native lane off — {fallback}")
+    resolved = sim.lane()
+    print(f"resolved lane: {resolved.label}")
+    if resolved.reason is not None:
+        print(f"note: whole-step native lane off — {resolved.reason}")
     default_registry().reset()
     try:
         sim.run(deck.num_steps)
@@ -915,12 +912,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overhead", action="store_true",
                    help="also measure guard overhead vs an unguarded run")
     p.add_argument("--lane", default=None,
-                   choices=("numpy", "push", "native", "reference"),
-                   help="pin the step lane instead of letting the "
-                        "plan gates pick (numpy: pure-python step; "
-                        "push: native push kernel only; native: "
-                        "whole-step native; reference: "
-                        "kernel-by-kernel reference path)")
+                   choices=tuple(_LANE_PLANS),
+                   help="ask for a step lane instead of the default "
+                        "(numpy: kernel-by-kernel numpy step; push: "
+                        "native push, Python step; native: whole-step "
+                        "native; reference: kernel-by-kernel reference "
+                        "path); the deck may still demote it, and the "
+                        "resolved lane is printed")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser(

@@ -17,6 +17,7 @@ problem size, pick
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from repro._util import check_positive
 from repro.core.sorting import SortKind
@@ -28,7 +29,6 @@ __all__ = [
     "SortPlan",
     "StepPlan",
     "select_sort",
-    "select_step_plan",
     "select_tile_size",
     "select_strategy",
     "grid_fits_in_cache",
@@ -61,61 +61,36 @@ class SortPlan:
 STEP_TILE = 8192
 
 
-@dataclass(frozen=True)
-class StepPlan:
-    """Which path the per-step PIC kernels take (mirrors SortPlan).
+class StepPlan(Enum):
+    """The step lane a caller asks for (mirrors SortPlan's choice).
 
-    The default is the fast path: bin-reduce (segment reduction)
-    deposition, the fused zero-allocation push, the native compiled
-    kernel when a C compiler is available. Distributed runs step their
-    ranks concurrently under any non-reference plan.
-    ``StepPlan.reference_plan()`` is the
-    original kernel-by-kernel path the equivalence tests compare
-    against.
+    ``NATIVE_STEP``, the default, enters C once per timestep (Yee
+    solve, ghost handling, fused push, counting sort). ``NATIVE_PUSH``
+    keeps the step in Python with one native push per step on the step
+    team and the field solve and sort on the native kernels;
+    ``NUMPY_FUSED`` is the tiled zero-allocation numpy push and
+    ``NUMPY`` the kernel-by-kernel numpy step (both with bin-reduce
+    deposition); ``REFERENCE`` is the original kernel-by-kernel
+    sequence the equivalence tests compare against.
+
+    A request is not a promise: ``Simulation.lane()`` resolves it
+    against the deck, the attached tools and the build, once per step,
+    into the lane that actually runs — a deck the whole-step lane
+    cannot take degrades to the push lane, a missing compiler to
+    numpy, and ``Simulation.native_fallback_reason()`` says why.
+    Distributed ranks resolve the same request: the native requests
+    push natively on each rank, the threads backend fans ranks out
+    unless the request is ``REFERENCE``.
     """
 
-    reference: bool = False
-    bin_deposit: bool = True    # segment-reduction deposition
-    fused: bool = True          # tiled zero-allocation fused push
-    native: bool = True         # compiled kernel when a compiler exists
-    #: How much of the step the compiled lane covers when ``native``:
-    #: ``"step"`` enters C once per timestep (Yee solve + ghost
-    #: handling + fused push + counting sort); ``"push"`` is the PR 5
-    #: per-species push kernel only. Selection degrades gracefully at
-    #: runtime: step -> push (when a step-ineligible feature like an
-    #: absorbing boundary or an *interposing* tool is present) ->
-    #: numpy (no compiler). Telemetry-compatible tools — ChromeTracer,
-    #: CounterTool, anything marked ``native_telemetry_ok`` — keep
-    #: the step scope selected: the C lane fills a per-phase stats
-    #: struct that ``observability/native_telemetry`` drains into the
-    #: usual spans/metrics/samples, and any demotion is explained by
-    #: ``Simulation.native_fallback_reason()`` instead of silent.
-    native_scope: str = "step"
-    tile_size: int = STEP_TILE
-    reason: str = "default fast path"
-
-    @classmethod
-    def reference_plan(cls) -> "StepPlan":
-        return cls(reference=True, bin_deposit=False, fused=False,
-                   native=False,
-                   reason="reference kernels (equivalence baseline)")
+    NATIVE_STEP = "native-step"
+    NATIVE_PUSH = "native-push"
+    NUMPY_FUSED = "numpy-fused"
+    NUMPY = "numpy"
+    REFERENCE = "reference"
 
     def __str__(self) -> str:
-        if self.reference:
-            return f"reference ({self.reason})"
-        native_part = f"native-{self.native_scope}"
-        parts = [p for p, on in (("bin-deposit", self.bin_deposit),
-                                 ("fused", self.fused),
-                                 (native_part, self.native))
-                 if on]
-        return f"fast[{'+'.join(parts)}] tile={self.tile_size} ({self.reason})"
-
-
-def select_step_plan(reference: bool = False) -> StepPlan:
-    """The step-path choice: reference for validation, fast otherwise."""
-    if reference:
-        return StepPlan.reference_plan()
-    return StepPlan()
+        return self.value
 
 
 def grid_fits_in_cache(platform: PlatformSpec, grid_points: int,

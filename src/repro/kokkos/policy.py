@@ -107,9 +107,6 @@ class TeamMember:
     lanes: np.ndarray
     team_scratch: dict = field(default_factory=dict)
 
-    def team_barrier(self) -> None:
-        """No-op: simulated teams run their lanes synchronously."""
-
 
 @dataclass
 class TeamPolicy:

@@ -73,12 +73,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.accesses
 
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
     def miss_bytes(self, line_bytes: int) -> int:
         """Traffic to the next memory level implied by the misses."""
         return self.misses * line_bytes

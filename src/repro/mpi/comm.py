@@ -182,9 +182,6 @@ class World:
     def comm(self, rank: int) -> "Communicator":
         return self._comms[rank]
 
-    def comms(self) -> list["Communicator"]:
-        return list(self._comms)
-
     # -- internals used by Communicator ------------------------------------------
 
     def _post(self, source: int, dest: int, tag: int, payload: Any) -> None:
@@ -228,16 +225,9 @@ class Communicator:
     def __init__(self, world: World, rank: int):
         self.world = world
         self.rank = rank
-        self._phase = 0
 
     @property
     def size(self) -> int:
-        return self.world.size
-
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
         return self.world.size
 
     # -- point to point -----------------------------------------------------------
@@ -262,35 +252,6 @@ class Communicator:
 
     def irecv(self, source: int, tag: int = 0) -> Request:
         return Request(lambda: self.world._take(self.rank, source, tag))
-
-    # -- phase collectives ------------------------------------------------------------
-
-    def _next_phase(self) -> int:
-        self._phase += 1
-        return self._phase
-
-    def allreduce_contribute(self, value, op: str = "sum",
-                             phase: int | None = None) -> None:
-        """Deposit this rank's contribution for an allreduce phase."""
-        ph = phase if phase is not None else self._phase + 1
-        self.world._contribute(f"allreduce-{op}", ph, self.rank, value)
-
-    def allreduce_result(self, op: str = "sum",
-                         phase: int | None = None):
-        """Fetch the allreduce result once all ranks contributed."""
-        ph = phase if phase is not None else self._phase + 1
-        got = self.world._collect(f"allreduce-{op}", ph)
-        values = [got[r] for r in range(self.size)]
-        if op == "sum":
-            result = values[0]
-            for v in values[1:]:
-                result = result + v
-            return result
-        if op == "max":
-            return max(values)
-        if op == "min":
-            return min(values)
-        raise ValueError(f"unknown allreduce op {op!r}")
 
 
 class ChannelAborted(RuntimeError):

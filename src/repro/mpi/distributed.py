@@ -27,6 +27,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +40,8 @@ from repro.mpi.particle_exchange import migrate_particles
 from repro.observability.callbacks import interposing_tools
 from repro.observability.rank_profile import rank_activity
 from repro.vpic.boris import advance_positions, boris_push
-from repro.vpic.deck import Deck, DepositionKind
+from repro.vpic.boundary import BoundaryKind
+from repro.vpic.deck import Deck, DepositionKind, FieldBoundaryKind
 from repro.vpic.deposit import deposit_current
 from repro.vpic.fastpath import fused_push_species
 from repro.vpic.fields import FieldArrays, FieldSolver
@@ -47,10 +49,11 @@ from repro.vpic.grid import Grid
 from repro.vpic.interpolate import gather_fields
 from repro.vpic.particles import load_maxwellian, load_uniform
 from repro.vpic.scratch import ScratchArena
+from repro.vpic.simulation import Lane, resolve_lane
 from repro.vpic.species import Species
 
 __all__ = ["DistributedSimulation", "Exchange", "Kernel", "RankState",
-           "STEP", "rank_lane", "schedule"]
+           "STEP", "schedule"]
 
 #: Upper bound on concurrent rank-stepping threads. Rank counts above
 #: this share threads; determinism is unaffected (ranks touch
@@ -79,32 +82,37 @@ class RankState:
     #: Pre-marshalled native push per species, set only by the
     #: processes backend, whose arena-backed species never reallocate.
     prepared_push: list | None = None
+    #: What :func:`~repro.vpic.simulation.resolve_lane` reads of a deck
+    #: besides grid, fields and solver: a rank deposits CIC, its
+    #: particles leave through the migration and it has no sources.
+    deposition: ClassVar = DepositionKind.CIC
+    boundary: ClassVar = BoundaryKind.PERIODIC
+    field_boundary: ClassVar = FieldBoundaryKind.PERIODIC
+    sources: ClassVar = ()
 
 
 # -- the step, written once ------------------------------------------
 
 
-def rank_push(rs: RankState, plan: StepPlan) -> None:
-    """One rank's particle phase; positions are left unwrapped for the
-    migration.
+def rank_push(rs: RankState, lane: Lane) -> None:
+    """One rank's particle phase on *lane*; positions are left
+    unwrapped for the migration.
 
-    The pre-marshalled native calls when the rank has them, the fused
-    (optionally native) lane when the plan allows — positions and
-    momenta bit-identical to the reference sequence, currents to 1 ulp
-    (float64 accumulation) — and the reference kernel sequence
-    otherwise. Atomics accounting keeps the prepared calls off, as it
-    keeps the fused lane on numpy, so its hook sees the deposition.
+    A native push takes the rank's pre-marshalled calls when it has
+    them, a fused push :func:`~repro.vpic.fastpath.fused_push_species`
+    (native or numpy as the lane says) — positions and momenta
+    bit-identical to the reference sequence, currents to 1 ulp
+    (float64 accumulation) — and any other lane the reference kernel
+    sequence.
     """
-    prepared = None if accounting_enabled() else rs.prepared_push
-    fused = not plan.reference and plan.fused
     for si, sp in enumerate(rs.species):
         if sp.n == 0:
             continue
         with rank_activity(rs.rank, f"push/{sp.name}"):
-            if prepared is not None:
-                prepared[si]()
-            elif fused:
-                fused_push_species(rs.fields, sp, rs.arena, plan,
+            if lane.native_push and rs.prepared_push is not None:
+                rs.prepared_push[si]()
+            elif lane.fused:
+                fused_push_species(rs.fields, sp, rs.arena, lane,
                                    wrap=False)
             else:
                 x, y, z = sp.positions()
@@ -117,17 +125,17 @@ def rank_push(rs: RankState, plan: StepPlan) -> None:
                 advance_positions(x, y, z, ux, uy, uz, rs.grid.dt)
 
 
-def _clear_currents(rs: RankState, plan: StepPlan) -> None:
+def _clear_currents(rs: RankState, lane: Lane) -> None:
     with rank_activity(rs.rank, "field/clear_j"):
         rs.fields.clear_currents()
 
 
-def _half_advance_b(rs: RankState, plan: StepPlan) -> None:
+def _half_advance_b(rs: RankState, lane: Lane) -> None:
     with rank_activity(rs.rank, "field/advance_b"):
         rs.solver.advance_b(0.5)
 
 
-def _advance_e(rs: RankState, plan: StepPlan) -> None:
+def _advance_e(rs: RankState, lane: Lane) -> None:
     with rank_activity(rs.rank, "field/advance_e"):
         rs.solver.advance_e(1.0)
 
@@ -148,10 +156,10 @@ class Exchange:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A rank-local phase: ``run(rank_state, plan)`` and every array it
+    """A rank-local phase: ``run(rank_state, lane)`` and every array it
     reads or writes (what decides which exchanges it may overlap)."""
 
-    run: Callable[[RankState, StepPlan], None]
+    run: Callable[[RankState, Lane], None]
     touches: tuple[str, ...]
 
 
@@ -209,21 +217,6 @@ def schedule(overlap: bool) -> tuple[tuple[str, int], ...]:
             actions.append(("run", i))
     actions += [("wait", j) for j in pending]
     return tuple(actions)
-
-
-def rank_lane(plan: StepPlan) -> tuple[str, str | None]:
-    """(lane, fallback reason) a rank runs under *plan* in this
-    process."""
-    from repro.vpic.native import native_available, native_status
-    if plan.reference:
-        return "reference", "plan.reference selects the reference kernels"
-    if plan.native:
-        if native_available():
-            return "native-push", None
-        return "numpy-fused", f"native lane unavailable: {native_status()}"
-    if not plan.fused:
-        return "numpy-fused", "fused push ineligible (plan.fused off)"
-    return "numpy-fused", "plan.native disabled"
 
 
 class DistributedSimulation:
@@ -285,12 +278,13 @@ class DistributedSimulation:
         #: rank violation aborts the step deterministically (all
         #: ranks are checked, then the lowest-rank violation raises).
         self.guard = guard
-        #: Step-path selection. Any non-reference plan fans the
-        #: independent per-rank kernel loops out over a persistent
-        #: thread pool (ranks touch disjoint state between the serial
+        #: The lane the ranks ask for, resolved by :meth:`lane`. On the
+        #: threads backend any non-reference lane fans the independent
+        #: per-rank kernel loops out over a persistent thread pool
+        #: (ranks touch disjoint state between the serial
         #: exchange/reduce barriers, so results are bit-identical to
         #: serial stepping).
-        self.plan = plan if plan is not None else StepPlan()
+        self.plan = plan if plan is not None else StepPlan.NATIVE_STEP
         #: Optional live-telemetry recorder (same protocol as on
         #: :class:`~repro.vpic.simulation.Simulation`): sampled after
         #: every collective step with per-rank particle aggregates.
@@ -312,14 +306,17 @@ class DistributedSimulation:
         else:
             self._attach_kernels()
 
+    def lane(self) -> Lane:
+        """The lane every rank of this process takes: the ranks share
+        geometry, dtype and solver class, so one resolve answers for
+        all of them."""
+        return resolve_lane(self.plan, self.ranks[0])
+
     def _attach_kernels(self) -> None:
-        """Point every rank's field solver at the plan's kernels. The
+        """Point every rank's field solver at the lane's kernels. The
         native calls cache raw array addresses, so this runs only once
         the field arrays are final."""
-        kernels = None
-        if not self.plan.reference and self.plan.native:
-            from repro.vpic.native import native_push_kernel
-            kernels = native_push_kernel()
+        kernels = self.lane().kernels
         for rs in self.ranks:
             rs.solver.kernels = kernels
 
@@ -385,10 +382,10 @@ class DistributedSimulation:
 
     # -- the distributed step ----------------------------------------------------------
 
-    def _threading_ok(self) -> bool:
-        """Whether this step may fan ranks out over threads.
+    def _threading_ok(self, lane: Lane) -> bool:
+        """Whether this step, on *lane*, may fan ranks out over threads.
 
-        Threading is off under the reference plan and whenever an
+        Threading is off on the reference lane and whenever an
         *interposing* observability tool or atomic-contention
         accounting is live: those record into shared per-process state
         whose event order matters more than overlapping rank loops.
@@ -397,13 +394,13 @@ class DistributedSimulation:
         threaded fan-out, so a traced run measures the production
         step, not a serialized stand-in.
         """
-        return (not self.plan.reference
+        return (lane.label != "reference"
                 and self.world.size > 1
                 and not interposing_tools()
                 and not accounting_enabled())
 
-    def _for_each_rank(self, fn) -> None:
-        """Run *fn(rank_state, plan)* for every rank, threaded when
+    def _for_each_rank(self, fn, lane: Lane) -> None:
+        """Run *fn(rank_state, lane)* for every rank, threaded when
         allowed.
 
         Ranks touch only their own state between barriers, so the
@@ -411,26 +408,27 @@ class DistributedSimulation:
         ``list()`` drains the map so any rank exception re-raises
         here, lowest rank first.
         """
-        if not self._threading_ok():
+        if not self._threading_ok(lane):
             for rs in self.ranks:
-                fn(rs, self.plan)
+                fn(rs, lane)
             return
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=min(MAX_RANK_THREADS, self.world.size),
                 thread_name_prefix="rank-step")
-        list(self._pool.map(lambda rs: fn(rs, self.plan), self.ranks))
+        list(self._pool.map(lambda rs: fn(rs, lane), self.ranks))
 
     def rank_lanes(self) -> list[tuple[str, str | None]]:
         """Per-rank ``(lane, fallback_reason)`` as the ranks actually
-        run. The threads backend computes one lane in-process (all
+        run. The threads backend resolves one lane in-process (all
         ranks share it); the processes backend reports what each
-        worker observed at fork handshake — a rank silently demoted
+        worker resolved at fork handshake — a rank silently demoted
         (e.g. native build failed in its environment) shows up here.
         """
         if self._pbackend is not None:
             return list(self._pbackend.rank_lanes)
-        return [rank_lane(self.plan)] * self.n_ranks
+        lane = self.lane()
+        return [(lane.label, lane.reason)] * self.n_ranks
 
     def native_fallback_reason(self) -> str | None:
         """Why this run is not on the whole-step native lane.
@@ -482,9 +480,10 @@ class DistributedSimulation:
             self._step_processes(1)
             return
         t0 = time.perf_counter()
+        lane = self.lane()
         for phase in STEP:
             if isinstance(phase, Kernel):
-                self._for_each_rank(phase.run)
+                self._for_each_rank(phase.run, lane)
             elif phase.kind == "ghosts":
                 self._exchange_fields(phase.carries)
             elif phase.kind == "fold":
@@ -492,8 +491,7 @@ class DistributedSimulation:
             else:
                 with rank_activity(None, "migrate", kind="comm"):
                     self._migrate()
-        self._finish_steps(1, rank_lane(self.plan)[0],
-                           time.perf_counter() - t0)
+        self._finish_steps(1, lane.label, time.perf_counter() - t0)
 
     def run(self, num_steps: int) -> None:
         if self.recorder is not None:

@@ -56,8 +56,7 @@ import traceback
 import numpy as np
 
 from repro.mpi.comm import ChannelAborted, NeighborChannels
-from repro.mpi.distributed import (STEP, Exchange, rank_lane, rank_push,
-                                   schedule)
+from repro.mpi.distributed import STEP, Exchange, rank_push, schedule
 from repro.mpi.halo import _FACE_AXES, _boundary_slice
 from repro.mpi.shm import SharedArena, SharedSpecies
 
@@ -107,7 +106,7 @@ class _RankStepper:
 
     def __init__(self, rank: int, rs, nbrs, channels: NeighborChannels,
                  mig_channels: NeighborChannels, field_bufs, mig_f32,
-                 mig_i64, mig_count, stats_row, plan, glob, bounds,
+                 mig_i64, mig_count, stats_row, glob, bounds,
                  overlap: bool, inject_fault=None):
         self.rank = rank
         self.rs = rs
@@ -119,7 +118,8 @@ class _RankStepper:
         self.mig_i64 = mig_i64
         self.mig_count = mig_count        # int64[n_ranks, 6, n_species]
         self.stats = stats_row            # float64[N_STATS]
-        self.plan = plan
+        #: The rank's lane, resolved in the worker at its handshake.
+        self.lane = None
         self.glob = glob                  # global box extents
         self.bounds = bounds              # ((x0,x1),(y0,y1),(z0,z1))
         self.actions = schedule(overlap)
@@ -256,7 +256,7 @@ class _RankStepper:
             phase = STEP[i]
             if action == "run":
                 t0 = time.perf_counter()
-                phase.run(self.rs, self.plan)
+                phase.run(self.rs, self.lane)
                 slot = STAT_PUSH if phase.run is rank_push else STAT_FIELD
                 self.stats[slot] += time.perf_counter() - t0
             elif phase.kind == "migrate":
@@ -418,11 +418,10 @@ class ProcessBackend:
         """Marshal each rank's native push calls once, pre-fork: the
         arena-backed species never reallocate, so the pointers hold
         for the life of the rank."""
-        plan = dsim.plan
-        lib = dsim.ranks[0].solver.kernels
-        if lib is None or not plan.fused:
+        if not dsim.lane().native_push:
             return
-        from repro.vpic.native import PreparedSpeciesPush
+        from repro.vpic.native import PreparedSpeciesPush, native_push_kernel
+        lib = native_push_kernel()
         for rs in dsim.ranks:
             rs.prepared_push = [
                 PreparedSpeciesPush(lib, rs.fields, sp, rs.arena,
@@ -457,7 +456,7 @@ class ProcessBackend:
             rank, dsim.ranks[rank], decomp.neighbors(rank),
             self.channels, self.mig_channels, field_bufs, mig_f32,
             mig_i64, self.arena.get("mig/count"),
-            self.stats[rank], dsim.plan, glob, bounds,
+            self.stats[rank], glob, bounds,
             overlap=self.overlap, inject_fault=inject_fault)
 
     def _spawn_workers(self, ctx) -> None:
@@ -497,8 +496,9 @@ class ProcessBackend:
                     other.close()
                 except OSError:
                     pass
-            conn.send(("ready", rank) + rank_lane(self._dsim.plan))
             stepper = self._steppers[rank]
+            stepper.lane = lane = self._dsim.lane()
+            conn.send(("ready", rank, lane.label, lane.reason))
             while True:
                 msg = conn.recv()
                 if msg[0] == "run":

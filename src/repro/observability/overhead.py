@@ -194,7 +194,7 @@ def measure_native_telemetry_overhead(
         with profiling_session():
             sim = deck.build()
             sim.step()                      # warm: compile + arenas
-            if not sim._native_step_ok():
+            if sim.lane().label != "native-step":
                 return None
             tools = []
             if with_tools:

@@ -141,7 +141,6 @@ class TimeSeriesRecorder:
         self._epoch = time.time() - clock()
         self._kernel_prev: dict[str, float] = {}
         self._energy0: float | None = None
-        self._last_drift: float | None = None
 
     # -- attachment ---------------------------------------------------------
 
@@ -224,7 +223,6 @@ class TimeSeriesRecorder:
             self._energy0 = total
         drift = (abs(total - self._energy0) / abs(self._energy0)
                  if self._energy0 else 0.0)
-        self._last_drift = drift
         return {"field_e": e, "field_b": b, "kinetic": k,
                 "total": total, "drift": drift}
 
@@ -258,10 +256,6 @@ class TimeSeriesRecorder:
         """One column over the retained samples (e.g. ``step``,
         ``step_seconds``, ``particles``)."""
         return [getattr(s, name) for s in self.buffer]
-
-    @property
-    def last_energy_drift(self) -> float | None:
-        return self._last_drift
 
     def overhead_fraction(self, run_seconds: float) -> float:
         """Recorder cost as a fraction of *run_seconds* of stepping."""

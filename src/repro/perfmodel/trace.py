@@ -111,10 +111,6 @@ class AccessTrace:
     def gather_table_bytes(self) -> int:
         return self.gather_table_entries * self.gather_elem_bytes
 
-    @property
-    def scatter_table_bytes(self) -> int:
-        return self.scatter_table_entries * self.scatter_elem_bytes
-
     def scaled(self, n_ops: int) -> "AccessTrace":
         """Same pattern, different logical op count (workload scaling)."""
         check_positive("n_ops", n_ops)

@@ -182,9 +182,6 @@ class Pack:
     def __getitem__(self, lane: int):
         return self.lanes[lane]
 
-    def to_array(self) -> np.ndarray:
-        return self.lanes.copy()
-
     # -- arithmetic -----------------------------------------------------------
 
     def _lift(self, other) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 One call to :func:`fused_push_species` performs the whole particle
 phase — gather, Boris push, current deposition, position advance, and
-the periodic wrap — for one species, selected by a
-:class:`~repro.core.tuning.StepPlan`. Two lanes exist:
+the periodic wrap — for one species, on the push the step's resolved
+:class:`~repro.vpic.simulation.Lane` names. Two lanes exist:
 
 - **native**: the single-pass compiled kernel from
   :mod:`repro.vpic.native` (one trip through memory per particle;
-  used when a C compiler is available and atomics accounting is off);
+  taken when the lane's push is native);
 - **numpy**: a tiled, zero-allocation restructuring of the reference
   kernels — every intermediate lives in a
   :class:`~repro.vpic.scratch.ScratchArena` buffer, field values are
@@ -18,7 +18,7 @@ the periodic wrap — for one species, selected by a
 
 Both lanes replicate the reference float32 operation sequence, so
 positions and momenta are **bit-identical** to
-``StepPlan(reference=True)``; deposited currents accumulate in
+``StepPlan.REFERENCE``; deposited currents accumulate in
 float64 and agree with a float64-accumulated reference to 1 ulp
 after the final cast (the float32-accumulating reference itself is
 the less accurate of the two).
@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.tuning import StepPlan
-from repro.kokkos.atomics import accounting_enabled, segment_add
+from repro.core.tuning import STEP_TILE
+from repro.kokkos.atomics import segment_add
 from repro.vpic.fields import FieldArrays
 from repro.vpic.scratch import ScratchArena
 from repro.vpic.species import Species
@@ -58,17 +58,6 @@ def build_field_table(fields: FieldArrays, arena: ScratchArena) -> np.ndarray:
     return tab
 
 
-def _native_push(fields, sp, arena, wrap):
-    from repro.vpic.native import native_push_kernel
-    kernel = native_push_kernel()
-    if kernel is None or np.dtype(fields.dtype) != F32:
-        return False
-    # Table build, accumulator zeroing, push, and J fold all happen
-    # inside the compiled lane (one ctypes round-trip per species).
-    kernel.push_species(fields, sp, arena, wrap)
-    return True
-
-
 def _fold_currents(fields, acc, arena):
     """Cast the float64 accumulators once and add into J."""
     acc32 = arena.buf("j_acc32", acc[0].shape, F32)
@@ -79,25 +68,26 @@ def _fold_currents(fields, acc, arena):
 
 
 def fused_push_species(fields: FieldArrays, sp: Species,
-                       arena: ScratchArena, plan: StepPlan,
+                       arena: ScratchArena, lane,
                        wrap: bool = True) -> None:
     """Fused gather -> Boris -> deposit -> advance (-> wrap) for one
     species, in place, with zero steady-state heap allocation.
 
     With ``wrap=False`` (distributed ranks) positions are left
     unwrapped for the migration phase. Voxels are marked stale rather
-    than recomputed. Falls back from the native lane to the numpy
-    lane automatically (no kernel, or fields that are not float32);
-    atomics-contention accounting always uses the
-    numpy lane so the sampled ``AtomicCounters`` hook observes the
-    real deposition keys.
+    than recomputed. *lane* is the step's resolved lane: its
+    ``native_push`` takes the compiled kernel (table build, accumulator
+    zeroing, push and J fold in one ctypes round-trip), otherwise the
+    numpy lane below runs — as it does under atomics accounting, so the
+    sampled ``AtomicCounters`` hook observes the real deposition keys.
     """
     n = sp.n
     if n == 0:
         return
     g = fields.grid
-    if plan.native and not accounting_enabled() \
-            and _native_push(fields, sp, arena, wrap):
+    if lane.native_push:
+        from repro.vpic.native import native_push_kernel
+        native_push_kernel().push_species(fields, sp, arena, wrap)
         sp.mark_voxels_stale()
         return
 
@@ -115,7 +105,7 @@ def fused_push_species(fields: FieldArrays, sp: Species,
     ncell = (g.nx, g.ny, g.nz)
     lens = g.lengths
 
-    T = max(1, plan.tile_size)
+    T = STEP_TILE
     # Tile-sized scratch. Every name is unique per logical buffer —
     # two live intermediates must never share a key.
     P = arena.buf("idx_f64", (T,), np.float64)

@@ -44,12 +44,6 @@ class FieldArrays:
     def components(self) -> dict[str, View]:
         return {name: getattr(self, name) for name in _FIELD_NAMES}
 
-    def e_components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.ex.data, self.ey.data, self.ez.data
-
-    def b_components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.bx.data, self.by.data, self.bz.data
-
     def clear_currents(self) -> None:
         self.jx.fill(0.0)
         self.jy.fill(0.0)
@@ -91,10 +85,10 @@ class FieldSolver:
         #: calls run on, bit-identical to the numpy code below — or
         #: ``None``: numpy. The owning
         #: :class:`~repro.vpic.simulation.Simulation` sets it at the
-        #: top of every kernel-by-kernel step from its one gate
-        #: (``Simulation._step_kernels_off``), which is what vouches
-        #: for this exact solver class; a distributed run sets it on
-        #: every rank's solver from its plan. The calls are marshalled
+        #: top of every kernel-by-kernel step from its resolved lane
+        #: (``Simulation.lane``), which is what vouches for this exact
+        #: solver class; a distributed run sets it on every rank's
+        #: solver from the ranks' lane. The calls are marshalled
         #: once per library, so the field arrays must not be replaced
         #: while it is set (a Simulation's never are; a processes
         #: backend sets it only once the bricks live in shared memory).

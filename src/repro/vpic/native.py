@@ -3388,8 +3388,8 @@ def shift_window(sim, lib, loads) -> list:
     """Slide *sim*'s box one cell in +x in one native call on its
     cached pack — ``MovingWindow.shift``'s field shift, Mur history
     refresh, particle drop and compaction, and reload — with the bytes
-    of the numpy shift. *lib* is the kernel ``sim._step_kernels()``
-    returned; *loads* holds per species ``None`` or its reload
+    of the numpy shift. *lib* is the kernel library of
+    ``sim.lane()``; *loads* holds per species ``None`` or its reload
     ``(SpeciesConfig, draws)``, the column's random draws from
     ``MovingWindow._draws``. Returns the indices of the species whose
     column was not loaded: none was asked for, or it would have

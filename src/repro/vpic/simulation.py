@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.kokkos.atomics import accounting_enabled
 from repro.kokkos.profiling import profiling_region, record_kernel
 from repro.observability.callbacks import interposing_tools, tools_active
 from repro.observability.metrics import default_registry, detail_enabled
+from repro.vpic.absorbing import AbsorbingFieldSolver
 from repro.vpic.boundary import BoundaryKind, apply_particle_boundaries
 from repro.vpic.boris import advance_positions, boris_push, momentum_gamma
 from repro.vpic.deck import Deck, DepositionKind, FieldBoundaryKind
@@ -43,7 +45,141 @@ from repro.vpic.scratch import ScratchArena
 from repro.vpic.sort_step import SortStep
 from repro.vpic.species import Species
 
-__all__ = ["Simulation"]
+__all__ = ["Lane", "Simulation", "resolve_lane"]
+
+
+class Lane(NamedTuple):
+    """The lane a step actually takes: :func:`resolve_lane`'s answer."""
+
+    #: Its ``step_lane/*`` counter: ``native-step``, ``native-push``,
+    #: ``numpy-fused`` (every other non-reference push) or ``reference``.
+    label: str
+    #: Why the whole-step native lane is not running (``None`` when it
+    #: is); on a distributed rank, why its push is not native.
+    reason: "str | None"
+    #: The push is the fused one (:meth:`Simulation.push_step`), not
+    #: kernel by kernel (:meth:`Simulation.push_species`).
+    fused: bool
+    #: The push runs in C: the whole step, the fused native push or
+    #: the native Esirkepov kernel.
+    native_push: bool
+    #: The native Esirkepov kernel applies the periodic wrap itself.
+    wraps: bool
+    #: The compiled library the field solve, sort and window shift run
+    #: on, or ``None``: numpy.
+    kernels: object
+
+
+_REFERENCE_LANE = Lane("reference", "reference StepPlan pinned",
+                       False, False, False, None)
+
+
+def resolve_lane(plan: StepPlan, deck) -> Lane:
+    """The lane *deck* — a :class:`Simulation` or a distributed
+    :class:`~repro.mpi.distributed.RankState` — takes this step when
+    *plan* is asked for: the one place the lane is decided.
+
+    The gates are walked once, in the order the reason words them.
+    The push is fused on a CIC deck with periodic particles and a zero
+    origin (the fused lane wraps only escaped particles, which matches
+    the reference round-trip bitwise only then; a rank's push leaves
+    positions unwrapped for the migration, so its origin is free). It
+    is native on float32 fields, without atomics accounting (whose
+    sampled hook must see the numpy deposition keys) and with a built
+    kernel. The field solve and sort take the native kernels on
+    float32 fields with a solver whose numpy code they reproduce:
+    exactly :class:`FieldSolver` or an x-axis
+    :class:`~repro.vpic.absorbing.AbsorbingFieldSolver` (a subclass
+    may override any method). The whole step goes to C on top of a
+    fused native push only with no sources, periodic fields, the plain
+    solver and no *interposing* tool: telemetry-compatible tools
+    (``native_telemetry_ok``) are fed from the C step's drained stats.
+    A rank never takes the whole step (exchanges split it).
+
+    Runs once per step (the CLI swaps ``step_plan`` after
+    construction, and tools and accounting come and go); on the
+    whole-step lane it formats no string.
+    """
+    if plan is StepPlan.REFERENCE:
+        return _REFERENCE_LANE
+    g = deck.grid
+    solver = deck.solver
+    rank = solver.external_ghosts
+    cic = deck.deposition is DepositionKind.CIC
+    periodic = deck.boundary is BoundaryKind.PERIODIC
+    origin0 = g.x0 == 0.0 and g.y0 == 0.0 and g.z0 == 0.0
+    fused = (plan is not StepPlan.NUMPY and cic and periodic
+             and (origin0 or rank))
+    if plan is StepPlan.NUMPY_FUSED or plan is StepPlan.NUMPY:
+        return Lane("numpy-fused", "StepPlan disables native kernels",
+                    fused, False, False, None)
+    from repro.vpic import native
+
+    lib = native.native_push_kernel()
+    dtype = np.dtype(deck.fields.dtype)
+    f32 = dtype == np.float32
+    accounting = accounting_enabled()
+    plain = type(solver) is FieldSolver
+    kernels_off = None
+    if not f32:
+        kernels_off = f"{dtype.name} fields"
+    elif not plain:
+        if type(solver) is not AbsorbingFieldSolver:
+            kernels_off = f"custom field solver {type(solver).__name__}"
+        elif solver.mur.axes != (0,):
+            kernels_off = f"absorbing axes {solver.mur.axes}"
+    if kernels_off is None and lib is None:
+        kernels_off = f"no compiled kernel ({native.native_status()})"
+    push_off = None
+    if not periodic:
+        push_off = f"{deck.boundary.value} particles"
+    elif not f32:
+        push_off = f"{dtype.name} fields"
+    elif accounting:
+        push_off = "atomics accounting enabled"
+    elif lib is None:
+        push_off = f"no compiled kernel ({native.native_status()})"
+    native_push = push_off is None and (fused or not cic)
+    # The gates below leave a step that is still Python, kernel by
+    # kernel: some reasons close with which kernels carry its field
+    # solve and sort.
+    on = ("; fields and sort on native kernels" if kernels_off is None
+          else f"; fields and sort on numpy ({kernels_off})")
+    if rank:
+        reason = push_off
+    elif plan is StepPlan.NATIVE_PUSH:
+        reason = "native-push lane requested"
+    elif not cic:
+        reason = ("esirkepov deposition steps kernel by kernel; "
+                  + ("push on the native Esirkepov kernel" if native_push
+                     else f"push on numpy ({push_off})") + on)
+    elif not periodic:
+        reason = f"{deck.boundary.value} particle boundary"
+    elif not origin0:
+        reason = f"nonzero grid origin ({g.x0}, {g.y0}, {g.z0})"
+    elif deck.sources:
+        names = ", ".join(sorted({type(s).__name__ for s in deck.sources}))
+        reason = f"per-step field sources attached: {names}{on}"
+    elif deck.field_boundary is not FieldBoundaryKind.PERIODIC:
+        reason = (f"field boundary {deck.field_boundary.name.lower()}"
+                  f"{on}")
+    elif not plain:
+        reason = f"custom field solver {type(solver).__name__}"
+    elif not f32:
+        reason = f"{dtype.name} fields"
+    elif tools_active() and (tools := interposing_tools()):
+        names = ", ".join(sorted({type(t).__name__ for t in tools}))
+        reason = f"interposing tool attached: {names}"
+    elif accounting:
+        reason = "atomics accounting enabled"
+    elif lib is None:
+        reason = f"no compiled kernel ({native.native_status()})"
+    else:
+        return Lane("native-step", None, True, True, False, lib)
+    return Lane("native-push" if fused and native_push else "numpy-fused",
+                reason, fused, native_push,
+                native_push and not cic and origin0,
+                None if kernels_off is not None else lib)
 
 
 @dataclass
@@ -57,11 +193,10 @@ class Simulation:
     field_boundary: FieldBoundaryKind = FieldBoundaryKind.PERIODIC
     deposition: DepositionKind = DepositionKind.CIC
     sort_step: SortStep = field(default_factory=SortStep)
-    #: Which kernels the step takes (see repro.core.tuning.StepPlan):
-    #: the fast path by default; ``StepPlan.reference_plan()`` selects
-    #: the original kernel-by-kernel sequence the equivalence tests
-    #: compare against.
-    step_plan: StepPlan = field(default_factory=StepPlan)
+    #: The lane the step asks for (see repro.core.tuning.StepPlan): the
+    #: whole-step native lane by default; :meth:`lane` resolves it into
+    #: the lane that actually runs, every step.
+    step_plan: StepPlan = StepPlan.NATIVE_STEP
     step_count: int = 0
     #: Optional runtime invariant guard (see :mod:`repro.validate`);
     #: when set, :meth:`step` brackets every timestep with its
@@ -80,11 +215,11 @@ class Simulation:
     #: :class:`~repro.vpic.injection.LaserAntenna` or a
     #: :class:`~repro.vpic.window.MovingWindow`. Sources demote the
     #: whole-step native lane (the C step owns the field solve and
-    #: has no injection point); the push-scope lane takes the step —
-    #: one native push per step on the step team — and the field solve
-    #: and sort around it stay on native kernels, as does a window's
-    #: shift (one C call on the same packed deck). The antenna and the
-    #: reload column's RNG are what stays numpy.
+    #: has no injection point): :meth:`lane` resolves the default
+    #: request to the native-push lane — one native push per step on
+    #: the step team, the field solve, sort and a window's shift on
+    #: the native kernels. The antenna and the reload column's RNG are
+    #: what stays numpy.
     sources: list = field(default_factory=list)
 
     # -- construction -----------------------------------------------------------
@@ -145,7 +280,6 @@ class Simulation:
 
     def _make_solver(self) -> FieldSolver:
         if self.field_boundary is FieldBoundaryKind.ABSORBING_X:
-            from repro.vpic.absorbing import AbsorbingFieldSolver
             return AbsorbingFieldSolver(self.fields, axes=(0,))
         return FieldSolver(self.fields)
 
@@ -166,36 +300,43 @@ class Simulation:
 
     # -- the step ----------------------------------------------------------------
 
-    def push_species(self, sp: Species, wrap: bool = False) -> None:
+    def lane(self) -> Lane:
+        """The lane this step takes: :func:`resolve_lane` of the current
+        ``step_plan`` on this deck."""
+        return resolve_lane(self.step_plan, self)
+
+    def push_species(self, sp: Species, wrap: bool = False,
+                     lane: "Lane | None" = None) -> None:
         """The particle push kernel: gather -> Boris -> deposit -> move.
 
         This is the kernel-by-kernel path: always used by the
-        reference plan, and by decks the fused path does not cover
-        (Esirkepov deposition, reflecting boundaries). A non-reference
-        plan still shares the post-push gamma between deposition and
-        the position advance and may bin-reduce the deposition; on
-        Esirkepov decks it hands the whole push to the native
-        Esirkepov kernel when :meth:`_esirkepov_kernel_off` finds no
-        objection (bit-identical, the numpy sequence below stays as
-        the no-compiler fallback and the oracle).
+        reference lane, and by decks the fused push does not cover
+        (Esirkepov deposition, reflecting boundaries, a nonzero
+        origin). Every other lane shares the post-push gamma between
+        deposition and the position advance and bin-reduces the
+        deposition; on Esirkepov decks a lane whose push is native
+        hands the whole push to the native Esirkepov kernel
+        (bit-identical, the numpy sequence below stays as the
+        no-compiler fallback and the oracle).
 
-        Positions are left unwrapped for
+        *lane* is the step's (:meth:`lane` when not given). Positions
+        are left unwrapped for
         :func:`~repro.vpic.boundary.apply_particle_boundaries`, except
-        that :meth:`step` passes *wrap* when :meth:`_kernel_wraps`
-        holds: the native Esirkepov kernel then wraps in the push.
+        that :meth:`step` passes *wrap* when the lane ``wraps``: the
+        native Esirkepov kernel then wraps in the push.
         """
         if sp.n == 0:
             return
         g = self.grid
-        plan = self.step_plan
-        if (self.deposition is DepositionKind.ESIRKEPOV
-                and self._esirkepov_kernel_off() is None):
+        if lane is None:
+            lane = self.lane()
+        if self.deposition is DepositionKind.ESIRKEPOV and lane.native_push:
             from repro.vpic import native
             with record_kernel(f"push/{sp.name}"):
                 native.native_push_kernel().push_species_esirkepov(
                     self.fields, sp, self._arena, wrap=wrap)
             return
-        binned = plan.bin_deposit and not plan.reference
+        reference = lane.label == "reference"
         x, y, z = sp.positions()
         ux, uy, uz = sp.momenta()
         with record_kernel(f"push/{sp.name}"):
@@ -224,8 +365,8 @@ class Simulation:
                     apply_particle_boundaries(sp, self.boundary)
                 deposit_current_esirkepov(
                     self.fields, x0, y0, z0, x, y, z,
-                    sp.live("w"), sp.q, g.dt, binned=binned)
-            elif plan.reference:
+                    sp.live("w"), sp.q, g.dt, binned=not reference)
+            elif reference:
                 # Deposit at the post-push momentum: v is
                 # time-centered between the old and new positions in
                 # leapfrog sense.
@@ -236,25 +377,27 @@ class Simulation:
                 gamma = momentum_gamma(ux, uy, uz)
                 deposit_current(self.fields, x, y, z, ux, uy, uz,
                                 sp.live("w"), sp.q, gamma=gamma,
-                                binned=binned)
+                                binned=True)
                 advance_positions(x, y, z, ux, uy, uz, g.dt,
                                   gamma=gamma)
 
-    def push_step(self) -> int:
+    def push_step(self, lane: "Lane | None" = None) -> int:
         """Fused particle phase: gather -> Boris -> deposit -> move ->
-        wrap for every species, through the StepPlan fast path.
+        wrap for every species, on the fused lane.
 
         Returns the number of particles pushed. The periodic boundary
         is folded into the fused kernel, so no separate boundary pass
         runs; voxel indices refresh lazily on first use.
 
-        With a compiled kernel (:meth:`_native_push_ok`) every species
-        goes in one native call, the whole step's push phase on the
-        step team; its C-measured seconds per species are drained onto
-        the ``push/<species>`` labels. Otherwise each species takes the
-        fused numpy lane.
+        When the push of *lane* (the step's; :meth:`lane` when not
+        given) is native, every species goes in one native call, the
+        whole step's push phase on the step team; its C-measured
+        seconds per species are drained onto the ``push/<species>``
+        labels. Otherwise each species takes the fused numpy lane.
         """
-        if self._native_push_ok():
+        if lane is None:
+            lane = self.lane()
+        if lane.native_push:
             from repro.observability import native_telemetry
             from repro.vpic import native
             native_telemetry.drain_push(self, native.push_simulation(self))
@@ -268,207 +411,27 @@ class Simulation:
             if sp.n == 0:
                 continue
             with record_kernel(f"push/{sp.name}"):
-                fused_push_species(self.fields, sp, self._arena,
-                                   self.step_plan)
+                fused_push_species(self.fields, sp, self._arena, lane)
         return pushed
-
-    def _fast_step_ok(self) -> bool:
-        g = self.grid
-        plan = self.step_plan
-        # Zero origin: the fused lane wraps only escaped particles,
-        # which matches the reference all-particle
-        # subtract/mod/re-add round-trip bitwise only when the
-        # subtracted origin is exactly zero.
-        return (not plan.reference and plan.fused
-                and self.deposition is DepositionKind.CIC
-                and self.boundary is BoundaryKind.PERIODIC
-                and g.x0 == 0.0 and g.y0 == 0.0 and g.z0 == 0.0)
-
-    def _native_push_ok(self) -> bool:
-        """Whether :meth:`push_step` pushes on the compiled kernel: a
-        native plan, float32 fields (the kernel's type), no atomics
-        accounting (whose sampled hook must observe the numpy lane's
-        deposition keys), and a built kernel."""
-        from repro.vpic import native
-        return (self.step_plan.native
-                and np.dtype(self.fields.dtype) == np.float32
-                and not accounting_enabled()
-                and native.native_available())
 
     def native_push_threads(self) -> "int | None":
         """Threads a step of this deck pushes on — the step team's size
         for it (:func:`~repro.vpic.native.step_team_size`) on both
         native lanes, whole-step and push-scope — or ``None`` when the
         push is numpy."""
-        if not (self._fast_step_ok() and self._native_push_ok()):
+        lane = self.lane()
+        if not (lane.fused and lane.native_push):
             return None
         from repro.vpic import native
         return native.step_team_size(self)
 
-    def _esirkepov_kernel_off(self) -> "str | None":
-        """Why the native Esirkepov kernel is *not* carrying this
-        deck's particle push — ``None`` when it is.
-
-        The one gate list behind both :meth:`push_species`'s dispatch
-        and the wording of :meth:`native_fallback_reason`. The kernel
-        needs no zero origin: off one it leaves positions unwrapped
-        for the Python boundary pass (:meth:`_kernel_wraps`). A
-        reflecting deck must fold the bounce between advance and
-        deposit, which only the numpy sequence does.
-        """
-        from repro.vpic import native
-
-        plan = self.step_plan
-        if plan.reference:
-            return "reference StepPlan pinned"
-        if not plan.native:
-            return "StepPlan disables native kernels"
-        if self.boundary is not BoundaryKind.PERIODIC:
-            return f"{self.boundary.value} particles"
-        if np.dtype(self.fields.dtype) != np.float32:
-            return f"{np.dtype(self.fields.dtype).name} fields"
-        if accounting_enabled():
-            return "atomics accounting enabled"
-        if not native.native_available():
-            return f"no compiled kernel ({native.native_status()})"
-        return None
-
-    def _kernel_wraps(self) -> bool:
-        """Whether the native Esirkepov kernel applies this step's
-        periodic wrap itself, so :meth:`step` runs no boundary pass: it
-        carries the push, and the origin is zero — :meth:`_fast_step_ok`'s
-        rule, since the kernel wraps only the particles that left the
-        box."""
-        g = self.grid
-        return (self.deposition is DepositionKind.ESIRKEPOV
-                and g.x0 == 0.0 and g.y0 == 0.0 and g.z0 == 0.0
-                and self._esirkepov_kernel_off() is None)
-
-    def _step_kernels_off(self) -> "str | None":
-        """Why the kernel-by-kernel step's field solve and sort are
-        *not* on the native kernels — ``None`` when they are.
-
-        The one gate behind :meth:`_step_kernels` (what
-        ``FieldSolver.kernels`` and ``SortStep.apply`` are handed each
-        step) and the closing words of
-        :meth:`native_fallback_reason`. Evaluated per step: the CLI
-        swaps ``step_plan`` after construction. A solver subclass may
-        override any method, so only the two exact classes whose
-        numpy code the kernels reproduce qualify.
-        """
-        from repro.vpic import native
-
-        plan = self.step_plan
-        if plan.reference:
-            return "reference StepPlan pinned"
-        if not plan.native:
-            return "StepPlan disables native kernels"
-        if np.dtype(self.fields.dtype) != np.float32:
-            return f"{np.dtype(self.fields.dtype).name} fields"
-        solver = self._solver
-        if type(solver) is not FieldSolver:
-            from repro.vpic.absorbing import AbsorbingFieldSolver
-            if type(solver) is not AbsorbingFieldSolver:
-                return f"custom field solver {type(solver).__name__}"
-            if solver.mur.axes != (0,):
-                return f"absorbing axes {solver.mur.axes}"
-        if not native.native_available():
-            return f"no compiled kernel ({native.native_status()})"
-        return None
-
-    def _step_kernels(self):
-        """The compiled library this step's field solve and sort run
-        on, or ``None`` for numpy (see :meth:`_step_kernels_off`)."""
-        if self._step_kernels_off() is not None:
-            return None
-        from repro.vpic import native
-        return native.native_push_kernel()
-
-    def _native_step_ok(self) -> bool:
-        """Whether the whole-step native lane may run this step.
-
-        Stricter than :meth:`_fast_step_ok`: the C step owns the Yee
-        solve and ghost handling too, so it additionally needs the
-        plain periodic field solver on float32 fields, no
-        *interposing* observability tools, and no atomics accounting.
-        Telemetry-compatible tools (ChromeTracer, CounterTool — any
-        tool marked ``native_telemetry_ok``) do NOT demote the lane:
-        the C step fills a per-phase stats struct that
-        :mod:`repro.observability.native_telemetry` drains into the
-        same spans/metrics/samples after each call. Ineligible steps
-        degrade to the push-scope lane, then numpy — never an error —
-        and :meth:`native_fallback_reason` names the tripped gate.
-        """
-        plan = self.step_plan
-        return (plan.native and plan.native_scope == "step"
-                and self._fast_step_ok()
-                and not self.sources
-                and self.field_boundary is FieldBoundaryKind.PERIODIC
-                and type(self._solver) is FieldSolver
-                and not self._solver.external_ghosts
-                and np.dtype(self.fields.dtype) == np.float32
-                and not interposing_tools()
-                and not accounting_enabled())
-
     def native_fallback_reason(self) -> "str | None":
         """Why the whole-step native lane will *not* run — or ``None``
-        when it is eligible and a compiled kernel exists.
-
-        The slow, human-readable twin of :meth:`_native_step_ok`,
-        checked gate by gate so a demotion is recorded (flight
-        recorder header, watch panel, ``run-deck`` note) instead of
-        silently measuring the wrong lane.
-        """
-        from repro.vpic import native
-
-        plan = self.step_plan
-        if plan.reference:
-            return "reference StepPlan pinned"
-        if not plan.native:
-            return "StepPlan disables native kernels"
-        if plan.native_scope != "step":
-            return f"StepPlan native_scope={plan.native_scope!r}"
-        if not plan.fused:
-            return "StepPlan disables the fused push"
-        # The gates below leave a step that is still Python, kernel
-        # by kernel — so the reason closes with which kernels carry
-        # its field solve and sort.
-        why = self._step_kernels_off()
-        kernels = ("; fields and sort on native kernels" if why is None
-                   else f"; fields and sort on numpy ({why})")
-        if self.deposition is DepositionKind.ESIRKEPOV:
-            off = self._esirkepov_kernel_off()
-            return ("esirkepov deposition steps kernel by kernel; "
-                    + ("push on the native Esirkepov kernel"
-                       if off is None else f"push on numpy ({off})")
-                    + kernels)
-        if self.boundary is not BoundaryKind.PERIODIC:
-            return f"{self.boundary.value} particle boundary"
-        g = self.grid
-        if (g.x0, g.y0, g.z0) != (0.0, 0.0, 0.0):
-            return f"nonzero grid origin ({g.x0}, {g.y0}, {g.z0})"
-        if self.sources:
-            names = ", ".join(sorted({type(s).__name__
-                                      for s in self.sources}))
-            return f"per-step field sources attached: {names}{kernels}"
-        if self.field_boundary is not FieldBoundaryKind.PERIODIC:
-            return (f"field boundary {self.field_boundary.name.lower()}"
-                    f"{kernels}")
-        if type(self._solver) is not FieldSolver:
-            return f"custom field solver {type(self._solver).__name__}"
-        if self._solver.external_ghosts:
-            return "externally owned field ghosts (distributed rank)"
-        if np.dtype(self.fields.dtype) != np.float32:
-            return f"{np.dtype(self.fields.dtype).name} fields"
-        tools = interposing_tools()
-        if tools:
-            names = ", ".join(sorted({type(t).__name__ for t in tools}))
-            return f"interposing tool attached: {names}"
-        if accounting_enabled():
-            return "atomics accounting enabled"
-        if not native.native_available():
-            return f"no compiled kernel ({native.native_status()})"
-        return None
+        when it is eligible and a compiled kernel exists: the reason of
+        :meth:`lane`, recorded (flight recorder header, watch panel,
+        ``run-deck`` note) so a demotion is not silently measured as
+        the wrong lane."""
+        return self.lane().reason
 
     def _native_sort_ok(self) -> bool:
         """Whether the C lane may also apply the counting sort: only
@@ -482,7 +445,7 @@ class Simulation:
         0, which leaves any sort to Python."""
         return self.sort_step.interval if self._native_sort_ok() else 0
 
-    def _multi_step_ok(self) -> bool:
+    def _multi_step_ok(self, lane: Lane) -> bool:
         """Whether several steps may go to the whole-step native lane
         in one call — the one rule behind :meth:`run`'s chunks and
         :meth:`step_many`'s batch.
@@ -492,16 +455,15 @@ class Simulation:
         span per phase for the whole call and no ``step`` region per
         step) and detail mode off (its per-step drift gauge). The sort
         must be native or off, since a Python sort would have to run
-        between two steps of the call. And the deck must be on the
-        whole-step lane (:meth:`_native_step_ok`). Evaluated on every
-        pass of :meth:`run`'s loop, cheapest gates first.
+        between two steps of the call. And *lane*, the deck's this
+        step, must be the whole-step one.
         """
         sort = self.sort_step
-        return (self.guard is None and self.recorder is None
+        return (lane.label == "native-step"
+                and self.guard is None and self.recorder is None
                 and not tools_active() and not detail_enabled()
                 and (sort.interval == 0 or sort.kind is SortKind.NONE
-                     or self._native_sort_ok())
-                and self._native_step_ok())
+                     or self._native_sort_ok()))
 
     def _native_advanced(self, res: dict, steps: int,
                          sort_interval: int) -> None:
@@ -541,8 +503,9 @@ class Simulation:
             elif n_sorts < steps:
                 sp.mark_voxels_stale()
 
-    def _native_step(self) -> "int | None":
-        """One whole-step native advance (fields + push + sort in C).
+    def _native_step(self, kernels) -> "int | None":
+        """One whole-step native advance (fields + push + sort in C);
+        *kernels* is the lane's library, for a sort the C step leaves.
 
         Returns particles pushed, or ``None`` when no compiled kernel
         is available and the caller should take the Python step. The
@@ -584,7 +547,6 @@ class Simulation:
                         descents / (sp.n - 1) if sp.n > 1 else 0.0)
                     reg.gauge("sort/disorder_after").set(0.0)
         if sort_interval == 0 and self.sort_step.due(self.step_count):
-            kernels = self._step_kernels()
             for sp in self.species:
                 with record_kernel(f"sort/{sp.name}"):
                     self.sort_step.apply(sp, scratch=self._arena,
@@ -618,8 +580,10 @@ class Simulation:
             seconds / steps)
         return seconds
 
-    def step(self) -> None:
-        """Advance the whole system by one timestep.
+    def step(self, lane: "Lane | None" = None) -> None:
+        """Advance the whole system by one timestep, on *lane* — the
+        step's :meth:`lane`, resolved here unless the caller (:meth:`run`)
+        already did.
 
         With a guard attached, the step is bracketed by its hooks:
         ``before_step`` arms two-sided checks and seeds the rollback
@@ -628,35 +592,36 @@ class Simulation:
         newest validated checkpoint (rewinding ``step_count``).
         """
         try:
-            self._step()
+            self._step(lane)
         finally:
             if not self._sample_due:
                 self._close_window()
 
-    def _step(self) -> None:
+    def _step(self, lane: "Lane | None") -> None:
         """:meth:`step`'s body; leaves the window of the step's shared
         energy total and verdict open (see :meth:`energy_totals`)."""
         t0 = time.perf_counter()
         pushed = 0
         if self.guard is not None:
             self.guard.before_step(self)
+        if lane is None:
+            lane = self.lane()
         with profiling_region("step"):
-            native_pushed = (self._native_step()
-                             if self._native_step_ok() else None)
+            native_pushed = (self._native_step(lane.kernels)
+                             if lane.label == "native-step" else None)
             if native_pushed is not None:
                 pushed = native_pushed
             else:
-                kernels = self._solver.kernels = self._step_kernels()
+                kernels = self._solver.kernels = lane.kernels
                 self._solver.advance_b(0.5)
                 self.fields.clear_currents()
-                if self._fast_step_ok():
-                    pushed = self.push_step()
+                if lane.fused:
+                    pushed = self.push_step(lane)
                 else:
-                    wrap = self._kernel_wraps()
                     for sp in self.species:
                         pushed += sp.n
-                        self.push_species(sp, wrap=wrap)
-                    if not wrap:
+                        self.push_species(sp, wrap=lane.wraps, lane=lane)
+                    if not lane.wraps:
                         for sp in self.species:
                             with record_kernel(f"boundary/{sp.name}"):
                                 apply_particle_boundaries(sp,
@@ -666,10 +631,10 @@ class Simulation:
                     # E is untouched since the pre-push sync, so the
                     # second half-B advance can skip the redundant E
                     # ghost refresh (bit-identical; three fewer ghost
-                    # copies per step). The reference plan keeps the
+                    # copies per step). The reference lane keeps the
                     # original blanket sync.
                     self._solver.advance_b(
-                        0.5, sync=self.step_plan.reference)
+                        0.5, sync=lane.label == "reference")
                     self._solver.advance_e(1.0)
                 if self.sources:
                     with record_kernel("sources/inject"):
@@ -684,10 +649,12 @@ class Simulation:
         step_seconds = time.perf_counter() - t0
         reg = default_registry()
         if native_pushed is None:
-            # The native lane's counters are kept by _native_advanced.
+            # The native lane's counters are kept by _native_advanced;
+            # these lanes count per step for the dashboard's
+            # lane-occupancy panel and perfbench's declared-lane check.
             reg.counter("sim/steps").inc()
             reg.counter("sim/particles_pushed").inc(pushed)
-            reg.counter(f"step_lane/{self._lane_taken()}").inc()
+            reg.counter(f"step_lane/{lane.label}").inc()
         reg.histogram("sim/step_seconds").observe(step_seconds)
         # The tools below share one energy total of the new state.
         self._energy_shared = True
@@ -721,18 +688,6 @@ class Simulation:
                 or (guard is not None
                     and getattr(guard, "reads_energy", lambda step: True)(
                         self.step_count + 1)))
-
-    def _lane_taken(self) -> str:
-        """Which Python-driven lane the step just ran on
-        (``native-push`` / ``numpy-fused`` / ``reference``), counted
-        per step under ``step_lane/*`` for the dashboard's
-        lane-occupancy panel and perfbench's declared-lane check;
-        :meth:`_native_advanced` counts ``native-step``."""
-        if self.step_plan.reference:
-            return "reference"
-        if self._fast_step_ok() and self._native_push_ok():
-            return "native-push"
-        return "numpy-fused"
 
     def _record_energy_drift(self, reg) -> None:
         """Energy-conservation drift gauge (detail-mode metric).
@@ -809,7 +764,7 @@ class Simulation:
         sims = list(sims)
         if not sims or num_steps == 0:
             return
-        eligible = [s._multi_step_ok() for s in sims]
+        eligible = [s._multi_step_ok(s.lane()) for s in sims]
         native_sims = [s for s, ok in zip(sims, eligible) if ok]
         demoted = [s for s, ok in zip(sims, eligible) if not ok]
         results = None
@@ -882,7 +837,8 @@ class Simulation:
                 # The step's energy window stays open over the record.
                 try:
                     seconds = None
-                    if self._multi_step_ok():
+                    lane = self.lane()
+                    if self._multi_step_ok(lane):
                         stop = target
                         if diagnostic is not None:
                             stop = min(stop, (self.step_count
@@ -893,7 +849,7 @@ class Simulation:
                             steps, energy=sampled(self.step_count + steps))
                     if seconds is None:
                         self._sample_due = sampled(self.step_count + 1)
-                        self.step()
+                        self.step(lane)
                     else:
                         chunk = _next_chunk(chunk, steps, seconds)
                     if sampled(self.step_count):

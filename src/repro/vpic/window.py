@@ -119,7 +119,7 @@ class MovingWindow:
 
         The reload columns' random draws come first (a pure function
         of ``(seed, step, species)``). With the step's native kernels
-        on (``sim._step_kernels()``) the rest is one C call on the
+        on (``sim.lane().kernels``) the rest is one C call on the
         packed deck (:func:`~repro.vpic.native.shift_window`), which
         also turns the draws into the column; otherwise the numpy
         code below runs, which is the fallback and the oracle: both
@@ -132,7 +132,7 @@ class MovingWindow:
             cfg = reload_by_name.get(sp.name)
             if cfg is not None:
                 loads[i] = (cfg, self._draws(cfg, sim.grid, step, i))
-        kernels = sim._step_kernels()
+        kernels = sim.lane().kernels
         if kernels is not None:
             from repro.vpic import native
             unloaded = native.shift_window(sim, kernels, loads)

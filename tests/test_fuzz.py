@@ -261,9 +261,9 @@ class TestDegenerateLaneIdentity:
                     species=(SpeciesConfig(
                         name="e", q=-1.0, m=1.0, ppc=4, uth=0.02,
                         drift=(0.2, 0.0, 0.0)),))
-        lanes = {"numpy": StepPlan(native=False, fused=False),
-                 "push": StepPlan(native_scope="push"),
-                 "native": StepPlan()}
+        lanes = {"numpy": StepPlan.NUMPY,
+                 "push": StepPlan.NATIVE_PUSH,
+                 "native": StepPlan.NATIVE_STEP}
         states = {}
         for lane, plan in lanes.items():
             sim = deck.build()
@@ -291,7 +291,7 @@ class TestDegenerateLaneIdentity:
                         name="e", q=-1.0, m=1.0, ppc=1, uth=0.0,
                         drift=(0.3, 0.1, 0.0)),))
         sims = []
-        for plan in (StepPlan(native=False, fused=False), StepPlan()):
+        for plan in (StepPlan.NUMPY, StepPlan.NATIVE_STEP):
             sim = deck.build()
             sim.step_plan = plan
             for _ in range(deck.num_steps):

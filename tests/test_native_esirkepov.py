@@ -54,7 +54,7 @@ def _pair(deck, mutate=None):
     """(kernel sim, numpy-oracle sim) in the same state: random E and
     B so gather and Boris do real work, then *mutate* on both."""
     sims = []
-    for plan in (StepPlan(), StepPlan(native=False)):
+    for plan in (StepPlan.NATIVE_STEP, StepPlan.NUMPY_FUSED):
         sim = deck.build()
         sim.step_plan = plan
         rng = np.random.default_rng(5)
@@ -64,8 +64,8 @@ def _pair(deck, mutate=None):
         if mutate is not None:
             mutate(sim)
         sims.append(sim)
-    assert sims[0]._esirkepov_kernel_off() is None
-    assert sims[1]._esirkepov_kernel_off() is not None
+    assert sims[0].lane().native_push
+    assert not sims[1].lane().native_push
     return sims
 
 
@@ -212,7 +212,7 @@ def _fast_particle_sim(plan):
 
 def test_supercell_move_raises_like_numpy():
     messages = []
-    for plan in (StepPlan(), StepPlan(native=False)):
+    for plan in (StepPlan.NATIVE_STEP, StepPlan.NUMPY_FUSED):
         sim = _fast_particle_sim(plan)
         with pytest.raises(ValueError, match="sub-cell") as exc:
             sim.push_species(sim.species[0])
@@ -221,7 +221,7 @@ def test_supercell_move_raises_like_numpy():
     assert messages[0] == messages[1]
 
 
-# -- whole decks: 50 steps, kernel vs StepPlan(native=False) --------------------
+# -- whole decks: 50 steps, kernel vs StepPlan.NUMPY_FUSED --------------------
 
 
 @pytest.mark.parametrize("name,kw", [("beam-plasma", {}),
@@ -230,8 +230,8 @@ def test_supercell_move_raises_like_numpy():
 def test_zoo_decks_50_steps_sha256_identical(name, kw):
     deck = workloads.DECK_BUILDERS[name](num_steps=50, seed=1, **kw)
     digests = []
-    for plan, on_kernel in ((StepPlan(), True),
-                            (StepPlan(native=False), False)):
+    for plan, on_kernel in ((StepPlan.NATIVE_STEP, True),
+                            (StepPlan.NUMPY_FUSED, False)):
         sim = deck.build()
         sim.step_plan = plan
         assert (ON in sim.native_fallback_reason()) is on_kernel
@@ -245,14 +245,6 @@ def test_zoo_decks_50_steps_sha256_identical(name, kw):
 
 
 # -- gates: who takes numpy, and says so ------------------------------------
-
-
-def test_reason_names_the_kernel_on_zoo_decks():
-    for name in ("beam-plasma", "reconnection"):
-        sim = workloads.make_deck(name, steps=1).build()
-        assert ON in sim.native_fallback_reason()
-        sim.step_plan = StepPlan.reference_plan()
-        assert "reference" in sim.native_fallback_reason()
 
 
 def test_reflecting_deck_stays_on_numpy_and_says_so(monkeypatch):
@@ -339,7 +331,7 @@ GOLDEN_RUNS = (("beam-plasma", "beam-plasma", {}, 200),
 def _golden_run(name, kw, steps):
     sim = workloads.DECK_BUILDERS[name](num_steps=steps, seed=1,
                                         **kw).build()
-    assert sim._kernel_wraps()
+    assert sim.lane().wraps
     sim.run(steps)
     return _state_digest(sim)
 
@@ -387,7 +379,7 @@ def _sized_pair(n, shape=(8, 4, 2), origin=(0.0, 0.0, 0.0), fields=True):
                 mom[axis, i] = u
     e_b = {name: rng.normal(scale=0.05, size=grid.shape) for name in EB}
     sims = []
-    for plan in (StepPlan(), StepPlan(native=False)):
+    for plan in (StepPlan.NATIVE_STEP, StepPlan.NUMPY_FUSED):
         sp = Species("e", -1.0, 1.0, grid)
         sp.append(*pos, *mom, np.full(n, 0.7))
         sim = Simulation(grid=grid, fields=FieldArrays(grid), species=[sp],
@@ -409,7 +401,7 @@ def test_species_sizes_match_numpy(n):
         sim.push_species(sim.species[0])
     _assert_identical(a, b, J)
     a, b = _sized_pair(n)
-    assert a._kernel_wraps() and not b._kernel_wraps()
+    assert a.lane().wraps and not b.lane().wraps
     for _ in range(3):
         a.step()
         b.step()
@@ -434,7 +426,7 @@ def _nonfinite_sim():
                 species=(SpeciesConfig("e", q=-1.0, m=1.0, ppc=8,
                                        uth=0.6),))
     sim = deck.build()
-    sim.step_plan = StepPlan()
+    sim.step_plan = StepPlan.NATIVE_STEP
     rng = np.random.default_rng(5)
     for name in EB:
         arr = getattr(sim.fields, name).data
@@ -458,8 +450,8 @@ def test_nonfinite_positions_keep_the_parent_bytes():
 
 
 def test_supercell_move_in_a_step_raises_with_j_untouched():
-    sim = _fast_particle_sim(StepPlan())
-    assert sim._kernel_wraps()
+    sim = _fast_particle_sim(StepPlan.NATIVE_STEP)
+    assert sim.lane().wraps
     with pytest.raises(ValueError, match="sub-cell"):
         sim.step()
     for name in J:
@@ -471,7 +463,7 @@ def test_supercell_move_in_a_step_raises_with_j_untouched():
 def test_supercell_move_in_any_tile_raises_with_j_untouched(bad):
     """Three tiles: a particle moving two cells in any of them fails the
     whole push (the chunks after it are not staged), J untouched."""
-    for plan in (StepPlan(), StepPlan(native=False)):
+    for plan in (StepPlan.NATIVE_STEP, StepPlan.NUMPY_FUSED):
         # dt far past the Courant limit: u = 5 moves ~2 cells per step
         grid = Grid(8, 8, 8, dx=0.5, dy=0.5, dz=0.5, dt=1.0)
         rng = np.random.default_rng(bad)
@@ -507,7 +499,7 @@ def test_kernel_wrap_matches_the_boundary_pass(monkeypatch):
         return sims
 
     wrapped, split = place(_sized_pair(200, fields=False))
-    split.step_plan = StepPlan()
+    split.step_plan = StepPlan.NATIVE_STEP
     default_registry().reset()
     calls = []
     real = simulation.apply_particle_boundaries
@@ -540,8 +532,8 @@ def test_nonzero_origin_keeps_the_boundary_pass(monkeypatch):
     monkeypatch.setattr(simulation, "apply_particle_boundaries",
                         lambda *a, **kw: (calls.append(1), real(*a, **kw)))
     a, b = _sized_pair(300, origin=(-1.0, 0.25, 2.0))
-    assert not a._kernel_wraps()
-    assert a._esirkepov_kernel_off() is None
+    assert not a.lane().wraps
+    assert a.lane().native_push
     for _ in range(3):
         a.step()
         b.step()

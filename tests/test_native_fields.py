@@ -21,6 +21,7 @@ from repro.vpic import native
 from repro.vpic.absorbing import AbsorbingFieldSolver
 from repro.vpic.checkpoint import (load_checkpoint, restore_state_into,
                                    save_checkpoint)
+from repro.vpic.deck import FieldBoundaryKind
 from repro.vpic.fields import FieldArrays, FieldSolver
 from repro.vpic.grid import Grid
 from repro.vpic.simulation import Simulation
@@ -57,10 +58,11 @@ def _digest(sim) -> str:
     return h.hexdigest()
 
 
-def _kernels_off(monkeypatch, sim, why="pinned by the test"):
+def _kernels_off(monkeypatch, sim):
     """The parent commit's configuration on one sim: whatever push the
-    plan selects, numpy field solve and Python sort."""
-    monkeypatch.setattr(sim, "_step_kernels_off", lambda: why)
+    lane takes, numpy field solve and Python sort."""
+    lane = sim.lane
+    monkeypatch.setattr(sim, "lane", lambda: lane()._replace(kernels=None))
 
 
 # -- solver kernels vs numpy ---------------------------------------------------
@@ -132,9 +134,12 @@ def test_other_absorbing_axes_are_refused():
     solver.kernels = native.native_push_kernel()
     with pytest.raises(ValueError, match="absorbing axes"):
         solver.advance_b(0.5)
-    sim = Simulation(grid=grid, fields=solver.fields, species=[])
+    sim = Simulation(grid=grid, fields=solver.fields, species=[],
+                     field_boundary=FieldBoundaryKind.ABSORBING_X)
     sim._solver = solver
-    assert sim._step_kernels_off() == "absorbing axes (1,)"
+    assert sim.lane().kernels is None
+    assert sim.native_fallback_reason().endswith(
+        OFF + "absorbing axes (1,))")
 
 
 # -- whole runs: default plan vs native=False vs the pre-change path ----------
@@ -146,18 +151,17 @@ def test_other_absorbing_axes_are_refused():
 ], ids=["wakefield-200", "beam-plasma-40"])
 def test_runs_are_sha256_identical_across_plans(monkeypatch, deck, steps):
     digests = {}
-    for label, plan in (("default", StepPlan()),
-                        ("native=False", StepPlan(native=False)),
-                        ("pre-change", StepPlan())):
+    for label, plan in (("default", StepPlan.NATIVE_STEP),
+                        ("native=False", StepPlan.NUMPY_FUSED),
+                        ("pre-change", StepPlan.NATIVE_STEP)):
         sim = deck(num_steps=steps).build()
         sim.step_plan = plan
         if label == "pre-change":
             _kernels_off(monkeypatch, sim)
         on = label == "default"
-        reason = sim.native_fallback_reason()
-        assert reason.endswith(ON) is on
-        if label == "pre-change":
-            assert reason.endswith(OFF + "pinned by the test)")
+        if label != "pre-change":
+            assert sim.native_fallback_reason().endswith(ON) is on
+        assert (sim.lane().kernels is not None) is on
         sim.run(steps)
         assert (sim.solver.kernels is not None) is on
         # Only worth its name if the run crossed sorts and shifts.
@@ -174,11 +178,11 @@ def test_gate_follows_the_current_plan():
     sim = laser_wakefield_deck(num_steps=4).build()
     sim.step()
     assert sim.solver.kernels is not None
-    sim.step_plan = StepPlan.reference_plan()
+    sim.step_plan = StepPlan.REFERENCE
     sim.step()
     assert sim.solver.kernels is None
     assert sim.native_fallback_reason() == "reference StepPlan pinned"
-    sim.step_plan = StepPlan()
+    sim.step_plan = StepPlan.NATIVE_STEP
     sim.step()
     assert sim.solver.kernels is not None
 
@@ -205,7 +209,8 @@ def test_custom_solver_subclass_stays_on_numpy():
     sim = uniform_plasma_deck(nx=4, ny=4, nz=4, ppc=2,
                               num_steps=2).build()
     sim._solver = Tweaked(sim.fields)
-    assert sim._step_kernels_off() == "custom field solver Tweaked"
+    assert sim.native_fallback_reason() == "custom field solver Tweaked"
+    assert sim.lane().kernels is None
     sim.step()
     assert sim.solver.kernels is None
 
@@ -364,7 +369,7 @@ def test_checkpoint_restore_mid_window_continues_identically(tmp_path):
             fresh.step_plan = plan
         return fresh
 
-    loaded, on_numpy = resumed(), resumed(StepPlan(native=False))
+    loaded, on_numpy = resumed(), resumed(StepPlan.NUMPY_FUSED)
     sim.run(more)
     reference = _digest(sim)
     sim.run(7)                          # run ahead, then rewind

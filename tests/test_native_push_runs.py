@@ -103,8 +103,7 @@ def _run(deck: str, path: str):
     if path == "step_many":
         Simulation.step_many([sim], STEPS)
         return sim
-    scope = {"native-step": "step", "native-push": "push"}[path]
-    sim.step_plan = StepPlan(native=True, native_scope=scope)
+    sim.step_plan = StepPlan(path)
     for _ in range(STEPS):
         sim.step()
     return sim
@@ -224,7 +223,7 @@ def test_team_size_does_not_change_bytes_or_counters():
 @_MULTI_CPU
 def test_push_scope_team_size_does_not_change_bytes_or_counters():
     """The push-scope lane on one CPU and on every CPU: the golden
-    digests under ``native_scope="push"``, one wakefield digest, and
+    digests on the native-push lane, one wakefield digest, and
     the same pushed / crossing / fold counts, every step on the
     native-push lane."""
     every = _one_and_every_cpu([(deck, "native-push")
@@ -253,7 +252,7 @@ def test_team_step_with_ragged_species_matches_push_lane():
         _load(sim.species[0], _cells(sim, 1025, rng, sort=True), rng)
         _load(sim.species[1], _cells(sim, 1, rng), rng)
         sim.sort_step.interval = 3
-        sim.step_plan = StepPlan(native=True, native_scope=scope)
+        sim.step_plan = StepPlan(f"native-{scope}")
         assert (sim.native_fallback_reason() is None) == (scope == "step")
         for _ in range(7):
             sim.step()
@@ -271,7 +270,7 @@ def test_float64_fields_push_on_numpy():
     from repro.vpic.fields import FieldArrays
 
     digests = []
-    for plan in (StepPlan(), StepPlan(native=False)):
+    for plan in (StepPlan.NATIVE_STEP, StepPlan.NUMPY_FUSED):
         base = workloads.uniform_plasma_deck(nx=6, ny=4, nz=4, ppc=4,
                                              seed=1).build()
         fields = FieldArrays(base.grid, np.float64)
@@ -368,7 +367,7 @@ def test_forked_child_starts_its_own_team():
     golden digest — as does the parent."""
     sim = DECKS["laser-plasma"]().build()
     sim.sort_step.interval = 10
-    sim.step_plan = StepPlan(native=True, native_scope="step")
+    sim.step_plan = StepPlan.NATIVE_STEP
     for _ in range(10):
         sim.step()
     r, w = os.pipe()
@@ -440,9 +439,10 @@ def _push_and_compare(fill):
     kernel, oracle = _pair()
     for sim in (kernel, oracle):
         fill(sim, np.random.default_rng(11))
-    for sim, plan in ((kernel, StepPlan()), (oracle, StepPlan(native=False))):
+    oracle.step_plan = StepPlan.NUMPY_FUSED
+    for sim in (kernel, oracle):
         for sp in sim.species:
-            fused_push_species(sim.fields, sp, sim._arena, plan)
+            fused_push_species(sim.fields, sp, sim._arena, sim.lane())
     for sa, sb in zip(kernel.species, oracle.species):
         assert sa.n == sb.n
         for attr in PARTICLE[:6]:

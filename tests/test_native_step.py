@@ -39,7 +39,7 @@ DECKS = [
 
 def _run(deck_factory, scope, steps, sort_interval=None):
     sim = deck_factory(seed=3).build()
-    sim.step_plan = StepPlan(native=True, native_scope=scope)
+    sim.step_plan = StepPlan(f"native-{scope}")
     if sort_interval is not None:
         sim.sort_step.interval = sort_interval
     for _ in range(steps):
@@ -95,8 +95,8 @@ def test_native_yee_bit_identical_100_steps(factory):
 
 
 def test_native_step_scope_bit_identical_to_push_scope():
-    """25 steps with a sort at step 20: native_scope='step' (one C
-    call per step, in-C sort) must equal native_scope='push' (numpy
+    """25 steps with a sort at step 20: the native-step lane (one C
+    call per step, in-C sort) must equal the native-push lane (numpy
     fields + C push + Python sort) on every array, and both must
     book the same number of sorts."""
     a = _run(workloads.uniform_plasma_deck, "step", 25, sort_interval=20)
@@ -114,7 +114,7 @@ def test_native_step_bit_identical_to_numpy_on_every_deck(factory):
     steps = 2
     fast = _run(factory, "step", steps)
     ref = factory(seed=3).build()
-    ref.step_plan = StepPlan(native=False)
+    ref.step_plan = StepPlan.NUMPY_FUSED
     for _ in range(steps):
         ref.step()
     for sp_a, sp_b in zip(fast.species, ref.species):
@@ -149,7 +149,7 @@ def test_native_step_bit_identical_with_telemetry_attached(factory):
     bare = _run(factory, "step", steps)
 
     watched = factory(seed=3).build()
-    watched.step_plan = StepPlan(native=True, native_scope="step")
+    watched.step_plan = StepPlan.NATIVE_STEP
     recorder = TimeSeriesRecorder(stride=1)
     recorder.attach(watched)
     tools = [register_tool(ChromeTracer()),
@@ -167,15 +167,6 @@ def test_native_step_bit_identical_with_telemetry_attached(factory):
     assert len(recorder.samples()) == steps
 
 
-def test_native_step_batch_used_by_default_plan():
-    """The default plan selects the whole-step scope and the lane
-    actually engages on a plain periodic f32 deck."""
-    sim = workloads.uniform_plasma_deck(seed=0).build()
-    assert sim.step_plan.native_scope == "step"
-    assert sim._native_step_ok()
-    assert sim._native_step() is not None
-
-
 def test_default_plan_counts_every_step_on_native_step_lane():
     """A silent downgrade (broken C build, a widened gate, the plan no
     longer selecting the step scope) shows as steps counted under
@@ -186,7 +177,7 @@ def test_default_plan_counts_every_step_on_native_step_lane():
 
     default_registry().reset()
     sim = workloads.uniform_plasma_deck(seed=0).build()
-    assert sim.step_plan == StepPlan()
+    assert sim.step_plan == StepPlan.NATIVE_STEP
     assert sim.native_fallback_reason() is None
     steps = 6
     sim.run(steps)

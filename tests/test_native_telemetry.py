@@ -4,7 +4,7 @@ The whole-step C lane fills a per-phase stats struct that
 ``observability/native_telemetry`` drains after every native call,
 synthesizing the spans / counter rows / metrics / recorder samples
 the Python lanes emit live. These tests pin the contract: a
-telemetry-compatible tool stack keeps ``native_scope="step"``
+telemetry-compatible tool stack keeps the native-step lane
 selected on every example deck, the synthesized events use the same
 attribution scheme as the fallback lane, an interposing tool demotes
 the lane with a reason that names it, the drain costs under 5% of
@@ -78,7 +78,7 @@ def telemetry_stack():
 @pytest.mark.parametrize("factory", DECKS)
 def test_native_lane_stays_selected_under_telemetry(factory,
                                                     telemetry_stack):
-    """Every example deck keeps native_scope='step' engaged with the
+    """Every example deck keeps the native-step lane engaged with the
     full telemetry-compatible stack attached, and the drained channel
     produces the fallback lane's attribution scheme: step-qualified
     tracer spans, counter rows with launch counts, per-step metrics
@@ -129,7 +129,7 @@ def test_push_scope_lane_telemetry(telemetry_stack):
     default_registry().reset()
     sim = workloads.laser_plasma_deck(nx=16, ny=4, nz=4, seed=1).build()
     sim.species.append(Species("idle", 1.0, 4.0, sim.grid))
-    sim.step_plan = StepPlan(native_scope="push")
+    sim.step_plan = StepPlan.NATIVE_PUSH
     steps = 4
     for _ in range(steps):
         sim.step()
@@ -158,7 +158,7 @@ def test_interposing_tool_demotes_with_named_reason():
     assert sim.native_fallback_reason() is None
     dummy = register_tool(_InterposingDummy())
     try:
-        assert not sim._native_step_ok()
+        assert sim.lane().label == "native-push"
         reason = sim.native_fallback_reason()
         assert reason is not None
         assert "interposing tool" in reason
@@ -181,7 +181,7 @@ def test_drain_overhead_under_five_percent(telemetry_stack):
     sim = workloads.uniform_plasma_deck(seed=1,
                                         nx=16, ny=16, nz=16).build()
     sim.step()  # warm: compile + arenas
-    assert sim._native_step_ok()
+    assert sim.lane().label == "native-step"
     fractions = []
     for _ in range(3):
         native_telemetry.reset_drain_stats()

@@ -4,7 +4,7 @@
 arrays move one x plane down, the Mur history re-reads its planes,
 particles that fall behind ``x0`` are dropped by a stable compaction and
 a fresh column is loaded at the leading edge. With the step's native
-kernels on (``sim._step_kernels()``) everything after the column's RNG
+kernels on (``sim.lane().kernels``) everything after the column's RNG
 is one C call, ``native.shift_window``; the numpy code stays as the
 fallback and the oracle.
 
@@ -128,9 +128,9 @@ def _shift_both_ways(make, reload=(WARM,), step=11, monkeypatch=None):
     returns them after asserting every byte equal."""
     window = MovingWindow(interval=1, reload=reload, seed=5)
     on_c, on_numpy = make(), make()
-    on_numpy.step_plan = StepPlan(native=False)
-    assert on_c._step_kernels() is not None
-    assert on_numpy._step_kernels() is None
+    on_numpy.step_plan = StepPlan.NUMPY_FUSED
+    assert on_c.lane().kernels is not None
+    assert on_numpy.lane().kernels is None
     calls = []
     if monkeypatch is not None:
         shift_window = native.shift_window
@@ -268,7 +268,7 @@ def test_voxels_are_marked_stale_and_refresh_alike(build):
 
 def test_draws_of_the_wrong_shape_are_refused(build):
     sim = _one("inexact", _cells("inexact", "dk", np.random.default_rng(9)))()
-    lib = sim._step_kernels()
+    lib = sim.lane().kernels
     n = 3 * 3 * 2
     for draws in (np.zeros((3, n + 1)), np.zeros((4, n)),
                   np.zeros((6, n), np.float32), np.zeros((n, 6)).T):

@@ -118,9 +118,9 @@ def calls(monkeypatch):
         seen["native_steps"] += steps
         return real_native(sim, *args, steps=steps, **kwargs)
 
-    def counted_step(self):
+    def counted_step(self, *args):
         seen["step"] += 1
-        return real_step(self)
+        return real_step(self, *args)
 
     monkeypatch.setattr(native, "step_simulation", counted_native)
     monkeypatch.setattr(Simulation, "step", counted_step)
@@ -279,7 +279,7 @@ def _float64_fields(sim):
 
 
 def _reference(sim):
-    sim.step_plan = StepPlan.reference_plan()
+    sim.step_plan = StepPlan.REFERENCE
 
 
 #: (deck, how it is observed or demoted, whether its steps stay on the

@@ -49,9 +49,9 @@ def _guarded(sim):
 
 
 LANES = {
-    "numpy": lambda: StepPlan(native=False, fused=False),
-    "push": lambda: StepPlan(native_scope="push"),
-    "native": lambda: StepPlan(),
+    "numpy": lambda: StepPlan.NUMPY,
+    "push": lambda: StepPlan.NATIVE_PUSH,
+    "native": lambda: StepPlan.NATIVE_STEP,
 }
 
 
@@ -103,7 +103,7 @@ class TestBeamPlasma:
         reason = sim.native_fallback_reason()
         assert reason.startswith("esirkepov deposition steps kernel "
                                  "by kernel; push on ")
-        sim.step_plan = StepPlan(native=False)
+        sim.step_plan = StepPlan.NUMPY_FUSED
         assert sim.native_fallback_reason() == \
             "StepPlan disables native kernels"
 

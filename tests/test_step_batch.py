@@ -123,7 +123,7 @@ def test_step_many_reference_plans_fall_back():
     batch = _build_fleet(2)
     solo = _build_fleet(2)
     for sim in batch + solo:
-        sim.step_plan = StepPlan.reference_plan()
+        sim.step_plan = StepPlan.REFERENCE
     Simulation.step_many(batch, 3)
     for sim in solo:
         for _ in range(3):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.tuning import STEP_TILE, StepPlan, select_step_plan
+from repro.core.tuning import StepPlan
 from repro.kokkos.atomics import (AtomicCounters, collect_atomics,
                                   segment_add)
 from repro.mpi.distributed import DistributedSimulation
@@ -30,12 +30,12 @@ FIELDS = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz")
 #: The fused lanes under test; the native lanes join when a compiler
 #: exists (ISSUE 5 requires bit-identity from the push lane, ISSUE 7
 #: from the whole-step lane).
-FAST_PLANS = [pytest.param(StepPlan(native=False), id="numpy-fused")]
+FAST_PLANS = [pytest.param(StepPlan.NUMPY_FUSED, id="numpy-fused")]
 if native_available():
     FAST_PLANS.append(pytest.param(
-        StepPlan(native=True, native_scope="push"), id="native-push"))
+        StepPlan.NATIVE_PUSH, id="native-push"))
     FAST_PLANS.append(pytest.param(
-        StepPlan(native=True, native_scope="step"), id="native-step"))
+        StepPlan.NATIVE_STEP, id="native-step"))
 
 
 def _stepped(deck, plan, steps=1):
@@ -51,7 +51,7 @@ def _stepped(deck, plan, steps=1):
 
 @pytest.mark.parametrize("plan", FAST_PLANS)
 def test_fast_step_positions_momenta_bit_identical(plan):
-    ref = _stepped(uniform_plasma_deck(seed=3), StepPlan.reference_plan())
+    ref = _stepped(uniform_plasma_deck(seed=3), StepPlan.REFERENCE)
     fast = _stepped(uniform_plasma_deck(seed=3), plan)
     for sp_r, sp_f in zip(ref.species, fast.species):
         for attr in POS_MOM:
@@ -65,7 +65,7 @@ def test_fast_step_currents_within_f32_rounding(plan):
     """J differs from the f32-accumulating reference only by *its*
     accumulation rounding: the fast lanes accumulate in float64, so
     the gap is bounded by float32 epsilon on the current scale."""
-    ref = _stepped(uniform_plasma_deck(seed=3), StepPlan.reference_plan())
+    ref = _stepped(uniform_plasma_deck(seed=3), StepPlan.REFERENCE)
     fast = _stepped(uniform_plasma_deck(seed=3), plan)
     for name in ("jx", "jy", "jz"):
         a = getattr(ref.fields, name).data.astype(np.float64)
@@ -102,7 +102,7 @@ def test_multi_step_trajectories_match_numpy_and_native(plan):
     """Both fast lanes produce the same multi-step trajectory (they
     perform the same f32 op sequence; only deposition accumulation
     order differs between them, and that is f64)."""
-    base = _stepped(uniform_plasma_deck(seed=5), StepPlan(native=False),
+    base = _stepped(uniform_plasma_deck(seed=5), StepPlan.NUMPY_FUSED,
                     steps=5)
     other = _stepped(uniform_plasma_deck(seed=5), plan, steps=5)
     for sp_a, sp_b in zip(base.species, other.species):
@@ -112,19 +112,21 @@ def test_multi_step_trajectories_match_numpy_and_native(plan):
 
 
 def test_reference_plan_unchanged_by_default_plan_existence():
-    """select_step_plan(reference=True) runs the original sequence —
-    multi-step energies match a pre-plan Simulation bit for bit."""
-    ref = _stepped(uniform_plasma_deck(seed=0),
-                   select_step_plan(reference=True), steps=3)
+    """The reference lane asked for through ``run`` (which resolves the
+    lane and hands it to ``step``) takes the same original sequence as
+    stepping one call at a time — bit for bit over three steps."""
+    ref = uniform_plasma_deck(seed=0).build()
+    ref.step_plan = StepPlan.REFERENCE
+    ref.run(3)
     again = _stepped(uniform_plasma_deck(seed=0),
-                     StepPlan.reference_plan(), steps=3)
+                     StepPlan.REFERENCE, steps=3)
     for sp_a, sp_b in zip(ref.species, again.species):
         for attr in POS_MOM:
             assert np.array_equal(sp_a.live(attr), sp_b.live(attr))
 
 
 def test_fast_step_voxels_refresh_lazily():
-    sim = _stepped(uniform_plasma_deck(seed=1), StepPlan())
+    sim = _stepped(uniform_plasma_deck(seed=1), StepPlan.NATIVE_STEP)
     sp = sim.species[0]
     g = sim.grid
     vox = sp.live("voxel")
@@ -149,11 +151,11 @@ def test_threaded_rank_stepping_bit_identical_to_serial():
     tool = register_tool(object())
     try:
         serial = run()
-        assert not serial._threading_ok()
+        assert not serial._threading_ok(serial.lane())
     finally:
         unregister_tool(tool)
     threaded = run()
-    assert threaded._threading_ok()
+    assert threaded._threading_ok(threaded.lane())
     try:
         for ra, rb in zip(serial.ranks, threaded.ranks):
             for sa, sb in zip(ra.species, rb.species):
@@ -171,11 +173,11 @@ def test_threaded_rank_stepping_bit_identical_to_serial():
 
 def test_threaded_ranks_disabled_under_accounting():
     sim = DistributedSimulation(two_stream_deck(seed=7), 2)
-    assert sim._threading_ok()
+    assert sim._threading_ok(sim.lane())
     with collect_atomics():
-        assert not sim._threading_ok()
-    sim.plan = StepPlan.reference_plan()
-    assert not sim._threading_ok()
+        assert not sim._threading_ok(sim.lane())
+    sim.plan = StepPlan.REFERENCE
+    assert not sim._threading_ok(sim.lane())
 
 
 # -- guard stays green on every example deck -----------------------------------
@@ -192,7 +194,7 @@ def test_guard_green_under_fast_path(factory):
     from repro.validate import SimulationGuard
 
     sim = factory(seed=0).build()
-    assert sim.step_plan == StepPlan()
+    assert sim.step_plan == StepPlan.NATIVE_STEP
     guard = SimulationGuard(policy="raise")
     guard.attach(sim)
     sim.run(3)   # raises on any invariant violation
@@ -261,12 +263,10 @@ def test_fast_step_zero_arena_growth_in_steady_state():
 
 
 def test_step_plan_strings_and_defaults():
-    plan = StepPlan()
-    assert plan.tile_size == STEP_TILE
-    assert "fast[" in str(plan) and "bin-deposit" in str(plan)
-    ref = StepPlan.reference_plan()
-    assert ref.reference and not ref.fused and not ref.native
-    assert str(ref).startswith("reference")
+    assert [str(plan) for plan in StepPlan] == [
+        "native-step", "native-push", "numpy-fused", "numpy", "reference"]
+    assert uniform_plasma_deck().build().step_plan is StepPlan.NATIVE_STEP
+    assert StepPlan("native-push") is StepPlan.NATIVE_PUSH
 
 
 def test_esirkepov_binned_matches_atomic():

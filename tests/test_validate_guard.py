@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.sorting import SortKind
+from repro.core.tuning import StepPlan
 from repro.mpi.distributed import DistributedSimulation
 from repro.observability.metrics import default_registry
 from repro.validate import (ContinuityCheck, DivBCheck, EnergyDriftCheck,
@@ -345,7 +346,7 @@ class TestSharedEnergyTotal:
         monkeypatch.setattr(native, "step_simulation", counted)
         sim = small_sim()
         if numpy_lane:
-            sim.step_plan = replace(sim.step_plan, native=False)
+            sim.step_plan = StepPlan.NUMPY_FUSED
         SimulationGuard(checks=[EnergyDriftCheck(cadence=1)],
                         checkpoint_interval=0).attach(sim)
         recorder = FlightRecorder(str(tmp_path / "run"), stride=1,
@@ -724,11 +725,9 @@ class TestStepVerdict:
             def check(self, sim):
                 seen.append(sim.step_verdict is not None)
 
-        for plan in (None, "push"):
+        for plan in (StepPlan.NATIVE_STEP, StepPlan.NATIVE_PUSH):
             sim = _pair_deck().build()
-            if plan is not None:
-                from repro.core.tuning import StepPlan
-                sim.step_plan = StepPlan(native_scope=plan)
+            sim.step_plan = plan
             SimulationGuard(checks=[Spy()], checkpoint_interval=0).attach(sim)
             sim.run(2)
             assert sim.step_verdict is None      # dropped after the step

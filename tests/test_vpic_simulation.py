@@ -161,9 +161,9 @@ class TestNativeFallbackReason:
         from repro.vpic.grid import Grid
 
         sim = small_deck.build()
-        sim.step_plan = StepPlan(fused=False)
+        sim.step_plan = StepPlan.NATIVE_PUSH
         assert sim.native_fallback_reason() == \
-            "StepPlan disables the fused push"
+            "native-push lane requested"
         sim = dataclasses.replace(
             small_deck, boundary=BoundaryKind.REFLECTING).build()
         assert sim.native_fallback_reason() == \
