@@ -38,7 +38,7 @@ from repro.mpi.decomposition import CartDecomposition
 from repro.mpi.halo import exchange_ghost_cells, reduce_ghost_sums
 from repro.mpi.particle_exchange import migrate_particles
 from repro.observability.callbacks import interposing_tools
-from repro.observability.rank_profile import rank_activity
+from repro.observability.rank_profile import rank_activity, rank_scope
 from repro.vpic.boris import advance_positions, boris_push
 from repro.vpic.boundary import BoundaryKind
 from repro.vpic.deck import Deck, DepositionKind, FieldBoundaryKind
@@ -69,19 +69,21 @@ _PARTICLES = ("particles",)
 
 @dataclass
 class RankState:
-    """One rank's local grid, fields, and species."""
+    """One rank's local grid, fields, and species: the deck its push
+    runs on. The native push packs it as it packs a ``Simulation``
+    (:func:`repro.vpic.native.push_simulation`, cached on the rank
+    while its arrays stay the same objects); its solver's external
+    ghosts mark the packed deck as a rank's."""
 
     rank: int
     grid: Grid
     fields: FieldArrays
     solver: FieldSolver
     species: list[Species]
-    #: Per-rank scratch for the fused push lane — ranks step
-    #: concurrently, so scratch must never be shared across them.
-    arena: ScratchArena = field(default_factory=ScratchArena)
-    #: Pre-marshalled native push per species, set only by the
-    #: processes backend, whose arena-backed species never reallocate.
-    prepared_push: list | None = None
+    #: Per-rank scratch for the push — ranks step concurrently, so
+    #: scratch must never be shared across them. Named as
+    #: ``Simulation``'s, which the native pack reads on both.
+    _arena: ScratchArena = field(default_factory=ScratchArena)
     #: What :func:`~repro.vpic.simulation.resolve_lane` reads of a deck
     #: besides grid, fields and solver: a rank deposits CIC, its
     #: particles leave through the migration and it has no sources.
@@ -98,22 +100,28 @@ def rank_push(rs: RankState, lane: Lane) -> None:
     """One rank's particle phase on *lane*; positions are left
     unwrapped for the migration.
 
-    A native push takes the rank's pre-marshalled calls when it has
-    them, a fused push :func:`~repro.vpic.fastpath.fused_push_species`
-    (native or numpy as the lane says) — positions and momenta
-    bit-identical to the reference sequence, currents to 1 ulp
-    (float64 accumulation) — and any other lane the reference kernel
-    sequence.
+    A native push is one :func:`~repro.vpic.native.push_simulation`
+    call for every species on the rank's packed deck, on this thread,
+    drained as ``Simulation.push_step`` drains it: each species' C-timed
+    seconds on ``push/<species>``, attributed to the rank. A fused push
+    is :func:`~repro.vpic.fastpath.fused_push_species` per species
+    (numpy) — positions and momenta bit-identical to the native push
+    and to the reference sequence, currents to 1 ulp (float64
+    accumulation) — and any other lane the reference kernel sequence,
+    each species under its ``push/<species>`` rank activity.
     """
-    for si, sp in enumerate(rs.species):
+    if lane.native_push:
+        from repro.observability import native_telemetry
+        from repro.vpic import native
+        with rank_scope(rs.rank):
+            native_telemetry.drain_push(rs, native.push_simulation(rs))
+        return
+    for sp in rs.species:
         if sp.n == 0:
             continue
         with rank_activity(rs.rank, f"push/{sp.name}"):
-            if lane.native_push and rs.prepared_push is not None:
-                rs.prepared_push[si]()
-            elif lane.fused:
-                fused_push_species(rs.fields, sp, rs.arena, lane,
-                                   wrap=False)
+            if lane.fused:
+                fused_push_species(rs.fields, sp, rs._arena, wrap=False)
             else:
                 x, y, z = sp.positions()
                 ux, uy, uz = sp.momenta()

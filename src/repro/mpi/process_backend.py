@@ -341,7 +341,6 @@ class ProcessBackend:
         # Built (or loaded) once, before forking, so every worker
         # inherits the loaded library instead of racing to compile it.
         dsim._attach_kernels()
-        self._prepare_push(dsim)
         self.stats = self.arena.get("stats")
         self._stats_seen = np.zeros_like(self.stats)
         abort = self.arena.get("abort")
@@ -413,20 +412,6 @@ class ProcessBackend:
                           for attr in SharedSpecies._ARRAYS}
                 state = self.arena.get(f"sp/{r}/{si}/state")
                 rs.species[si] = SharedSpecies(sp, arrays, state)
-
-    def _prepare_push(self, dsim) -> None:
-        """Marshal each rank's native push calls once, pre-fork: the
-        arena-backed species never reallocate, so the pointers hold
-        for the life of the rank."""
-        if not dsim.lane().native_push:
-            return
-        from repro.vpic.native import PreparedSpeciesPush, native_push_kernel
-        lib = native_push_kernel()
-        for rs in dsim.ranks:
-            rs.prepared_push = [
-                PreparedSpeciesPush(lib, rs.fields, sp, rs.arena,
-                                    wrap=False)
-                for sp in rs.species]
 
     def _build_stepper(self, dsim, rank: int, inject_fault) -> _RankStepper:
         decomp = dsim.decomp

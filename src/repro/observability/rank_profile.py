@@ -226,6 +226,12 @@ class RankProfiler:
             return
         getattr(tracer, method)(name, kernel_id, seconds)
 
+    def complete_kernel(self, name, kind, seconds):
+        """A kernel timed elsewhere (the native drain: a rank's C push)
+        lands in its rank's lane with its measured seconds; a begin/end
+        pair synthesized now would last no time."""
+        self._target().complete_kernel(name, kind, seconds)
+
     def begin_kernel(self, name, kid):
         self._begin("begin_kernel", name, kid)
 

@@ -1,27 +1,24 @@
-"""The fused fast path through the per-step PIC kernels.
+"""The fused numpy push: the per-step PIC kernels in one pass.
 
 One call to :func:`fused_push_species` performs the whole particle
 phase — gather, Boris push, current deposition, position advance, and
-the periodic wrap — for one species, on the push the step's resolved
-:class:`~repro.vpic.simulation.Lane` names. Two lanes exist:
+the periodic wrap — for one species, in numpy: a tiled, zero-allocation
+restructuring of the reference kernels. Every intermediate lives in a
+:class:`~repro.vpic.scratch.ScratchArena` buffer, field values are
+gathered with one ``np.take`` per component per tile, and the
+deposition is a ravel-key ``np.bincount`` segment reduction
+(:func:`repro.kokkos.atomics.segment_add`) accumulating in float64 and
+casting once. It is the push of every fused lane whose push is not
+native (no compiler, ``StepPlan.NUMPY_FUSED``, atomics accounting),
+for a ``Simulation`` and for distributed ranks alike; the native lane's
+push is :func:`repro.vpic.native.push_simulation`, which it is the
+oracle of.
 
-- **native**: the single-pass compiled kernel from
-  :mod:`repro.vpic.native` (one trip through memory per particle;
-  taken when the lane's push is native);
-- **numpy**: a tiled, zero-allocation restructuring of the reference
-  kernels — every intermediate lives in a
-  :class:`~repro.vpic.scratch.ScratchArena` buffer, field values are
-  gathered with one ``np.take`` per component per tile, and the
-  deposition is a ravel-key ``np.bincount`` segment reduction
-  (:func:`repro.kokkos.atomics.segment_add`) accumulating in float64
-  and casting once.
-
-Both lanes replicate the reference float32 operation sequence, so
-positions and momenta are **bit-identical** to
-``StepPlan.REFERENCE``; deposited currents accumulate in
-float64 and agree with a float64-accumulated reference to 1 ulp
-after the final cast (the float32-accumulating reference itself is
-the less accurate of the two).
+It replicates the reference float32 operation sequence, so positions
+and momenta are **bit-identical** to ``StepPlan.REFERENCE``; deposited
+currents accumulate in float64 and agree with a float64-accumulated
+reference to 1 ulp after the final cast (the float32-accumulating
+reference itself is the less accurate of the two).
 
 Voxel indices are *not* refreshed here: the species is marked stale
 and :meth:`Species.live` recomputes them on first use (sorting,
@@ -38,7 +35,7 @@ from repro.vpic.fields import FieldArrays
 from repro.vpic.scratch import ScratchArena
 from repro.vpic.species import Species
 
-__all__ = ["fused_push_species", "build_field_table", "FIELD_COMPONENTS"]
+__all__ = ["fused_push_species", "FIELD_COMPONENTS"]
 
 F32 = np.float32
 FIELD_COMPONENTS = ("ex", "ey", "ez", "bx", "by", "bz")
@@ -47,15 +44,6 @@ FIELD_COMPONENTS = ("ex", "ey", "ez", "bx", "by", "bz")
 #: (di, dj, dk) per row.
 _CORNERS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
             (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
-
-
-def build_field_table(fields: FieldArrays, arena: ScratchArena) -> np.ndarray:
-    """Interleaved (n_voxels, 6) float32 field table for the native
-    kernel's one-record-per-corner gather."""
-    tab = arena.buf("field_table", (fields.grid.n_voxels, 6), F32)
-    for c, name in enumerate(FIELD_COMPONENTS):
-        tab[:, c] = getattr(fields, name).data.reshape(-1)
-    return tab
 
 
 def _fold_currents(fields, acc, arena):
@@ -68,29 +56,19 @@ def _fold_currents(fields, acc, arena):
 
 
 def fused_push_species(fields: FieldArrays, sp: Species,
-                       arena: ScratchArena, lane,
-                       wrap: bool = True) -> None:
+                       arena: ScratchArena, wrap: bool = True) -> None:
     """Fused gather -> Boris -> deposit -> advance (-> wrap) for one
-    species, in place, with zero steady-state heap allocation.
+    species in numpy, in place, with zero steady-state heap allocation.
 
     With ``wrap=False`` (distributed ranks) positions are left
     unwrapped for the migration phase. Voxels are marked stale rather
-    than recomputed. *lane* is the step's resolved lane: its
-    ``native_push`` takes the compiled kernel (table build, accumulator
-    zeroing, push and J fold in one ctypes round-trip), otherwise the
-    numpy lane below runs — as it does under atomics accounting, so the
-    sampled ``AtomicCounters`` hook observes the real deposition keys.
+    than recomputed. Under atomics accounting the sampled
+    ``AtomicCounters`` hook observes the real deposition keys here.
     """
     n = sp.n
     if n == 0:
         return
     g = fields.grid
-    if lane.native_push:
-        from repro.vpic.native import native_push_kernel
-        native_push_kernel().push_species(fields, sp, arena, wrap)
-        sp.mark_voxels_stale()
-        return
-
     nv = g.n_voxels
     _, sy, sz = g.shape
     eps = 1e-9

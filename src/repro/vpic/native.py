@@ -5,9 +5,10 @@ module provides that lane for the hot loop at two scopes:
 
 - **push scope** (PR 5): a single-pass C kernel for the fused
   particle phase (gather -> Boris -> deposit -> advance -> wrap),
-  one trip through memory per particle — for a step that stays
-  Python, the whole step's push phase alone (:func:`push_simulation`,
-  every species in one call) — and its charge-conserving
+  one trip through memory per particle — the whole step's push phase
+  alone (:func:`push_simulation`, every species in one ``push_deck``
+  call), the one native CIC push entry for a step that stays Python
+  and for a distributed rank's brick — and its charge-conserving
   twin (gather -> Boris -> advance -> first-order Esirkepov deposit,
   then the wrap on a zero-origin deck) for the decks that step kernel
   by kernel. Both are the one ``push_tiles`` body, whose CIC deposit
@@ -81,10 +82,10 @@ with the same result. A due counting sort splits the particles into
 contiguous chunks with per-thread histograms and a thread-major prefix
 sum, which is the one-thread stable permutation. A second Python
 thread stepping while the team is busy runs the one-thread loop; a
-forked child starts its own team. The per-species ``fused_push``
-(``PreparedSpeciesPush``, the rank workers' push: forked workers must
-not start a team each), the Esirkepov kernel, the per-call sort and
-the guard's passes stay on one thread.
+forked child starts its own team. A distributed rank's push — the same
+``push_deck`` on its brick's deck — runs on the thread that steps the
+rank, one per rank, without the team; the Esirkepov kernel, the
+per-call sort and the guard's passes stay on one thread.
 
 Everything keeps the strict-IEEE bit-identity contract: the C code
 performs the *same float32 operations in the same order* as the
@@ -146,7 +147,6 @@ __all__ = [
     "step_batch",
     "field_advance_b",
     "field_advance_e",
-    "PreparedSpeciesPush",
     "PreparedFieldAdvance",
 ]
 
@@ -171,7 +171,8 @@ _SOURCE = r"""
  * push_tiles), so J is the same bytes on sorted and unsorted input.
  *
  * The whole step pushes and sorts, and the push-scope step pushes, on a
- * persistent team of threads (see "the step team"): tiles are split
+ * persistent team of threads (see "the step team"; a distributed
+ * rank's deck pushes on its caller's thread): tiles are split
  * across the team, but deposits are
  * taken in tile order, one tile at a time, so every accumulator element
  * gets the same addends in the same order whatever the team size — x,
@@ -265,6 +266,10 @@ typedef struct {
     double *sums;
     int64_t *descents;
     double t_energy;
+    /* a distributed rank's brick (its ghosts are the halo exchange's):
+     * push_deck leaves its positions unwrapped for the migration and
+     * pushes on the calling thread, one per rank, without the team */
+    int64_t external_ghosts;
 } NDeck;
 
 static double now_s(void) {
@@ -1069,39 +1074,6 @@ void build_table(const float *ex, const float *ey, const float *ez,
     }
 }
 
-/* Push-scope entry: zero the accumulator, push one species, fold
- * into J. Flat-argument twin of the in-step species loop. */
-void fused_push(
-    float *x, float *y, float *z, float *ux, float *uy, float *uz,
-    const float *w, int64_t n, const float *tab, double *acc,
-    float *jx, float *jy, float *jz,
-    int64_t nv, int64_t sy, int64_t sz,
-    double hx, double hy, double hz,
-    double x0, double y0, double z0,
-    double dx, double dy, double dz,
-    float fx0, float fy0, float fz0,
-    float fdx, float fdy, float fdz,
-    float flx, float fly, float flz,
-    float qdt, float fdt, float inv_vol, int do_wrap)
-{
-    NDeck g;
-    memset(&g, 0, sizeof(g));
-    g.sy = sy; g.sz = sz; g.nv = nv;
-    g.hx = hx; g.hy = hy; g.hz = hz;
-    g.x0 = x0; g.y0 = y0; g.z0 = z0;
-    g.dx = dx; g.dy = dy; g.dz = dz;
-    g.fx0 = fx0; g.fy0 = fy0; g.fz0 = fz0;
-    g.fdx = fdx; g.fdy = fdy; g.fdz = fdz;
-    g.flx = flx; g.fly = fly; g.flz = flz;
-    g.fdt = fdt;
-    g.jx = jx; g.jy = jy; g.jz = jz;
-    g.acc = acc;
-    memset(acc, 0, (size_t)nv * 4 * sizeof(double));
-    push_core(&g, x, y, z, ux, uy, uz, w, n, qdt, inv_vol, tab, acc,
-              do_wrap);
-    fold_core(&g);
-}
-
 /* ---- Yee field solve + ghost handling ---------------------------- */
 
 /* The y and z ghost planes of sync_periodic, over every x plane
@@ -1133,10 +1105,6 @@ static void sync_core(float *restrict a, int64_t nx, int64_t ny,
     memcpy(a, a + nx * ps, (size_t)ps * sizeof(float));
     memcpy(a + (nx + 1) * ps, a + ps, (size_t)ps * sizeof(float));
     sync_yz_core(a, nx, ny, nz);
-}
-
-void field_sync(float *a, int64_t nx, int64_t ny, int64_t nz) {
-    sync_core(a, nx, ny, nz);
 }
 
 /* The exported advances' sync argument: 0 ghosts are owned elsewhere
@@ -1695,14 +1663,14 @@ static int64_t screen_fields(const NDeck *dk)
 
 /* The push phase of a step, for step_one and push_deck: the field
  * table from the current E and B, then every species pushed, wrapped
- * and folded into J (which the caller has zeroed). On the team when
- * the caller holds it and the deck has a second tile; otherwise one
- * species after another on this thread, each exactly fused_push (zero
- * the accumulator, push_core, fold_core). Inlined into both callers:
- * as a function of its own it would sit between build_table and
- * fused_push and move every entry after it. */
+ * when wrap is set, and folded into J (which the caller has zeroed).
+ * On the team when the caller holds it and the deck has a second tile
+ * (the team always wraps); otherwise one species after another on this
+ * thread: zero the accumulator, push_core, fold_core. Inlined into
+ * both callers: as a function of its own it would sit among the local
+ * functions and move every entry after it. */
 static inline __attribute__((always_inline)) void push_phase(
-    NDeck *dk, int teamed, const int screened) {
+    NDeck *dk, int teamed, const int screened, const int wrap) {
     const int64_t nv = dk->nv;
     const double t0 = now_s();
     build_table(dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
@@ -1721,7 +1689,7 @@ static inline __attribute__((always_inline)) void push_phase(
                 ? push_core_screened(dk, sp, dk->parts + s)
                 : push_core(dk, sp->x, sp->y, sp->z, sp->ux, sp->uy,
                             sp->uz, sp->w, sp->n, sp->qdt, sp->inv_vol,
-                            dk->tab, dk->acc, 1);
+                            dk->tab, dk->acc, wrap);
             fold_core(dk);
             sp->t_push += now_s() - ts;
             sp->crossings += wraps;
@@ -1787,7 +1755,7 @@ static inline __attribute__((always_inline)) void step_body(
     dk->t_field += now_s() - t0;
     /* fused push per species against the half-advanced B / pre-push
      * synced E, exactly like the numpy fast path's field table */
-    push_phase(dk, teamed, screened);
+    push_phase(dk, teamed, screened, 1);
     /* field completion. The second half-B advance skips the E ghost
      * re-sync: E has not changed since the sync above, so the copies
      * it would redo are byte-identical no-ops (the current-only-sync
@@ -2176,13 +2144,16 @@ void voxel_refresh(const float *restrict x, const float *restrict y,
 
 /* ---- the push-scope step ------------------------------------------ */
 
-/* The push phase alone, for a step whose field solve, sources and sort
- * stay in Python (Simulation.push_step): one call per step for every
- * species, on the team when this call can claim it, as step_decks. */
+/* The push phase alone, one call per step for every species: for a
+ * step whose field solve, sources and sort stay in Python
+ * (Simulation.push_step), on the team when this call can claim it, as
+ * step_decks; for a distributed rank's brick (external_ghosts), on the
+ * calling thread with the positions left unwrapped for the migration. */
 void push_deck(NDeck *dk)
 {
-    const int teamed = team_claim();
-    push_phase(dk, teamed, 0);
+    const int rank = dk->external_ghosts != 0;
+    const int teamed = !rank && team_claim();
+    push_phase(dk, teamed, 0, !rank);
     if (teamed)
         team_release();
 }
@@ -2351,11 +2322,12 @@ void window_deck(NDeck *dk, NColumn *cols, float *history)
 
 /* ---- the Esirkepov push ------------------------------------------- */
 
-/* Esirkepov twin of fused_push: same index / gather / Boris / advance
- * stages, then the charge-conserving deposit of the move. With do_wrap
- * the positions are wrapped in the kernel after the stage has read
- * them, as fused_push wraps (the caller guarantees a zero origin);
- * otherwise they are left unwrapped for the caller's boundary pass.
+/* Esirkepov twin of the CIC push phase: the field table from E and B,
+ * then the same index / gather / Boris / advance stages and the
+ * charge-conserving deposit of the move. With do_wrap the positions
+ * are wrapped in the kernel after the stage has read them, as the CIC
+ * push wraps (the caller guarantees a zero origin); otherwise they are
+ * left unwrapped for the caller's boundary pass.
  * Returns the number of wraps, or -1 — with J untouched — when a
  * particle moved more than one cell. Last in the file: its code is the
  * one that changes with the Esirkepov stages, and from here its size
@@ -2365,8 +2337,10 @@ void window_deck(NDeck *dk, NColumn *cols, float *history)
 __attribute__((aligned(64)))
 int64_t fused_push_esirkepov(
     float *x, float *y, float *z, float *ux, float *uy, float *uz,
-    const float *w, int64_t n, const float *tab, double *acc,
-    float *jx, float *jy, float *jz,
+    const float *w, int64_t n,
+    const float *ex, const float *ey, const float *ez,
+    const float *bx, const float *by, const float *bz,
+    float *tab, double *acc, float *jx, float *jy, float *jz,
     int64_t nx, int64_t ny, int64_t nz,
     double x0, double y0, double z0,
     double dx, double dy, double dz,
@@ -2388,6 +2362,7 @@ int64_t fused_push_esirkepov(
     g.fdt = fdt;
     g.jx = jx; g.jy = jy; g.jz = jz;
     g.acc = acc;
+    build_table(ex, ey, ez, bx, by, bz, tab, g.nv);
     memset(acc, 0, (size_t)g.nv * 4 * sizeof(double));
     const int64_t wraps = push_tiles(&g, x, y, z, ux, uy, uz, w, n, qdt,
                                      0.0f, tab, acc, do_wrap, &e, 0, 0);
@@ -2422,13 +2397,14 @@ _PW_PARTS = 1 << _PW_TOP
 
 
 def step_team_size(sim=None) -> int:
-    """Threads the native push runs on in this process — on the
-    whole-step lane and on the push-scope lane alike, which share the
-    step team: the CPUs in its affinity mask, capped at the C team's
-    ``TEAM_MAX`` — what the team counts when it starts (``taskset -c
-    0`` makes it one). With *sim*, also capped at its number of push
-    tiles (1024 particles each, per species): a deck of one tile
-    pushes on one thread."""
+    """Threads a ``Simulation``'s native CIC push runs on in this
+    process — on the whole-step lane and on the push-scope lane alike,
+    which share the step team: the CPUs in its affinity mask, capped at
+    the C team's ``TEAM_MAX`` — what the team counts when it starts
+    (``taskset -c 0`` makes it one). With *sim*, also capped at its
+    number of push tiles (1024 particles each, per species): a deck of
+    one tile pushes on one thread. A distributed rank's push does not
+    take the team: each rank pushes on the thread that steps it."""
     n = (min(len(os.sched_getaffinity(0)), _TEAM_MAX)
          if hasattr(os, "sched_getaffinity") else 1)
     if sim is not None:
@@ -2484,7 +2460,7 @@ class _CDeck(ctypes.Structure):
                 ("parts", ctypes.POINTER(_CScreen)),
                 ("energy", _i64), ("disorder", _i64),
                 ("mass", _pd), ("sums", _pd), ("descents", _pi),
-                ("t_energy", _f64)]
+                ("t_energy", _f64), ("external_ghosts", _i64)]
 
 
 class _CColumn(ctypes.Structure):
@@ -2493,22 +2469,9 @@ class _CColumn(ctypes.Structure):
                 ("loaded", _i64)]
 
 
-#: Address-keyed cache of float32 pointers. The ctypes pointer value
-#: is a pure function of the data address, so a cached entry is
-#: byte-identical to a fresh cast even if the original array was freed
-#: and a new one landed at the same address. Saves ~1 us per call —
-#: material for distributed rank workers making ~40 casts per step.
-_fptr_cache: dict = {}
-
-
 def _fptr(a):
-    addr = a.__array_interface__["data"][0]
-    p = _fptr_cache.get(addr)
-    if p is None:
-        if len(_fptr_cache) >= 65536:
-            _fptr_cache.clear()
-        p = _fptr_cache[addr] = ctypes.cast(addr, _pf)
-    return p
+    """*a*'s data as a float32 pointer."""
+    return ctypes.cast(a.__array_interface__["data"][0], _pf)
 
 
 class _NativeLib:
@@ -2516,19 +2479,11 @@ class _NativeLib:
 
     def __init__(self, lib_path: Path, key: str):
         lib = ctypes.CDLL(str(lib_path))
-        lib.fused_push.argtypes = (
-            [_pf] * 6 + [_pf, _i64, _pf, _pd] + [_pf] * 3
-            + [_i64] * 3 + [_f64] * 9 + [_f32] * 12 + [ctypes.c_int])
-        lib.fused_push.restype = None
         lib.fused_push_esirkepov.argtypes = (
-            [_pf] * 6 + [_pf, _i64, _pf, _pd] + [_pf] * 3
+            [_pf] * 7 + [_i64] + [_pf] * 6 + [_pf, _pd] + [_pf] * 3
             + [_i64] * 3 + [_f64] * 9 + [_f32] * 5 + [ctypes.c_int]
             + [_pf, ctypes.POINTER(ctypes.c_int32), _i64])
         lib.fused_push_esirkepov.restype = _i64
-        lib.build_table.argtypes = [_pf] * 7 + [_i64]
-        lib.build_table.restype = None
-        lib.field_sync.argtypes = [_pf] + [_i64] * 3
-        lib.field_sync.restype = None
         lib.field_advance_b.argtypes = ([_pf] * 6 + [_i64] * 3
                                         + [_f32] * 4 + [ctypes.c_int])
         lib.field_advance_b.restype = None
@@ -2563,65 +2518,15 @@ class _NativeLib:
 
     # -- push scope --------------------------------------------------
 
-    def push_species(self, fields, sp, arena, wrap: bool) -> None:
-        """Fused push for one species: build the padded field table,
-        zero the accumulator, push, and fold into J — all native.
-
-        The ctypes call runs under a ``native_push`` tracer span
-        (region-qualified in kernel timings and Chrome traces) and
-        reports its wall time into the ``native/step_seconds``
-        histogram — the compiled lane is the one piece of the step
-        Python-level timers cannot see inside.
-        """
-        from repro.kokkos.profiling import record_kernel
-        from repro.observability.metrics import default_registry
-
-        g = sp.grid
-        nv = g.n_voxels
-        _, sy, sz = g.shape
-        eps = 1e-9
-        tab = arena.buf("field_table8", (nv, 8), np.float32)
-        acc = arena.buf("j_acc4", (nv, 4), np.float64)
-        x, y, z = sp.positions()
-        ux, uy, uz = sp.momenta()
-        w = sp.live("w")
-        lx, ly, lz = g.lengths
-        t0 = time.perf_counter()
-        with record_kernel("native_push"):
-            self._lib.build_table(
-                _fptr(fields.ex.data), _fptr(fields.ey.data),
-                _fptr(fields.ez.data), _fptr(fields.bx.data),
-                _fptr(fields.by.data), _fptr(fields.bz.data),
-                _fptr(tab), _i64(nv))
-            self._lib.fused_push(
-                _fptr(x), _fptr(y), _fptr(z),
-                _fptr(ux), _fptr(uy), _fptr(uz), _fptr(w),
-                _i64(x.size), _fptr(tab), acc.ctypes.data_as(_pd),
-                _fptr(fields.jx.data), _fptr(fields.jy.data),
-                _fptr(fields.jz.data),
-                _i64(nv), _i64(sy), _i64(sz),
-                _f64(g.nx - eps), _f64(g.ny - eps), _f64(g.nz - eps),
-                _f64(g.x0), _f64(g.y0), _f64(g.z0),
-                _f64(g.dx), _f64(g.dy), _f64(g.dz),
-                _f32(g.x0), _f32(g.y0), _f32(g.z0),
-                _f32(g.dx), _f32(g.dy), _f32(g.dz),
-                _f32(lx), _f32(ly), _f32(lz),
-                _f32(np.float32(0.5 * sp.q * g.dt / sp.m)),
-                _f32(np.float32(g.dt)),
-                _f32(np.float32(sp.q / g.cell_volume)),
-                ctypes.c_int(1 if wrap else 0))
-        default_registry().histogram("native/step_seconds").observe(
-            time.perf_counter() - t0)
-
     def push_species_esirkepov(self, fields, sp, arena,
                                wrap: bool = False) -> None:
-        """Charge-conserving twin of :meth:`push_species`: gather ->
-        Boris -> advance -> first-order Esirkepov deposit of the move,
-        all native. With *wrap* (zero-origin periodic decks only) the
-        kernel also applies the periodic wrap, after the deposit has
-        read the unwrapped endpoints, and the voxels are marked stale;
-        otherwise positions are left unwrapped for the caller's
-        boundary pass.
+        """Charge-conserving push of one species: field table ->
+        gather -> Boris -> advance -> first-order Esirkepov deposit of
+        the move, all native. With *wrap* (zero-origin periodic decks
+        only) the kernel also applies the periodic wrap, after the
+        deposit has read the unwrapped endpoints, and the voxels are
+        marked stale; otherwise positions are left unwrapped for the
+        caller's boundary pass.
 
         Positions, momenta and J are bit-identical to the numpy
         kernel-by-kernel sequence with ``binned=True`` (the deposit
@@ -2631,9 +2536,8 @@ class _NativeLib:
         cell; the momenta and positions are already advanced (and
         wrapped) then, J is untouched.
 
-        Telemetry as :meth:`push_species`: a ``native_push`` span, one
-        ``native/step_seconds`` observation, and the wraps on
-        ``native/cell_crossings``.
+        Telemetry: a ``native_push`` span, one ``native/step_seconds``
+        observation, and the wraps on ``native/cell_crossings``.
         """
         from repro.kokkos.profiling import record_kernel
         from repro.observability.metrics import default_registry
@@ -2658,15 +2562,13 @@ class _NativeLib:
         lx, ly, lz = g.lengths
         t0 = time.perf_counter()
         with record_kernel("native_push"):
-            self._lib.build_table(
-                _fptr(fields.ex.data), _fptr(fields.ey.data),
-                _fptr(fields.ez.data), _fptr(fields.bx.data),
-                _fptr(fields.by.data), _fptr(fields.bz.data),
-                _fptr(tab), _i64(nv))
             wraps = self._lib.fused_push_esirkepov(
                 _fptr(x), _fptr(y), _fptr(z),
                 _fptr(ux), _fptr(uy), _fptr(uz), _fptr(sp.live("w")),
-                _i64(n), _fptr(tab), acc.ctypes.data_as(_pd),
+                _i64(n), _fptr(fields.ex.data), _fptr(fields.ey.data),
+                _fptr(fields.ez.data), _fptr(fields.bx.data),
+                _fptr(fields.by.data), _fptr(fields.bz.data),
+                _fptr(tab), acc.ctypes.data_as(_pd),
                 _fptr(fields.jx.data), _fptr(fields.jy.data),
                 _fptr(fields.jz.data),
                 _i64(g.nx), _i64(g.ny), _i64(g.nz),
@@ -2811,73 +2713,11 @@ def _flat(dtype, n: int, *arrays) -> bool:
                and a.flags.aligned for a in arrays)
 
 
-# -- prepared per-rank calls ------------------------------------------
+# -- prepared field calls ---------------------------------------------
 #
-# Distributed rank workers call the same kernels every step with
-# identical pointers: species arrays live at fixed capacity in the
-# shared arena, field bricks and the scratch table/accumulator never
-# reallocate, and live views (``sp.x[:n]``) share their base address
-# with the full array. Marshalling the argument tuples once drops the
-# per-call work to a single int64 conversion for the live count.
-
-
-class PreparedSpeciesPush:
-    """Pre-marshalled ``build_table`` + ``fused_push`` for one species
-    whose backing storage never moves.
-
-    Bit-identical to :meth:`_NativeLib.push_species` — same argument
-    values, same kernel — minus its tracer span and histogram, which
-    in a worker process are discarded anyway (the shared stats row is
-    the telemetry channel back to the parent).
-    """
-
-    __slots__ = ("_lib", "_sp", "_table_args", "_pre", "_post", "_keep")
-
-    def __init__(self, lib: "_NativeLib", fields, sp, arena,
-                 wrap: bool = False):
-        g = sp.grid
-        nv = g.n_voxels
-        _, sy, sz = g.shape
-        eps = 1e-9
-        tab = arena.buf("field_table8", (nv, 8), np.float32)
-        acc = arena.buf("j_acc4", (nv, 4), np.float64)
-        lx, ly, lz = g.lengths
-        self._lib = lib._lib
-        self._sp = sp
-        # The ctypes tuples hold raw addresses; the arrays they point
-        # into must outlive this object.
-        self._keep = (fields, sp, tab, acc)
-        self._table_args = (
-            _fptr(fields.ex.data), _fptr(fields.ey.data),
-            _fptr(fields.ez.data), _fptr(fields.bx.data),
-            _fptr(fields.by.data), _fptr(fields.bz.data),
-            _fptr(tab), _i64(nv))
-        self._pre = (
-            _fptr(sp.x), _fptr(sp.y), _fptr(sp.z),
-            _fptr(sp.ux), _fptr(sp.uy), _fptr(sp.uz), _fptr(sp.w))
-        self._post = (
-            _fptr(tab), acc.ctypes.data_as(_pd),
-            _fptr(fields.jx.data), _fptr(fields.jy.data),
-            _fptr(fields.jz.data),
-            _i64(nv), _i64(sy), _i64(sz),
-            _f64(g.nx - eps), _f64(g.ny - eps), _f64(g.nz - eps),
-            _f64(g.x0), _f64(g.y0), _f64(g.z0),
-            _f64(g.dx), _f64(g.dy), _f64(g.dz),
-            _f32(g.x0), _f32(g.y0), _f32(g.z0),
-            _f32(g.dx), _f32(g.dy), _f32(g.dz),
-            _f32(lx), _f32(ly), _f32(lz),
-            _f32(np.float32(0.5 * sp.q * g.dt / sp.m)),
-            _f32(np.float32(g.dt)),
-            _f32(np.float32(sp.q / g.cell_volume)),
-            ctypes.c_int(1 if wrap else 0))
-
-    def __call__(self) -> None:
-        n = self._sp.n
-        if n == 0:
-            return
-        self._lib.build_table(*self._table_args)
-        self._lib.fused_push(*self._pre, _i64(n), *self._post)
-        self._sp.mark_voxels_stale()
+# The kernel-by-kernel step calls the same field kernels every step
+# with identical pointers: field bricks never reallocate. Marshalling
+# the argument tuples once drops the per-call work to the call.
 
 
 class PreparedFieldAdvance:
@@ -3130,9 +2970,12 @@ def field_advance_e(solver, frac: float = 1.0) -> bool:
 # -- step scope: packing + drivers ------------------------------------
 
 def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
-    """Pack one simulation into a deck descriptor; returns the
-    keep-alive tuple of backing buffers (arena-owned, but the ctypes
-    struct holds raw pointers, so references must outlive the call)."""
+    """Pack one deck — a ``Simulation`` or a distributed rank's
+    ``RankState``, whose solver's external ghosts mark it as a rank —
+    into a deck descriptor; returns the keep-alive tuple of backing
+    buffers (arena-owned, but the ctypes struct holds raw pointers, so
+    references must outlive the call). The step count is the caller's
+    to set: only the whole step reads it."""
     g = sim.grid
     f = sim.fields
     arena = sim._arena
@@ -3187,7 +3030,6 @@ def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
     dk.species = ctypes.cast(spp, ctypes.POINTER(_CSpecies))
     dk.n_species = n_sp
     dk.sort_interval = sort_interval
-    dk.step_count = sim.step_count
     dk.sorts_done = 0
     dk.tab = _fptr(tab)
     dk.acc = acc.ctypes.data_as(_pd)
@@ -3205,6 +3047,7 @@ def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
     dk.sums = sums.ctypes.data_as(_pd)
     dk.descents = descents.ctypes.data_as(_pi)
     dk.t_energy = 0.0
+    dk.external_ghosts = sim.solver.external_ghosts
     return (tab, acc, counts, perm, scr_i, scr_f, mass, sums, descents,
             parts, spp)
 
@@ -3226,10 +3069,12 @@ def _pack_identity(sim) -> tuple:
 
 def _pack_cached(sim, sort_interval: int, screen: bool = False,
                  energy: bool = False, disorder: bool = False):
-    """One-deck pack with per-sim reuse: repacking costs ~0.2 ms of
-    ctypes traffic, a visible fraction of a small-deck step, so the
-    descriptor is cached on the sim and only the per-step fields are
-    refreshed while the underlying arrays are unchanged. *screen* asks
+    """One-deck pack of *sim* (see :func:`_fill_deck`) with reuse:
+    repacking costs ~0.2 ms of ctypes traffic, a visible fraction of a
+    small-deck step, so the descriptor is cached on *sim* and only the
+    per-step fields are refreshed while the underlying arrays are
+    unchanged (a rank's never move in shared memory; on the threads
+    backend a capacity growth repacks by identity). *screen* asks
     the step for the guard's verdict (:class:`StepVerdict`), *energy*
     for the energy totals of the state the call leaves, *disorder* for
     the descents each sort finds."""
@@ -3245,7 +3090,6 @@ def _pack_cached(sim, sort_interval: int, screen: bool = False,
             dk.disorder = disorder
             dk.t_energy = 0.0
             dk.sort_interval = sort_interval
-            dk.step_count = sim.step_count
             dk.sorts_done = 0
             dk.t_field = dk.t_push = dk.t_sort = 0.0
             dk.particles_pushed = dk.crossings = 0
@@ -3359,15 +3203,20 @@ def step_simulation(sim, sort_interval: int = 0, screen: bool = False,
     if lib is None:
         return None
     decks = _pack_cached(sim, sort_interval, screen, energy, disorder)
+    decks[0].step_count = sim.step_count
     lib.step_decks(decks, steps)
     return _deck_stats(decks[0], sim._native_pack[1], sim)
 
 
 def push_simulation(sim) -> "dict | None":
     """Push every species of *sim* once: the push phase of the whole
-    step alone (field table, push, wrap, fold into J, which the caller
-    has cleared), on the step team — ``Simulation.push_step``'s one
-    native call per step.
+    step alone (field table, push, fold into J, which the caller has
+    cleared), the one native CIC push entry. For a ``Simulation``
+    (``Simulation.push_step``) it wraps the positions and runs on the
+    step team; for a distributed rank's ``RankState``
+    (``distributed.rank_push``) it leaves them unwrapped for the
+    migration and runs on the calling thread. The pushed species'
+    voxels are marked stale.
 
     The call runs under a ``native_push`` kernel span. Returns the
     drained telemetry struct, as :func:`step_simulation` does (no
@@ -3381,6 +3230,9 @@ def push_simulation(sim) -> "dict | None":
     decks = _pack_cached(sim, 0)
     with record_kernel("native_push"):
         lib.push_deck(decks)
+    for sp in sim.species:
+        if sp.n:
+            sp.mark_voxels_stale()
     return _deck_stats(decks[0], sim._native_pack[1], sim)
 
 
@@ -3441,6 +3293,8 @@ def step_batch(sims, num_steps: int) -> "list[dict] | None":
     decks = (_CDeck * len(sims))()
     keeps = [_fill_deck(dk, sim, sim._native_sort_interval())
              for dk, sim in zip(decks, sims)]
+    for dk, sim in zip(decks, sims):
+        dk.step_count = sim.step_count
     lib.step_decks(decks, num_steps)
     return [_deck_stats(dk, keep, sim)
             for dk, keep, sim in zip(decks, keeps, sims)]

@@ -401,9 +401,6 @@ class Simulation:
             from repro.observability import native_telemetry
             from repro.vpic import native
             native_telemetry.drain_push(self, native.push_simulation(self))
-            for sp in self.species:
-                if sp.n:
-                    sp.mark_voxels_stale()
             return self.total_particles
         pushed = 0
         for sp in self.species:
@@ -411,14 +408,14 @@ class Simulation:
             if sp.n == 0:
                 continue
             with record_kernel(f"push/{sp.name}"):
-                fused_push_species(self.fields, sp, self._arena, lane)
+                fused_push_species(self.fields, sp, self._arena)
         return pushed
 
     def native_push_threads(self) -> "int | None":
         """Threads a step of this deck pushes on — the step team's size
         for it (:func:`~repro.vpic.native.step_team_size`) on both
-        native lanes, whole-step and push-scope — or ``None`` when the
-        push is numpy."""
+        native CIC lanes, whole-step and push-scope — or ``None`` when
+        the push is numpy or the one-thread Esirkepov kernel."""
         lane = self.lane()
         if not (lane.fused and lane.native_push):
             return None

@@ -12,8 +12,8 @@ from repro.cli import main
 from repro.cluster.scaling import (ScalingPoint, imbalance_adjusted,
                                    speedups, strong_scaling)
 from repro.cluster.systems import get_system
-from repro.kokkos.profiling import (profiling_session, record_kernel,
-                                    reset_kernel_timings)
+from repro.kokkos.profiling import (add_kernel_time, profiling_session,
+                                    record_kernel, reset_kernel_timings)
 from repro.machine.specs import get_platform
 from repro.observability.callbacks import (clear_tools, register_tool,
                                            tools_active, unregister_tool)
@@ -276,6 +276,16 @@ class TestRankProfiler:
         assert gauges["rank/halo_wait_fraction"] == \
             report.halo_wait_fraction
         assert "rank" in report.table()
+
+    def test_drained_kernel_keeps_its_measured_seconds(self):
+        """A kernel timed elsewhere (``add_kernel_time``, as the native
+        rank push is drained) counts its given seconds in its rank."""
+        with rank_profiling(2) as profiler:
+            with profiling_session():
+                with rank_scope(1):
+                    add_kernel_time("push/sp1", 0.25)
+        assert profiler.report().push_seconds == pytest.approx((0.0, 0.25))
+        assert "push/sp1" in profiler.rank_tracers[1].span_names()
 
     def test_out_of_range_rank_lands_in_collective(self):
         with rank_profiling(1) as profiler:

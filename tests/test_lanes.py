@@ -143,13 +143,13 @@ def test_rank_lane_names_the_push_that_ran_threads(plan, accounting,
     ``rank_lanes()`` says ``native-push``, exactly when native push
     calls ran; accounting keeps the push on numpy and says so."""
     calls = []
-    real = native._NativeLib.push_species
+    real = native._NativeLib.push_deck
 
     def spy(self, *args, **kwargs):
         calls.append(1)
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(native._NativeLib, "push_species", spy)
+    monkeypatch.setattr(native._NativeLib, "push_deck", spy)
     moved, lanes = _rank_run(plan, "threads", accounting)
     label = lanes[0][0]
     assert lanes == [lanes[0]] * 2
@@ -163,19 +163,18 @@ def test_rank_lane_names_the_push_that_ran_threads(plan, accounting,
 
 @pytest.mark.parametrize("plan", list(StepPlan), ids=str)
 def test_rank_lane_names_the_push_that_ran_processes(plan, monkeypatch):
-    """Processes backend: the workers' pre-marshalled native pushes run
-    exactly when the handshake reported ``native-push``, which is
-    what the parent counts. The count crosses the fork in shared
-    memory."""
+    """Processes backend: the workers' native deck pushes run exactly
+    when the handshake reported ``native-push``, which is what the
+    parent counts. The count crosses the fork in shared memory."""
     ran = multiprocessing.get_context("fork").Value("i", 0)
-    real = native.PreparedSpeciesPush.__call__
+    real = native._NativeLib.push_deck
 
-    def spy(self):
+    def spy(self, *args, **kwargs):
         with ran.get_lock():
             ran.value += 1
-        return real(self)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(native.PreparedSpeciesPush, "__call__", spy)
+    monkeypatch.setattr(native._NativeLib, "push_deck", spy)
     moved, lanes = _rank_run(plan, "processes", False)
     label = lanes[0][0]
     assert lanes == [lanes[0]] * 2

@@ -17,8 +17,8 @@ Two kinds of check:
   parent commit, not a kernel defect by itself. The wakefield digest
   (600 push-scope steps, 273 moving-window shifts) was recorded at
   13d8fa6, before the window moved to C;
-- adversarial run shapes through ``fused_push_species`` against the
-  numpy lane (particles equal, CIC J within 1 ulp — the lanes'
+- adversarial run shapes through ``Simulation.push_step``'s native
+  deck push against the numpy lane (particles equal, CIC J within 1 ulp — the lanes'
   standing relation), and the portable build against the host-tuned
   one.
 
@@ -49,7 +49,6 @@ import pytest
 
 from repro.core.tuning import StepPlan
 from repro.vpic import native, workloads
-from repro.vpic.fastpath import fused_push_species
 from repro.vpic.simulation import Simulation
 from repro.vpic.species import Species
 
@@ -435,14 +434,16 @@ def _load(sp, cells, rng):
 
 def _push_and_compare(fill):
     """*fill(sim, rng)* loads the species of both sims identically;
-    one fused push on each lane; particles equal, J within 1 ulp."""
+    one fused push on each lane (``Simulation.push_step``: the C deck
+    push on the kernel sim, the numpy lane on the oracle); particles
+    equal, J within 1 ulp."""
     kernel, oracle = _pair()
     for sim in (kernel, oracle):
         fill(sim, np.random.default_rng(11))
     oracle.step_plan = StepPlan.NUMPY_FUSED
+    assert kernel.lane().native_push and not oracle.lane().native_push
     for sim in (kernel, oracle):
-        for sp in sim.species:
-            fused_push_species(sim.fields, sp, sim._arena, sim.lane())
+        sim.push_step(sim.lane())
     for sa, sb in zip(kernel.species, oracle.species):
         assert sa.n == sb.n
         for attr in PARTICLE[:6]:

@@ -180,6 +180,43 @@ def test_threaded_ranks_disabled_under_accounting():
     assert not sim._threading_ok(sim.lane())
 
 
+def _rank_step(plan, backend):
+    """(lane, particles, currents) of two ranks of two-stream (two
+    species) after one distributed step on *plan*."""
+    dsim = DistributedSimulation(two_stream_deck(seed=7), 2, plan=plan,
+                                 backend=backend)
+    try:
+        dsim.run(1)
+        particles = [[sp.live(attr).copy() for attr in POS_MOM]
+                     for rs in dsim.ranks for sp in rs.species]
+        currents = [getattr(rs.fields, name).data.copy()
+                    for rs in dsim.ranks for name in ("jx", "jy", "jz")]
+        return dsim.rank_lanes()[0][0], particles, currents
+    finally:
+        dsim.close()
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="needs the compiled kernels")
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_native_rank_push_matches_numpy_fused(backend):
+    """A rank's native deck push against the numpy fused push, two
+    species, two ranks, both backends: positions and momenta bitwise
+    equal, J within one float32 ulp."""
+    lane, native_parts, native_j = _rank_step(StepPlan.NATIVE_STEP,
+                                              backend)
+    oracle, numpy_parts, numpy_j = _rank_step(StepPlan.NUMPY_FUSED,
+                                              backend)
+    assert (lane, oracle) == ("native-push", "numpy-fused")
+    assert len(native_parts) == 4
+    for got, want in zip(native_parts, numpy_parts):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    for a, b in zip(native_j, numpy_j):
+        ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        assert np.all(np.abs(a.astype(np.float64) - b) <= ulp)
+
+
 # -- guard stays green on every example deck -----------------------------------
 
 
