@@ -103,9 +103,10 @@ def rank_push(rs: RankState, lane: Lane) -> None:
     A native push is one :func:`~repro.vpic.native.push_simulation`
     call for every species on the rank's packed deck, on this thread,
     drained as ``Simulation.push_step`` drains it: each species' C-timed
-    seconds on ``push/<species>``, attributed to the rank. A fused push
-    is :func:`~repro.vpic.fastpath.fused_push_species` per species
-    (numpy) — positions and momenta bit-identical to the native push
+    seconds on ``push/<species>``, attributed to the rank, and no
+    ``native_push`` span (the rank profiler would count it twice). A
+    fused push is :func:`~repro.vpic.fastpath.fused_push_species` per
+    species (numpy) — positions and momenta bit-identical to the native push
     and to the reference sequence, currents to 1 ulp (float64
     accumulation) — and any other lane the reference kernel sequence,
     each species under its ``push/<species>`` rank activity.

@@ -7,12 +7,12 @@ module provides that lane for the hot loop at two scopes:
   particle phase (gather -> Boris -> deposit -> advance -> wrap),
   one trip through memory per particle — the whole step's push phase
   alone (:func:`push_simulation`, every species in one ``push_deck``
-  call), the one native CIC push entry for a step that stays Python
-  and for a distributed rank's brick — and its charge-conserving
-  twin (gather -> Boris -> advance -> first-order Esirkepov deposit,
-  then the wrap on a zero-origin deck) for the decks that step kernel
-  by kernel. Both are the one ``push_tiles`` body, whose CIC deposit
-  works per *cell run*
+  call), the one native push entry for a step that stays Python and
+  for a distributed rank's brick. On an Esirkepov deck the same call
+  takes each species through the charge-conserving twin (gather ->
+  Boris -> advance -> first-order Esirkepov deposit, then the wrap on
+  a zero-origin deck). Both are the one ``push_tiles`` body, whose CIC
+  deposit works per *cell run*
   (consecutive particles in one cell): after a sort the eight corner
   accumulators of a cell are loaded once, summed into in registers
   for all its particles and stored once; on unsorted input a run is
@@ -84,7 +84,7 @@ sum, which is the one-thread stable permutation. A second Python
 thread stepping while the team is busy runs the one-thread loop; a
 forked child starts its own team. A distributed rank's push — the same
 ``push_deck`` on its brick's deck — runs on the thread that steps the
-rank, one per rank, without the team; the Esirkepov kernel, the
+rank, one per rank, without the team; the Esirkepov push, the
 per-call sort and the guard's passes stay on one thread.
 
 Everything keeps the strict-IEEE bit-identity contract: the C code
@@ -129,7 +129,6 @@ import re
 import shutil
 import subprocess
 import threading
-import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -144,6 +143,7 @@ __all__ = [
     "rebuild",
     "step_simulation",
     "push_simulation",
+    "push_wraps",
     "step_batch",
     "field_advance_b",
     "field_advance_e",
@@ -270,6 +270,21 @@ typedef struct {
      * push_deck leaves its positions unwrapped for the migration and
      * pushes on the calling thread, one per rank, without the team */
     int64_t external_ghosts;
+    /* push_deck's deposition and wrap: with esirkepov set every species
+     * takes the Esirkepov stage and replay (esk_push) on the calling
+     * thread, with charge[s], dt and the cell volume vol in float64,
+     * staging in esk_inc — (3, 18, n) increments: jx, jy, jz rows —
+     * and esk_base — (4, n) flat stencil base, then the x, y, z wrap
+     * corrections — with row stride esk_ld, sized from the largest
+     * species; wrap: push_deck wraps the positions.
+     * esk_failed: 1 + the species whose move spanned more than one
+     * cell (its J untouched, the species after it not pushed), else 0 */
+    int64_t esirkepov, wrap, esk_failed;
+    double dt, vol;
+    const double *charge;
+    float *esk_inc;
+    int32_t *esk_base;
+    int64_t esk_ld;
 } NDeck;
 
 static double now_s(void) {
@@ -288,8 +303,9 @@ static inline float wrapf_(float v, float L) {
 
 /* ---- Esirkepov (charge-conserving) deposition stage --------------- */
 
-/* Per-species staging for the first-order Esirkepov deposit. The tile
- * stage writes every particle's float32 current increments slot-major
+/* Staging for the first-order Esirkepov deposit (the deck's one pair,
+ * reused species after species). The tile stage writes every
+ * particle's float32 current increments slot-major
  * ((component, stencil slot) rows of n) and, per particle, the flat
  * offset of its stencil's base node with one wrap correction per axis;
  * esk_replay then accumulates the increments row by row, which is
@@ -324,12 +340,7 @@ static inline float wrapf_(float v, float L) {
 #define ESK_CHUNK 64
 
 typedef struct {
-    int64_t nx, ny, nz;
-    double q, dt, vol;   /* f64 charge, timestep, cell volume */
-    float *inc;          /* (3, 18, n) increments: jx, jy, jz rows */
-    int32_t *base;       /* (4, n) flat stencil base, then the x, y, z
-                          * wrap corrections */
-    int64_t ld;          /* row stride of inc / base (>= n) */
+    double q;            /* f64 charge of the species */
     int err;             /* a move spanned more than one cell */
 } EskStage;
 
@@ -383,10 +394,10 @@ static inline __attribute__((always_inline)) void esk_stage(
 {
     const double o[3] = { g->x0, g->y0, g->z0 };
     const double d[3] = { g->dx, g->dy, g->dz };
-    const int64_t nc[3] = { e->nx, e->ny, e->nz };
+    const int64_t nc[3] = { g->nx, g->ny, g->nz };
     const int64_t sy = g->sy, sz = g->sz;
-    const int64_t shift[3] = { e->nx * sy * sz, e->ny * sz, e->nz };
-    const int64_t ld = e->ld;
+    const int64_t shift[3] = { g->nx * sy * sz, g->ny * sz, g->nz };
+    const int64_t ld = g->esk_ld;
     double s0[3][3][ESK_CHUNK], ds[3][3][ESK_CHUNK];
     double fq[3][ESK_CHUNK];
     int64_t nb[3][ESK_CHUNK];
@@ -408,7 +419,7 @@ static inline __attribute__((always_inline)) void esk_stage(
             double *restrict d00 = ds[a][0], *restrict d01 = ds[a][1],
                    *restrict d02 = ds[a][2];
             int64_t *restrict nba = nb[a];
-            int32_t *restrict corr = e->base + (a + 1) * ld + s + c;
+            int32_t *restrict corr = g->esk_base + (a + 1) * ld + s + c;
             for (int64_t i = 0; i < k; i++) {
                 double c0 = c0s[i];
                 double c1 = ((double)x1[i] - oa) / da;
@@ -439,10 +450,10 @@ static inline __attribute__((always_inline)) void esk_stage(
             return;
         }
         {
-            const double q = e->q, dt = e->dt, vol = e->vol;
+            const double q = e->q, dt = g->dt, vol = g->vol;
             const double dx = g->dx, dy = g->dy, dz = g->dz;
             const float *restrict ws = w + c;
-            int32_t *restrict fb = e->base + s + c;
+            int32_t *restrict fb = g->esk_base + s + c;
             for (int64_t i = 0; i < k; i++) {
                 const double wq = (double)ws[i] * q;
                 fq[0][i] = -(wq * dx / dt / vol);
@@ -452,7 +463,8 @@ static inline __attribute__((always_inline)) void esk_stage(
                                   + nb[2][i]);
             }
         }
-        float *ix = e->inc + s + c, *iy = ix + 18 * ld, *iz = iy + 18 * ld;
+        float *ix = g->esk_inc + s + c, *iy = ix + 18 * ld,
+              *iz = iy + 18 * ld;
         for (int b = 0; b < 3; b++)
             for (int cc = 0; cc < 3; cc++)
                 esk_rows(ix + (b * 3 + cc) * ld, ix + (9 + b * 3 + cc) * ld,
@@ -504,11 +516,11 @@ static inline __attribute__((always_inline)) void esk_pass(
  * ghost write folds through reduce_ghost_currents as usual. Slot
  * (2, 2, 2) has no row in any component and is skipped. */
 static inline __attribute__((always_inline)) void esk_replay(
-    const NDeck *g, const EskStage *e, int64_t n, double *restrict acc)
+    const NDeck *g, int64_t n, double *restrict acc)
 {
-    const int64_t ld = e->ld, sy = g->sy, sz = g->sz;
-    const int32_t *base = e->base;
-    const float *inc = e->inc;
+    const int64_t ld = g->esk_ld, sy = g->sy, sz = g->sz;
+    const int32_t *base = g->esk_base;
+    const float *inc = g->esk_inc;
     for (int a = 0; a < 3; a++)
         for (int b = 0; b < 3; b++)
             for (int c = 0; c < 3; c++) {
@@ -1661,16 +1673,22 @@ static int64_t screen_fields(const NDeck *dk)
     return bad;
 }
 
+int64_t esk_push(const NDeck *dk, const NSpecies *sp, int64_t s, int wrap);
+
 /* The push phase of a step, for step_one and push_deck: the field
  * table from the current E and B, then every species pushed, wrapped
  * when wrap is set, and folded into J (which the caller has zeroed).
  * On the team when the caller holds it and the deck has a second tile
  * (the team always wraps); otherwise one species after another on this
- * thread: zero the accumulator, push_core, fold_core. Inlined into
+ * thread: zero the accumulator, push_core (esk_push when esk is set),
+ * fold_core. A species whose Esirkepov move fails is not folded and
+ * ends the phase (esk_failed). step_one passes esk as the constant 0,
+ * so its push carries no trace of the other deposition. Inlined into
  * both callers: as a function of its own it would sit among the local
  * functions and move every entry after it. */
 static inline __attribute__((always_inline)) void push_phase(
-    NDeck *dk, int teamed, const int screened, const int wrap) {
+    NDeck *dk, int teamed, const int screened, const int wrap,
+    const int esk) {
     const int64_t nv = dk->nv;
     const double t0 = now_s();
     build_table(dk->ex, dk->ey, dk->ez, dk->bx, dk->by, dk->bz,
@@ -1685,11 +1703,17 @@ static inline __attribute__((always_inline)) void push_phase(
         if (!split) {
             double ts = now_s();
             memset(dk->acc, 0, (size_t)nv * 4 * sizeof(double));
-            int64_t wraps = screened
+            int64_t wraps = esk
+                ? esk_push(dk, sp, s, wrap)
+                : screened
                 ? push_core_screened(dk, sp, dk->parts + s)
                 : push_core(dk, sp->x, sp->y, sp->z, sp->ux, sp->uy,
                             sp->uz, sp->w, sp->n, sp->qdt, sp->inv_vol,
                             dk->tab, dk->acc, wrap);
+            if (esk && wraps < 0) {
+                dk->esk_failed = s + 1;
+                break;
+            }
             fold_core(dk);
             sp->t_push += now_s() - ts;
             sp->crossings += wraps;
@@ -1755,7 +1779,7 @@ static inline __attribute__((always_inline)) void step_body(
     dk->t_field += now_s() - t0;
     /* fused push per species against the half-advanced B / pre-push
      * synced E, exactly like the numpy fast path's field table */
-    push_phase(dk, teamed, screened, 1);
+    push_phase(dk, teamed, screened, 1, 0);
     /* field completion. The second half-B advance skips the E ghost
      * re-sync: E has not changed since the sync above, so the copies
      * it would redo are byte-identical no-ops (the current-only-sync
@@ -2144,16 +2168,19 @@ void voxel_refresh(const float *restrict x, const float *restrict y,
 
 /* ---- the push-scope step ------------------------------------------ */
 
-/* The push phase alone, one call per step for every species: for a
- * step whose field solve, sources and sort stay in Python
- * (Simulation.push_step), on the team when this call can claim it, as
- * step_decks; for a distributed rank's brick (external_ghosts), on the
- * calling thread with the positions left unwrapped for the migration. */
+/* The push phase alone, one call per step for every species, the one
+ * native push entry of both depositions: for a step whose field solve,
+ * sources and sort stay in Python (Simulation.push_step), a CIC deck
+ * on the team when this call can claim it, as step_decks; for a
+ * distributed rank's brick (external_ghosts), and for every Esirkepov
+ * deck (whose stage and replay run on one thread), on the calling
+ * thread. The positions are wrapped when the deck's wrap is set. */
 void push_deck(NDeck *dk)
 {
-    const int rank = dk->external_ghosts != 0;
-    const int teamed = !rank && team_claim();
-    push_phase(dk, teamed, 0, !rank);
+    const int teamed = !dk->external_ghosts && !dk->esirkepov
+                       && team_claim();
+    dk->esk_failed = 0;
+    push_phase(dk, teamed, 0, dk->wrap != 0, dk->esirkepov != 0);
     if (teamed)
         team_release();
 }
@@ -2322,54 +2349,24 @@ void window_deck(NDeck *dk, NColumn *cols, float *history)
 
 /* ---- the Esirkepov push ------------------------------------------- */
 
-/* Esirkepov twin of the CIC push phase: the field table from E and B,
- * then the same index / gather / Boris / advance stages and the
- * charge-conserving deposit of the move. With do_wrap the positions
- * are wrapped in the kernel after the stage has read them, as the CIC
- * push wraps (the caller guarantees a zero origin); otherwise they are
- * left unwrapped for the caller's boundary pass.
- * Returns the number of wraps, or -1 — with J untouched — when a
- * particle moved more than one cell. Last in the file: its code is the
- * one that changes with the Esirkepov stages, and from here its size
- * moves no other entry. On a 64-byte line, where it started before the
- * energy pass grew step_decks by 0x60 bytes: 0x20 into a line,
- * reference-lane measured 7-9 % slower. */
+/* push_phase's Esirkepov branch, for species s: the CIC push's index /
+ * gather / Boris / advance stages and the charge-conserving deposit of
+ * the move, staged per tile and replayed into dk->acc (zeroed and
+ * folded by the caller); with wrap the positions are wrapped after the
+ * stage has read them. Returns the wraps, or -1 — nothing replayed —
+ * when a particle moved more than one cell. Last in the file, so its
+ * size moves no other entry; on a 64-byte line (0x20 into one,
+ * reference-lane measured 7-9 % slower). */
 __attribute__((aligned(64)))
-int64_t fused_push_esirkepov(
-    float *x, float *y, float *z, float *ux, float *uy, float *uz,
-    const float *w, int64_t n,
-    const float *ex, const float *ey, const float *ez,
-    const float *bx, const float *by, const float *bz,
-    float *tab, double *acc, float *jx, float *jy, float *jz,
-    int64_t nx, int64_t ny, int64_t nz,
-    double x0, double y0, double z0,
-    double dx, double dy, double dz,
-    double q, double dt, double vol, float qdt, float fdt,
-    float flx, float fly, float flz, int do_wrap,
-    float *inc, int32_t *base, int64_t ld)
+int64_t esk_push(const NDeck *dk, const NSpecies *sp, int64_t s, int wrap)
 {
-    NDeck g;
-    EskStage e = { nx, ny, nz, q, dt, vol, inc, base, ld, 0 };
-    memset(&g, 0, sizeof(g));
-    g.sy = ny + 2; g.sz = nz + 2; g.nv = (nx + 2) * g.sy * g.sz;
-    g.hx = (double)nx - 1e-9;
-    g.hy = (double)ny - 1e-9;
-    g.hz = (double)nz - 1e-9;
-    g.x0 = x0; g.y0 = y0; g.z0 = z0;
-    g.dx = dx; g.dy = dy; g.dz = dz;
-    g.fx0 = (float)x0; g.fy0 = (float)y0; g.fz0 = (float)z0;
-    g.flx = flx; g.fly = fly; g.flz = flz;
-    g.fdt = fdt;
-    g.jx = jx; g.jy = jy; g.jz = jz;
-    g.acc = acc;
-    build_table(ex, ey, ez, bx, by, bz, tab, g.nv);
-    memset(acc, 0, (size_t)g.nv * 4 * sizeof(double));
-    const int64_t wraps = push_tiles(&g, x, y, z, ux, uy, uz, w, n, qdt,
-                                     0.0f, tab, acc, do_wrap, &e, 0, 0);
+    EskStage e = { dk->charge[s], 0 };
+    const int64_t wraps = push_tiles(
+        dk, sp->x, sp->y, sp->z, sp->ux, sp->uy, sp->uz, sp->w, sp->n,
+        sp->qdt, 0.0f, dk->tab, dk->acc, wrap, &e, 0, 0);
     if (e.err)
         return -1;
-    esk_replay(&g, &e, n, acc);
-    fold_core(&g);
+    esk_replay(dk, sp->n, dk->acc);
     return wraps;
 }
 """
@@ -2417,6 +2414,7 @@ _i64 = ctypes.c_int64
 _pf = ctypes.POINTER(ctypes.c_float)
 _pd = ctypes.POINTER(ctypes.c_double)
 _pi = ctypes.POINTER(ctypes.c_int64)
+_pi32 = ctypes.POINTER(ctypes.c_int32)
 
 
 class _CScreen(ctypes.Structure):
@@ -2460,7 +2458,11 @@ class _CDeck(ctypes.Structure):
                 ("parts", ctypes.POINTER(_CScreen)),
                 ("energy", _i64), ("disorder", _i64),
                 ("mass", _pd), ("sums", _pd), ("descents", _pi),
-                ("t_energy", _f64), ("external_ghosts", _i64)]
+                ("t_energy", _f64), ("external_ghosts", _i64),
+                ("esirkepov", _i64), ("wrap", _i64), ("esk_failed", _i64),
+                ("dt", _f64), ("vol", _f64), ("charge", _pd),
+                ("esk_inc", _pf), ("esk_base", _pi32),
+                ("esk_ld", _i64)]
 
 
 class _CColumn(ctypes.Structure):
@@ -2479,11 +2481,6 @@ class _NativeLib:
 
     def __init__(self, lib_path: Path, key: str):
         lib = ctypes.CDLL(str(lib_path))
-        lib.fused_push_esirkepov.argtypes = (
-            [_pf] * 7 + [_i64] + [_pf] * 6 + [_pf, _pd] + [_pf] * 3
-            + [_i64] * 3 + [_f64] * 9 + [_f32] * 5 + [ctypes.c_int]
-            + [_pf, ctypes.POINTER(ctypes.c_int32), _i64])
-        lib.fused_push_esirkepov.restype = _i64
         lib.field_advance_b.argtypes = ([_pf] * 6 + [_i64] * 3
                                         + [_f32] * 4 + [ctypes.c_int])
         lib.field_advance_b.restype = None
@@ -2515,82 +2512,6 @@ class _NativeLib:
         self._lib = lib
         self.path = lib_path
         self.key = key
-
-    # -- push scope --------------------------------------------------
-
-    def push_species_esirkepov(self, fields, sp, arena,
-                               wrap: bool = False) -> None:
-        """Charge-conserving push of one species: field table ->
-        gather -> Boris -> advance -> first-order Esirkepov deposit of
-        the move, all native. With *wrap* (zero-origin periodic decks
-        only) the kernel also applies the periodic wrap, after the
-        deposit has read the unwrapped endpoints, and the voxels are
-        marked stale; otherwise positions are left unwrapped for the
-        caller's boundary pass.
-
-        Positions, momenta and J are bit-identical to the numpy
-        kernel-by-kernel sequence with ``binned=True`` (the deposit
-        replays its increments in bincount order), and the wrapped
-        positions to ``apply_particle_boundaries``'s. Raises the numpy
-        kernel's ``ValueError`` when a particle moved more than one
-        cell; the momenta and positions are already advanced (and
-        wrapped) then, J is untouched.
-
-        Telemetry: a ``native_push`` span, one ``native/step_seconds``
-        observation, and the wraps on ``native/cell_crossings``.
-        """
-        from repro.kokkos.profiling import record_kernel
-        from repro.observability.metrics import default_registry
-
-        g = sp.grid
-        nv = g.n_voxels
-        n = sp.n
-        tab = arena.buf("field_table8", (nv, 8), np.float32)
-        acc = arena.buf("j_acc4", (nv, 4), np.float64)
-        # Row stride of the staging buffers: 16 floats past a multiple
-        # of 1024, so the 54 rows a particle writes land in 54
-        # different cache sets (a power-of-two capacity would alias
-        # them all onto one). Per-species names: two species of
-        # different capacity must not evict each other every step.
-        ld = (sp.capacity | 1023) + 17
-        inc = arena.buf(f"esirkepov_inc/{sp.name}", (54 * ld,),
-                        np.float32)
-        base = arena.buf(f"esirkepov_base/{sp.name}", (4 * ld,),
-                         np.int32)
-        x, y, z = sp.positions()
-        ux, uy, uz = sp.momenta()
-        lx, ly, lz = g.lengths
-        t0 = time.perf_counter()
-        with record_kernel("native_push"):
-            wraps = self._lib.fused_push_esirkepov(
-                _fptr(x), _fptr(y), _fptr(z),
-                _fptr(ux), _fptr(uy), _fptr(uz), _fptr(sp.live("w")),
-                _i64(n), _fptr(fields.ex.data), _fptr(fields.ey.data),
-                _fptr(fields.ez.data), _fptr(fields.bx.data),
-                _fptr(fields.by.data), _fptr(fields.bz.data),
-                _fptr(tab), acc.ctypes.data_as(_pd),
-                _fptr(fields.jx.data), _fptr(fields.jy.data),
-                _fptr(fields.jz.data),
-                _i64(g.nx), _i64(g.ny), _i64(g.nz),
-                _f64(g.x0), _f64(g.y0), _f64(g.z0),
-                _f64(g.dx), _f64(g.dy), _f64(g.dz),
-                _f64(sp.q), _f64(g.dt), _f64(g.cell_volume),
-                _f32(np.float32(0.5 * sp.q * g.dt / sp.m)),
-                _f32(np.float32(g.dt)),
-                _f32(lx), _f32(ly), _f32(lz),
-                ctypes.c_int(1 if wrap else 0),
-                _fptr(inc), base.ctypes.data_as(
-                    ctypes.POINTER(ctypes.c_int32)), _i64(ld))
-        reg = default_registry()
-        reg.histogram("native/step_seconds").observe(
-            time.perf_counter() - t0)
-        if wrap:
-            sp.mark_voxels_stale()
-        if wraps < 0:
-            from repro.vpic.esirkepov import MULTI_CELL_MOVE
-            raise ValueError(MULTI_CELL_MOVE)
-        if wraps:
-            reg.counter("native/cell_crossings").inc(wraps)
 
     # -- field scope (per-rank use and the Yee bit-identity tests) ---
 
@@ -2969,13 +2890,26 @@ def field_advance_e(solver, frac: float = 1.0) -> bool:
 
 # -- step scope: packing + drivers ------------------------------------
 
+def push_wraps(deck) -> bool:
+    """Whether the native push wraps *deck*'s positions — a
+    ``Simulation`` or a distributed rank's ``RankState`` — in the
+    kernel, so that no boundary pass follows: on a zero origin, where
+    the kernel's wrap of the escaped particles is the boundary pass's
+    bytes, and never on a rank, whose migration reads them unwrapped."""
+    g = deck.grid
+    return (not deck.solver.external_ghosts
+            and g.x0 == 0.0 and g.y0 == 0.0 and g.z0 == 0.0)
+
+
 def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
     """Pack one deck — a ``Simulation`` or a distributed rank's
     ``RankState``, whose solver's external ghosts mark it as a rank —
-    into a deck descriptor; returns the keep-alive tuple of backing
-    buffers (arena-owned, but the ctypes struct holds raw pointers, so
-    references must outlive the call). The step count is the caller's
-    to set: only the whole step reads it."""
+    into a fresh (zeroed) deck descriptor; returns the keep-alive tuple
+    of backing buffers (arena-owned, but the ctypes struct holds raw
+    pointers, so references must outlive the call). The step count is
+    the caller's to set: only the whole step reads it."""
+    from repro.vpic.deck import DepositionKind
+
     g = sim.grid
     f = sim.fields
     arena = sim._arena
@@ -2989,6 +2923,18 @@ def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
     perm = arena.buf("sort_perm", (max_n,), np.int64)
     scr_i = arena.buf("sort_scr_i", (max_n,), np.int64)
     scr_f = arena.buf("sort_scr_f", (max_n,), np.float32)
+    inc = base = None
+    if sim.deposition is DepositionKind.ESIRKEPOV:
+        # The Esirkepov staging pair, one for the deck. Row stride: 16
+        # floats past a multiple of 1024, so the 54 rows a particle
+        # writes land in 54 different cache sets (a power-of-two
+        # capacity would alias them all onto one).
+        dk.esirkepov = 1
+        dk.esk_ld = ld = (max_n | 1023) + 17
+        inc = arena.buf("esirkepov_inc", (54 * ld,), np.float32)
+        base = arena.buf("esirkepov_base", (4 * ld,), np.int32)
+        dk.esk_inc = _fptr(inc)
+        dk.esk_base = base.ctypes.data_as(_pi32)
 
     dk.nx, dk.ny, dk.nz = g.nx, g.ny, g.nz
     dk.sy, dk.sz, dk.nv = sy, sz, nv
@@ -3021,35 +2967,31 @@ def _fill_deck(dk: _CDeck, sim, sort_interval: int) -> tuple:
         cs.n = sp.n
         cs.qdt = np.float32(0.5 * sp.q * g.dt / sp.m)
         cs.inv_vol = np.float32(sp.q / g.cell_volume)
-        cs.pushed = cs.crossings = 0
-        cs.t_push = 0.0
     parts = (_CScreen * (_TEAM_MAX * max(n_sp, 1)))()
     mass = np.array([sp.m for sp in sim.species] or [0.0], np.float64)
+    charge = np.array([sp.q for sp in sim.species] or [0.0], np.float64)
     sums = np.zeros((6 + n_sp) * (1 + _PW_PARTS), np.float64)
     descents = np.zeros(max(n_sp, 1), np.int64)
     dk.species = ctypes.cast(spp, ctypes.POINTER(_CSpecies))
     dk.n_species = n_sp
     dk.sort_interval = sort_interval
-    dk.sorts_done = 0
     dk.tab = _fptr(tab)
     dk.acc = acc.ctypes.data_as(_pd)
     dk.counts = counts.ctypes.data_as(_pi)
     dk.perm = perm.ctypes.data_as(_pi)
     dk.scr_i = scr_i.ctypes.data_as(_pi)
     dk.scr_f = scr_f.ctypes.data_as(_pf)
-    dk.t_field = dk.t_push = dk.t_sort = 0.0
-    dk.particles_pushed = dk.crossings = 0
-    dk.ghost_folds = dk.sort_events = 0
-    dk.screen = dk.field_nonfinite = 0
     dk.parts = ctypes.cast(parts, ctypes.POINTER(_CScreen))
-    dk.energy = dk.disorder = 0
     dk.mass = mass.ctypes.data_as(_pd)
     dk.sums = sums.ctypes.data_as(_pd)
     dk.descents = descents.ctypes.data_as(_pi)
-    dk.t_energy = 0.0
     dk.external_ghosts = sim.solver.external_ghosts
-    return (tab, acc, counts, perm, scr_i, scr_f, mass, sums, descents,
-            parts, spp)
+    dk.wrap = push_wraps(sim)
+    dk.dt = g.dt
+    dk.vol = g.cell_volume
+    dk.charge = charge.ctypes.data_as(_pd)
+    return (tab, acc, counts, perm, scr_i, scr_f, mass, charge, inc, base,
+            sums, descents, parts, spp)
 
 
 def _pack_identity(sim) -> tuple:
@@ -3080,32 +3022,26 @@ def _pack_cached(sim, sort_interval: int, screen: bool = False,
     the descents each sort finds."""
     cached = getattr(sim, "_native_pack", None)
     ident = _pack_identity(sim)
-    if cached is not None:
-        decks, keep, old_ident = cached
-        if len(old_ident) == len(ident) and all(
-                a is b for a, b in zip(old_ident, ident)):
-            dk = decks[0]
-            dk.screen = screen
-            dk.energy = energy
-            dk.disorder = disorder
-            dk.t_energy = 0.0
-            dk.sort_interval = sort_interval
-            dk.sorts_done = 0
-            dk.t_field = dk.t_push = dk.t_sort = 0.0
-            dk.particles_pushed = dk.crossings = 0
-            dk.ghost_folds = dk.sort_events = 0
-            spp = keep[-1]
-            for i, sp in enumerate(sim.species):
-                spp[i].n = sp.n
-                spp[i].pushed = spp[i].crossings = 0
-                spp[i].t_push = 0.0
-            return decks
-    decks = (_CDeck * 1)()
-    keep = _fill_deck(decks[0], sim, sort_interval)
-    decks[0].screen = screen
-    decks[0].energy = energy
-    decks[0].disorder = disorder
-    sim._native_pack = (decks, keep, ident)
+    if cached is None or len(cached[2]) != len(ident) or any(
+            a is not b for a, b in zip(cached[2], ident)):
+        decks = (_CDeck * 1)()
+        sim._native_pack = (decks, _fill_deck(decks[0], sim, 0), ident)
+    else:
+        decks, keep, _ = cached
+        dk = decks[0]
+        dk.t_energy = dk.t_field = dk.t_push = dk.t_sort = 0.0
+        dk.sorts_done = dk.particles_pushed = dk.crossings = 0
+        dk.ghost_folds = dk.sort_events = 0
+        spp = keep[-1]
+        for i, sp in enumerate(sim.species):
+            spp[i].n = sp.n
+            spp[i].pushed = spp[i].crossings = 0
+            spp[i].t_push = 0.0
+    dk = decks[0]
+    dk.sort_interval = sort_interval
+    dk.screen = screen
+    dk.energy = energy
+    dk.disorder = disorder
     return decks
 
 
@@ -3211,28 +3147,35 @@ def step_simulation(sim, sort_interval: int = 0, screen: bool = False,
 def push_simulation(sim) -> "dict | None":
     """Push every species of *sim* once: the push phase of the whole
     step alone (field table, push, fold into J, which the caller has
-    cleared), the one native CIC push entry. For a ``Simulation``
-    (``Simulation.push_step``) it wraps the positions and runs on the
-    step team; for a distributed rank's ``RankState``
-    (``distributed.rank_push``) it leaves them unwrapped for the
-    migration and runs on the calling thread. The pushed species'
-    voxels are marked stale.
+    cleared), the one native push entry of both depositions. For a
+    ``Simulation`` (``Simulation.push_step``) a CIC deck runs on the
+    step team; an Esirkepov deck, and a distributed rank's
+    ``RankState`` (``distributed.rank_push``), on the calling thread.
+    The positions are wrapped when :func:`push_wraps` says so, and left
+    for the boundary pass or the migration otherwise. The pushed
+    species' voxels are marked stale.
 
-    The call runs under a ``native_push`` kernel span. Returns the
-    drained telemetry struct, as :func:`step_simulation` does (no
-    field or sort time), or ``None`` when no kernel is available.
+    An Esirkepov deck's positions, momenta and J are bit-identical to
+    the numpy sequence with ``binned=True``. A move of more than one
+    cell raises the numpy kernel's ``ValueError``: the species before
+    its own are pushed and folded, its own is advanced with J
+    untouched, the ones after it are not pushed.
+
+    Returns the drained telemetry struct, as :func:`step_simulation`
+    does (no field or sort time), or ``None`` when no kernel is
+    available.
     """
-    from repro.kokkos.profiling import record_kernel
-
     lib = native_push_kernel()
     if lib is None:
         return None
     decks = _pack_cached(sim, 0)
-    with record_kernel("native_push"):
-        lib.push_deck(decks)
+    lib.push_deck(decks)
     for sp in sim.species:
         if sp.n:
             sp.mark_voxels_stale()
+    if decks[0].esk_failed:
+        from repro.vpic.esirkepov import MULTI_CELL_MOVE
+        raise ValueError(MULTI_CELL_MOVE)
     return _deck_stats(decks[0], sim._native_pack[1], sim)
 
 

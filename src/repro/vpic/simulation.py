@@ -40,6 +40,7 @@ from repro.vpic.fastpath import fused_push_species
 from repro.vpic.fields import FieldArrays, FieldSolver
 from repro.vpic.grid import Grid
 from repro.vpic.interpolate import gather_fields
+from repro.vpic.native import push_wraps
 from repro.vpic.particles import load_maxwellian, load_uniform
 from repro.vpic.scratch import ScratchArena
 from repro.vpic.sort_step import SortStep
@@ -51,27 +52,27 @@ __all__ = ["Lane", "Simulation", "resolve_lane"]
 class Lane(NamedTuple):
     """The lane a step actually takes: :func:`resolve_lane`'s answer."""
 
-    #: Its ``step_lane/*`` counter: ``native-step``, ``native-push``,
-    #: ``numpy-fused`` (every other non-reference push) or ``reference``.
+    #: Its ``step_lane/*`` counter: ``native-step``, ``native-push`` (a
+    #: native CIC push), ``numpy-fused`` (every other non-reference
+    #: push, the native Esirkepov one included) or ``reference``.
     label: str
     #: Why the whole-step native lane is not running (``None`` when it
     #: is); on a distributed rank, why its push is not native.
     reason: "str | None"
-    #: The push is the fused one (:meth:`Simulation.push_step`), not
+    #: The push is the fused one (:meth:`Simulation.push_step`): every
+    #: native push, and the numpy CIC one that wraps in the push; not
     #: kernel by kernel (:meth:`Simulation.push_species`).
     fused: bool
-    #: The push runs in C: the whole step, the fused native push or
-    #: the native Esirkepov kernel.
+    #: The push runs in C: the whole step or the native push of either
+    #: deposition.
     native_push: bool
-    #: The native Esirkepov kernel applies the periodic wrap itself.
-    wraps: bool
     #: The compiled library the field solve, sort and window shift run
     #: on, or ``None``: numpy.
     kernels: object
 
 
 _REFERENCE_LANE = Lane("reference", "reference StepPlan pinned",
-                       False, False, False, None)
+                       False, False, None)
 
 
 def resolve_lane(plan: StepPlan, deck) -> Lane:
@@ -80,15 +81,16 @@ def resolve_lane(plan: StepPlan, deck) -> Lane:
     *plan* is asked for: the one place the lane is decided.
 
     The gates are walked once, in the order the reason words them.
-    The push is fused on a CIC deck with periodic particles and a zero
-    origin (the fused lane wraps only escaped particles, which matches
-    the reference round-trip bitwise only then; a rank's push leaves
-    positions unwrapped for the migration, so its origin is free). It
-    is native on float32 fields, without atomics accounting (whose
-    sampled hook must see the numpy deposition keys) and with a built
-    kernel. The field solve and sort take the native kernels on
-    float32 fields with a solver whose numpy code they reproduce:
-    exactly :class:`FieldSolver` or an x-axis
+    A CIC push is fused with periodic particles and a zero origin (the
+    fused lane wraps only escaped particles, which matches the
+    reference round-trip bitwise only then; a rank's push leaves
+    positions unwrapped for the migration, so its origin is free). A
+    fused CIC push or an Esirkepov one is native on float32 fields,
+    without atomics accounting (whose sampled hook must see the numpy
+    deposition keys) and with a built kernel; a native push is fused
+    too, and counts ``native-push`` only on CIC. The field solve and
+    sort take the native kernels on float32 fields with a solver whose
+    numpy code they reproduce: exactly :class:`FieldSolver` or an x-axis
     :class:`~repro.vpic.absorbing.AbsorbingFieldSolver` (a subclass
     may override any method). The whole step goes to C on top of a
     fused native push only with no sources, periodic fields, the plain
@@ -112,7 +114,7 @@ def resolve_lane(plan: StepPlan, deck) -> Lane:
              and (origin0 or rank))
     if plan is StepPlan.NUMPY_FUSED or plan is StepPlan.NUMPY:
         return Lane("numpy-fused", "StepPlan disables native kernels",
-                    fused, False, False, None)
+                    fused, False, None)
     from repro.vpic import native
 
     lib = native.native_push_kernel()
@@ -175,10 +177,9 @@ def resolve_lane(plan: StepPlan, deck) -> Lane:
     elif lib is None:
         reason = f"no compiled kernel ({native.native_status()})"
     else:
-        return Lane("native-step", None, True, True, False, lib)
+        return Lane("native-step", None, True, True, lib)
     return Lane("native-push" if fused and native_push else "numpy-fused",
-                reason, fused, native_push,
-                native_push and not cic and origin0,
+                reason, fused or native_push, native_push,
                 None if kernels_off is not None else lib)
 
 
@@ -305,37 +306,29 @@ class Simulation:
         ``step_plan`` on this deck."""
         return resolve_lane(self.step_plan, self)
 
-    def push_species(self, sp: Species, wrap: bool = False,
+    def push_species(self, sp: Species,
                      lane: "Lane | None" = None) -> None:
-        """The particle push kernel: gather -> Boris -> deposit -> move.
+        """The particle push kernel: gather -> Boris -> deposit -> move,
+        in numpy.
 
         This is the kernel-by-kernel path: always used by the
-        reference lane, and by decks the fused push does not cover
-        (Esirkepov deposition, reflecting boundaries, a nonzero
-        origin). Every other lane shares the post-push gamma between
-        deposition and the position advance and bin-reduces the
-        deposition; on Esirkepov decks a lane whose push is native
-        hands the whole push to the native Esirkepov kernel
-        (bit-identical, the numpy sequence below stays as the
-        no-compiler fallback and the oracle).
+        reference lane, and by decks neither the fused nor a native
+        push covers (reflecting boundaries, a nonzero origin on a CIC
+        deck, an Esirkepov deck with its kernels off). Every other lane
+        shares the post-push gamma between deposition and the position
+        advance and bin-reduces the deposition. On Esirkepov decks this
+        sequence with ``binned=True`` is the native push's oracle and
+        no-compiler fallback.
 
         *lane* is the step's (:meth:`lane` when not given). Positions
         are left unwrapped for
-        :func:`~repro.vpic.boundary.apply_particle_boundaries`, except
-        that :meth:`step` passes *wrap* when the lane ``wraps``: the
-        native Esirkepov kernel then wraps in the push.
+        :func:`~repro.vpic.boundary.apply_particle_boundaries`.
         """
         if sp.n == 0:
             return
         g = self.grid
         if lane is None:
             lane = self.lane()
-        if self.deposition is DepositionKind.ESIRKEPOV and lane.native_push:
-            from repro.vpic import native
-            with record_kernel(f"push/{sp.name}"):
-                native.native_push_kernel().push_species_esirkepov(
-                    self.fields, sp, self._arena, wrap=wrap)
-            return
         reference = lane.label == "reference"
         x, y, z = sp.positions()
         ux, uy, uz = sp.momenta()
@@ -385,39 +378,39 @@ class Simulation:
         """Fused particle phase: gather -> Boris -> deposit -> move ->
         wrap for every species, on the fused lane.
 
-        Returns the number of particles pushed. The periodic boundary
-        is folded into the fused kernel, so no separate boundary pass
-        runs; voxel indices refresh lazily on first use.
+        Returns the number of particles pushed; voxel indices refresh
+        lazily on first use. The periodic boundary is folded into the
+        push where :func:`~repro.vpic.native.push_wraps` says so, and
+        otherwise left to :meth:`step`'s boundary pass.
 
         When the push of *lane* (the step's; :meth:`lane` when not
-        given) is native, every species goes in one native call, the
-        whole step's push phase on the step team; its C-measured
-        seconds per species are drained onto the ``push/<species>``
-        labels. Otherwise each species takes the fused numpy lane.
+        given) is native, every species goes in one
+        :func:`~repro.vpic.native.push_simulation` call under a
+        ``native_push`` kernel span; its C-measured seconds per species
+        are drained onto the ``push/<species>`` labels. Otherwise each
+        species takes the fused numpy CIC lane.
         """
         if lane is None:
             lane = self.lane()
         if lane.native_push:
             from repro.observability import native_telemetry
             from repro.vpic import native
-            native_telemetry.drain_push(self, native.push_simulation(self))
-            return self.total_particles
-        pushed = 0
-        for sp in self.species:
-            pushed += sp.n
-            if sp.n == 0:
-                continue
-            with record_kernel(f"push/{sp.name}"):
-                fused_push_species(self.fields, sp, self._arena)
-        return pushed
+            with record_kernel("native_push"):
+                res = native.push_simulation(self)
+            native_telemetry.drain_push(self, res)
+        else:
+            for sp in self.species:
+                if sp.n:
+                    with record_kernel(f"push/{sp.name}"):
+                        fused_push_species(self.fields, sp, self._arena)
+        return self.total_particles
 
     def native_push_threads(self) -> "int | None":
         """Threads a step of this deck pushes on — the step team's size
         for it (:func:`~repro.vpic.native.step_team_size`) on both
         native CIC lanes, whole-step and push-scope — or ``None`` when
-        the push is numpy or the one-thread Esirkepov kernel."""
-        lane = self.lane()
-        if not (lane.fused and lane.native_push):
+        the push is numpy or the one-thread Esirkepov push."""
+        if self.lane().label not in ("native-step", "native-push"):
             return None
         from repro.vpic import native
         return native.step_team_size(self)
@@ -617,12 +610,11 @@ class Simulation:
                 else:
                     for sp in self.species:
                         pushed += sp.n
-                        self.push_species(sp, wrap=lane.wraps, lane=lane)
-                    if not lane.wraps:
-                        for sp in self.species:
-                            with record_kernel(f"boundary/{sp.name}"):
-                                apply_particle_boundaries(sp,
-                                                          self.boundary)
+                        self.push_species(sp, lane=lane)
+                if not (lane.fused and push_wraps(self)):
+                    for sp in self.species:
+                        with record_kernel(f"boundary/{sp.name}"):
+                            apply_particle_boundaries(sp, self.boundary)
                 with record_kernel("field_solve"):
                     self._solver.reduce_ghost_currents()
                     # E is untouched since the pre-push sync, so the

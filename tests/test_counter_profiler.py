@@ -399,6 +399,27 @@ class TestDashboard:
         pids = {ev["pid"] for ev in doc["traceEvents"]}
         assert pids == {0, 1, 2}           # 2 ranks + collective
 
+    def test_rank_native_push_is_counted_once_under_push(self):
+        """A rank's native push is one C call whose measured seconds
+        are drained onto ``push/<species>``: no ``native_push`` span
+        sits beside them in a rank's ``other`` bucket (threads backend,
+        where the rank's spans share its lane), so busy time and the
+        halo wait fraction count each second of the push once."""
+        from repro.observability.dashboard import profile_deck
+        from repro.vpic import native
+        from repro.vpic.workloads import make_deck
+        if not native.native_available():
+            pytest.skip("needs the compiled kernels")
+        bundle = profile_deck(make_deck("uniform", steps=4),
+                              get_platform("A100"), n_ranks=2)
+        profiler = bundle.rank_profiler
+        for tracer in profiler.rank_tracers:
+            kinds = {(profiler._classify(s.name, s.cat), s.name)
+                     for s in tracer.spans()}
+            assert ("push", "push/electron") in kinds
+            assert not [name for kind, name in kinds
+                        if kind == "other" and "native_push" in name]
+
     def test_strips_field_init_for_distributed_run(self):
         from repro.observability.dashboard import profile_deck
         from repro.vpic.workloads import two_stream_deck

@@ -28,29 +28,31 @@ pytestmark = pytest.mark.skipif(not native.native_available(),
                                 reason="needs the compiled kernels")
 
 NS, NP, NF, REF = "native-step", "native-push", "numpy-fused", "reference"
-STEP, PUSH, ESK = "step_simulation", "push_simulation", "push_species_esirkepov"
+STEP, PUSH, DECK = "step_simulation", "push_simulation", "push_deck"
+#: The native push of either deposition: push_simulation's one C call.
+NPUSH = (PUSH, DECK)
 
 #: deck -> per requested lane (NATIVE_STEP, NATIVE_PUSH, NUMPY_FUSED,
-#: NUMPY, REFERENCE): (the ``step_lane/*`` label, the C entry that
-#: carries the step or its push, or None for numpy).
+#: NUMPY, REFERENCE): (the ``step_lane/*`` label, the entries that
+#: carry the step or its push, or None for numpy).
 TABLE = {
-    "uniform": ((NS, STEP), (NP, PUSH), (NF, None), (NF, None),
+    "uniform": ((NS, (STEP,)), (NP, NPUSH), (NF, None), (NF, None),
                 (REF, None)),
-    "two-stream": ((NS, STEP), (NP, PUSH), (NF, None), (NF, None),
+    "two-stream": ((NS, (STEP,)), (NP, NPUSH), (NF, None), (NF, None),
                    (REF, None)),
-    "weibel": ((NS, STEP), (NP, PUSH), (NF, None), (NF, None),
+    "weibel": ((NS, (STEP,)), (NP, NPUSH), (NF, None), (NF, None),
                (REF, None)),
-    "laser-plasma": ((NS, STEP), (NP, PUSH), (NF, None), (NF, None),
+    "laser-plasma": ((NS, (STEP,)), (NP, NPUSH), (NF, None), (NF, None),
                      (REF, None)),
-    "harris": ((NS, STEP), (NP, PUSH), (NF, None), (NF, None),
+    "harris": ((NS, (STEP,)), (NP, NPUSH), (NF, None), (NF, None),
                (REF, None)),
-    # Esirkepov: the push is the native kernel, counted numpy-fused
-    "beam-plasma": ((NF, ESK), (NF, ESK), (NF, None), (NF, None),
+    # Esirkepov: the push is native, one thread, counted numpy-fused
+    "beam-plasma": ((NF, NPUSH), (NF, NPUSH), (NF, None), (NF, None),
                     (REF, None)),
     # antenna + moving window: the sources demote to the push lane
-    "wakefield": ((NP, PUSH), (NP, PUSH), (NF, None), (NF, None),
+    "wakefield": ((NP, NPUSH), (NP, NPUSH), (NF, None), (NF, None),
                   (REF, None)),
-    "reconnection": ((NF, ESK), (NF, ESK), (NF, None), (NF, None),
+    "reconnection": ((NF, NPUSH), (NF, NPUSH), (NF, None), (NF, None),
                      (REF, None)),
 }
 
@@ -84,7 +86,7 @@ def entries(monkeypatch):
     """The C entries called, in order."""
     ran = []
     for module, name in ((native, STEP), (native, PUSH),
-                         (native._NativeLib, ESK)):
+                         (native._NativeLib, DECK)):
         real = getattr(module, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -110,7 +112,7 @@ def test_lane_truth_table(deck, plan, entries):
              .items() if k.startswith("step_lane/") and v}
     assert moved == {f"step_lane/{label}": 2}
     assert (reason is None) == (label == NS)
-    assert set(entries) == ({entry} if entry else set())
+    assert set(entries) == set(entry or ())
     if plan is StepPlan.NATIVE_STEP:
         assert reason == DEFAULT_REASONS[deck]
     elif plan in PINNED_REASONS:

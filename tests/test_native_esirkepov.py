@@ -4,7 +4,11 @@ The kernel's contract is the whole-step lane's: positions, momenta
 and J byte for byte equal to the numpy kernel-by-kernel sequence
 (``deposit_current_esirkepov(binned=True)``) — the C deposit replays
 its increments in bincount order, so even the float64 accumulation
-matches. These tests need a C compiler; without one they skip.
+matches. The kernel is the Esirkepov branch of the one native push
+entry, ``push_deck`` on the packed deck: a kernel sim pushes through
+``Simulation.push_step``, which wraps on a zero origin, and its oracle
+through ``Simulation.push_species`` and the boundary pass. These tests
+need a C compiler; without one they skip.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from repro.kokkos.atomics import collect_atomics
 from repro.validate.checks import ContinuityCheck, default_checks
 from repro.validate.guard import SimulationGuard
 from repro.vpic import native, workloads
-from repro.vpic.boundary import BoundaryKind
+from repro.vpic.boundary import BoundaryKind, apply_particle_boundaries
 from repro.vpic.deck import Deck, DepositionKind, SpeciesConfig
 from repro.vpic.fields import FieldArrays
 from repro.vpic.grid import Grid
@@ -69,15 +73,37 @@ def _pair(deck, mutate=None):
     return sims
 
 
-def _push_both(deck, mutate=None):
-    """One particle phase on both sims; returns the kernel sim after
-    asserting particles and raw (unfolded) J are identical."""
-    a, b = _pair(deck, mutate)
-    for sim in (a, b):
+def _push(sim):
+    """One particle phase on *sim*'s lane: the native push in one
+    ``push_step`` (wrapped on a zero origin), else ``push_species`` per
+    species (unwrapped)."""
+    if sim.lane().native_push:
+        sim.push_step()
+    else:
         for sp in sim.species:
             sim.push_species(sp)
+
+
+def _push_pair(a, b):
+    """One particle phase on the kernel sim *a* and the oracle *b*, the
+    oracle's boundary pass where the kernel wrapped; asserts particles
+    and raw (unfolded) J identical. Returns the oracle's positions
+    before its boundary pass, per species."""
+    _push(a)
+    _push(b)
+    moved = [tuple(p.copy() for p in sp.positions()) for sp in b.species]
+    if native.push_wraps(a):
+        for sp in b.species:
+            apply_particle_boundaries(sp, b.boundary)
     _assert_identical(a, b, J)
-    return a
+    return moved
+
+
+def _push_both(deck, mutate=None):
+    """:func:`_push_pair` on a fresh pair of *deck*; returns the kernel
+    sim and the oracle's unwrapped positions."""
+    a, b = _pair(deck, mutate)
+    return a, _push_pair(a, b)
 
 
 def _assert_identical(a, b, fields):
@@ -121,7 +147,7 @@ def test_random_subcell_moves_match_numpy(shape):
     sub-cell, plenty cross cell faces and the periodic boundary. The
     2-cell axes (beam-plasma is ny = nz = 2) put the stencil's third
     node one past the high ghost, where it wraps onto node 2."""
-    sim = _push_both(_deck(*shape))
+    sim, _ = _push_both(_deck(*shape))
     assert any(np.abs(getattr(sim.fields, n).data).max() > 0 for n in J)
 
 
@@ -177,13 +203,13 @@ def _edge_particles(sim):
                                    (1, 1, 1)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_box_edge_and_ghost_endpoints(shape):
-    sim = _push_both(_deck(*shape, species=(
+    sim, moved = _push_both(_deck(*shape, species=(
         SpeciesConfig("e", q=-1.0, m=1.0, ppc=24, uth=0.05),)),
         mutate=_edge_particles)
     # the crafted particles really left the box (ghost endpoints)
-    sp = sim.species[0]
-    assert (sp.live("x") > sim.grid.lengths[0]).any()
-    assert (sp.live("x") < 0).any()
+    x = moved[0][0]
+    assert (x > sim.grid.lengths[0]).any()
+    assert (x < 0).any()
 
 
 def test_empty_species_is_a_noop():
@@ -193,8 +219,8 @@ def test_empty_species_is_a_noop():
     sim = Simulation(grid=grid, fields=fields,
                      species=[Species("e", -1.0, 1.0, grid)],
                      deposition=DepositionKind.ESIRKEPOV)
-    native.native_push_kernel().push_species_esirkepov(
-        fields, sim.species[0], sim._arena)
+    assert sim.lane().native_push
+    assert sim.push_step() == 0
     assert np.all(fields.jx.data == 1.5)
     assert not fields.jy.data.any()
 
@@ -215,7 +241,7 @@ def test_supercell_move_raises_like_numpy():
     for plan in (StepPlan.NATIVE_STEP, StepPlan.NUMPY_FUSED):
         sim = _fast_particle_sim(plan)
         with pytest.raises(ValueError, match="sub-cell") as exc:
-            sim.push_species(sim.species[0])
+            _push(sim)
         messages.append(str(exc.value))
         assert not sim.fields.jx.data.any()
     assert messages[0] == messages[1]
@@ -328,21 +354,44 @@ GOLDEN_RUNS = (("beam-plasma", "beam-plasma", {}, 200),
                ("reconnection-0.5", "reconnection", {"scale": 0.5}, 50))
 
 
-def _golden_run(name, kw, steps):
+def _boundary_passes(monkeypatch):
+    """Count the step's boundary passes (one per species and step)."""
+    calls = []
+    real = simulation.apply_particle_boundaries
+    monkeypatch.setattr(simulation, "apply_particle_boundaries",
+                        lambda *a, **kw: (calls.append(1), real(*a, **kw)))
+    return calls
+
+
+def _in_box(sim):
+    """Whether every position lies in its axis' half-open box."""
+    g = sim.grid
+    return all(((p >= lo) & (p < lo + length)).all()
+               for sp in sim.species
+               for p, lo, length in zip(sp.positions(), (g.x0, g.y0, g.z0),
+                                        g.lengths))
+
+
+def _golden_run(name, kw, steps, monkeypatch):
+    """The deck's full state after *steps* steps, which wrap in the
+    kernel: no boundary pass runs, and every position is in the box."""
     sim = workloads.DECK_BUILDERS[name](num_steps=steps, seed=1,
                                         **kw).build()
-    assert sim.lane().wraps
+    assert sim.lane().native_push
+    calls = _boundary_passes(monkeypatch)
     sim.run(steps)
+    assert calls == [] and _in_box(sim)
     return _state_digest(sim)
 
 
 @pytest.mark.parametrize("key,name,kw,steps", GOLDEN_RUNS,
                          ids=[run[0] for run in GOLDEN_RUNS])
-def test_zoo_decks_keep_the_golden_full_state(key, name, kw, steps):
-    assert _golden_run(name, kw, steps) == GOLDEN[key]
+def test_zoo_decks_keep_the_golden_full_state(key, name, kw, steps,
+                                              monkeypatch):
+    assert _golden_run(name, kw, steps, monkeypatch) == GOLDEN[key]
 
 
-def test_portable_build_same_bytes_as_host_tuned():
+def test_portable_build_same_bytes_as_host_tuned(monkeypatch):
     """The strict-IEEE flag set alone (no -march) against the host-tuned
     build: the chunked stage's selects, truncating floor and int64
     conversions vectorize differently or not at all, the bytes do
@@ -352,7 +401,8 @@ def test_portable_build_same_bytes_as_host_tuned():
         for flags in (native._PORTABLE_CFLAGS, native._CFLAGS):
             assert native.rebuild(flags), native.native_status()
             for key, name, kw, steps in GOLDEN_RUNS:
-                digests[key, flags] = _golden_run(name, kw, steps)
+                digests[key, flags] = _golden_run(name, kw, steps,
+                                                  monkeypatch)
     finally:
         native.rebuild()
     assert digests == {(key, flags): GOLDEN[key] for key, flags in digests}
@@ -392,19 +442,18 @@ def _sized_pair(n, shape=(8, 4, 2), origin=(0.0, 0.0, 0.0), fields=True):
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 1025])
-def test_species_sizes_match_numpy(n):
+def test_species_sizes_match_numpy(n, monkeypatch):
     """Chunk edges (63, 64, 65), a tile and one (1025), one particle:
-    a direct push (unwrapped), then three steps (wrapped in the kernel
-    on one side, by the boundary pass on the other)."""
+    a direct push, then three steps (wrapped in the kernel on one side,
+    by the boundary pass on the other)."""
+    _push_pair(*_sized_pair(n))
     a, b = _sized_pair(n)
-    for sim in (a, b):
-        sim.push_species(sim.species[0])
-    _assert_identical(a, b, J)
-    a, b = _sized_pair(n)
-    assert a.lane().wraps and not b.lane().wraps
-    for _ in range(3):
+    calls = _boundary_passes(monkeypatch)
+    for k in range(3):
         a.step()
+        assert len(calls) == k and _in_box(a)
         b.step()
+    assert len(calls) == 3
     assert _state_digest(a) == _state_digest(b)
 
 
@@ -439,9 +488,13 @@ def _nonfinite_sim():
 def test_nonfinite_positions_keep_the_parent_bytes():
     """NaN deposits onto node 1 and +-inf clip to the box edge, as the
     scalar kernel did; the in-kernel wrap turns +-inf into NaN as
-    np.mod does."""
+    np.mod does. The push golden is the kernel's unwrapped push (the
+    packed deck's wrap flag cleared for it) and hashes the voxel array
+    as the push left it, unrefreshed."""
     sim = _nonfinite_sim()
-    sim.push_species(sim.species[0])
+    native._pack_cached(sim, 0)[0].wrap = 0
+    native.push_simulation(sim)
+    sim.species[0].mark_voxels_fresh()
     assert _state_digest(sim) == GOLDEN["nonfinite-push"]
     sim = _nonfinite_sim()
     with np.errstate(invalid="ignore"):
@@ -449,11 +502,14 @@ def test_nonfinite_positions_keep_the_parent_bytes():
     assert _state_digest(sim) == GOLDEN["nonfinite-step"]
 
 
-def test_supercell_move_in_a_step_raises_with_j_untouched():
+def test_supercell_move_in_a_step_raises_with_j_untouched(monkeypatch):
     sim = _fast_particle_sim(StepPlan.NATIVE_STEP)
-    assert sim.lane().wraps
+    calls = _boundary_passes(monkeypatch)
+    x0 = sim.species[0].live("x").copy()
     with pytest.raises(ValueError, match="sub-cell"):
         sim.step()
+    # the push moved the particle, then raised before any boundary pass
+    assert calls == [] and (sim.species[0].live("x") != x0).all()
     for name in J:
         assert not getattr(sim.fields, name).data.any()
 
@@ -476,9 +532,65 @@ def test_supercell_move_in_any_tile_raises_with_j_untouched(bad):
         sim = Simulation(grid=grid, fields=FieldArrays(grid), species=[sp],
                          deposition=DepositionKind.ESIRKEPOV, step_plan=plan)
         with pytest.raises(ValueError, match="sub-cell"):
-            sim.push_species(sp)
+            _push(sim)
         for name in J:
             assert not getattr(sim.fields, name).data.any()
+
+
+def test_two_species_of_different_capacity_share_one_staging_pair():
+    """Two species whose capacities differ — the second grown by
+    ``append`` past the first between steps, which repacks the deck and
+    resizes its one staging pair from the larger — step after step
+    against the numpy sequence: positions, momenta and every field
+    array bitwise equal."""
+    a, b = _pair(_deck(6, 4, 2))
+    rng = np.random.default_rng(9)
+    g = a.grid
+    extra = (*(rng.random((3, 1500)) * np.array(g.lengths)[:, None]),
+             *rng.normal(scale=0.3, size=(3, 1500)), np.full(1500, 0.5))
+    for k in range(5):
+        if k == 2:
+            for sim in (a, b):
+                sim.species[1].append(*extra)
+        for sim in (a, b):
+            sim.step()
+        _assert_identical(a, b, EB + J)
+    e, i = a.species
+    assert i.capacity > e.capacity and i.n > e.capacity
+
+
+def test_supercell_move_in_a_later_species_keeps_the_earlier_fold():
+    """The second species' move spans two cells: the push raises, the
+    first species' fold is exactly the numpy one and the second left no
+    trace in J; both species' particles are still pushed as numpy
+    pushes them (the first wrapped, the second advanced)."""
+    # dt far past the Courant limit: u = 20 moves ~2 cells per step
+    grid = Grid(8, 8, 8, dx=0.5, dy=0.5, dz=0.5, dt=1.0)
+    rng = np.random.default_rng(3)
+    pos = rng.random((3, 700)) * 4.0
+    mom = rng.normal(scale=0.05, size=(3, 700))
+    one = np.ones(1)
+    sims = []
+    for plan in (StepPlan.NATIVE_STEP, StepPlan.NUMPY_FUSED):
+        slow = Species("e", -1.0, 1.0, grid)
+        slow.append(*pos, *mom, np.ones(700))
+        fast = Species("i", 1.0, 4.0, grid)
+        fast.append(one * 1.3, one * 1.3, one * 1.3, one * 20.0, one * 0,
+                    one * 0, one)
+        sims.append(Simulation(grid=grid, fields=FieldArrays(grid),
+                               species=[slow, fast],
+                               deposition=DepositionKind.ESIRKEPOV,
+                               step_plan=plan))
+    a, b = sims
+    with pytest.raises(ValueError, match="sub-cell"):
+        a.push_step()
+    b.push_species(b.species[0])
+    apply_particle_boundaries(b.species[0], b.boundary)
+    for name in J:
+        assert getattr(a.fields, name).data.any()
+    with pytest.raises(ValueError, match="sub-cell"):
+        b.push_species(b.species[1])
+    _assert_identical(a, b, J)
 
 
 def test_kernel_wrap_matches_the_boundary_pass(monkeypatch):
@@ -499,17 +611,14 @@ def test_kernel_wrap_matches_the_boundary_pass(monkeypatch):
         return sims
 
     wrapped, split = place(_sized_pair(200, fields=False))
-    split.step_plan = StepPlan.NATIVE_STEP
     default_registry().reset()
-    calls = []
     real = simulation.apply_particle_boundaries
-    monkeypatch.setattr(simulation, "apply_particle_boundaries",
-                        lambda *a, **kw: (calls.append(1), real(*a, **kw)))
+    calls = _boundary_passes(monkeypatch)
     wrapped.step()
     assert calls == []
     crossings = default_registry().snapshot()["counters"][
         "native/cell_crossings"]
-    # the same push, unwrapped, then the Python pass
+    # the same push in numpy, unwrapped, then the Python pass
     split.solver.advance_b(0.5)
     split.fields.clear_currents()
     sp = split.species[0]
@@ -527,23 +636,27 @@ def test_kernel_wrap_matches_the_boundary_pass(monkeypatch):
 
 
 def test_nonzero_origin_keeps_the_boundary_pass(monkeypatch):
-    calls = []
-    real = simulation.apply_particle_boundaries
-    monkeypatch.setattr(simulation, "apply_particle_boundaries",
-                        lambda *a, **kw: (calls.append(1), real(*a, **kw)))
+    calls = _boundary_passes(monkeypatch)
     a, b = _sized_pair(300, origin=(-1.0, 0.25, 2.0))
-    assert not a.lane().wraps
     assert a.lane().native_push
-    for _ in range(3):
+    pushes = []
+    real_push = native.push_simulation
+    monkeypatch.setattr(native, "push_simulation",
+                        lambda sim: (pushes.append(1), real_push(sim))[1])
+    for k in range(3):
         a.step()
+        # the kernel left the positions unwrapped; the pass wrapped them
+        assert len(calls) == 2 * k + 1 and len(pushes) == k + 1
+        assert _in_box(a)
         b.step()
-    assert len(calls) == 6
+    assert len(calls) == 6 and len(pushes) == 3
     assert _state_digest(a) == _state_digest(b)
 
 
 def test_push_telemetry_matches_the_cic_species_push():
-    """Per species and step: one native_push span and one
-    native/step_seconds observation; the wraps on native/cell_crossings."""
+    """Per step: one native_push span and one native/step_seconds
+    observation, as the CIC push lane; per species its C-timed push
+    seconds on push/<species>; the wraps on native/cell_crossings."""
     from repro.kokkos.profiling import kernel_timings, reset_kernel_timings
     from repro.observability.metrics import default_registry
 
@@ -551,8 +664,10 @@ def test_push_telemetry_matches_the_cic_species_push():
     reset_kernel_timings()
     default_registry().reset()
     sim.run(3)
-    launches = 3 * len(sim.species)
-    assert kernel_timings()["step/native_push"].launches == launches
+    timings = kernel_timings()
+    assert timings["step/native_push"].launches == 3
+    for sp in sim.species:
+        assert timings[f"step/push/{sp.name}"].launches == 3
     reg = default_registry()
-    assert reg.histogram("native/step_seconds").count == launches
+    assert reg.histogram("native/step_seconds").count == 3
     assert reg.snapshot()["counters"]["native/cell_crossings"] > 0
