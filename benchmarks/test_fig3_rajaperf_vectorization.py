@@ -12,7 +12,7 @@ from conftest import emit
 from repro.bench.rajaperf import (axpy_kernel, fig3_normalized_runtimes,
                                   pi_reduce_kernel, planckian_kernel)
 from repro.bench.reporting import format_table
-from repro.core.strategies import Strategy, run_strategy
+from repro.bench.strategies import Strategy, run_strategy
 from repro.machine.specs import cpu_platforms, get_platform
 
 

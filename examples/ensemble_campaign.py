@@ -13,11 +13,11 @@ Run:  python examples/ensemble_campaign.py
 
 import numpy as np
 
+from repro.bench.collect import what_if
 from repro.cluster.cache_scaling import peak_grid_points
 from repro.cluster.ensemble import EnsembleRunner, plan_campaign
 from repro.cluster.systems import get_system
 from repro.machine.specs import gpu_platforms
-from repro.perfmodel.collect import what_if
 from repro.vpic.workloads import two_stream_deck, uniform_plasma_deck
 
 

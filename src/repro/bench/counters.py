@@ -284,7 +284,7 @@ class _KernelAccounting:
 class CounterTool:
     """Kokkos-Tools callback tool: measured time + modeled counters.
 
-    Register it on :mod:`repro.observability.callbacks` for a run; it
+    Register it on :mod:`repro.kokkos.callbacks` for a run; it
     accumulates per-kernel wall seconds (its only per-event work is
     one dict update, so it is cheap enough to leave on for a whole
     deck). After — or before — the run, :meth:`bind` attaches the

@@ -7,7 +7,7 @@ dependencies — inline CSS and SVG only, loadable from disk anywhere:
 - an SVG log-log roofline with one labeled point per profiled kernel
   (the reproduction's Figure 8 view);
 - the top-kernel table with the modeled counters
-  (:mod:`repro.observability.counters`);
+  (:mod:`repro.bench.counters`);
 - a per-rank stacked time-split chart plus table (Figures 9-10 view);
 - per-step field / push / sort deltas against the newest perfbench
   envelope that measured the deck on this host
@@ -16,7 +16,7 @@ dependencies — inline CSS and SVG only, loadable from disk anywhere:
 :func:`profile_deck` is the driver behind ``repro profile <deck>``:
 it runs the deck distributed under a
 :class:`~repro.observability.rank_profile.RankProfiler` and a
-:class:`~repro.observability.counters.CounterTool`, binds the push
+:class:`~repro.bench.counters.CounterTool`, binds the push
 kernels' real voxel orderings to the counter model afterwards, and
 returns a :class:`ProfileBundle` ready to render or export.
 """
@@ -115,16 +115,16 @@ def profile_deck(deck, platform=None, n_ranks: int = 4,
 
     import numpy as np
 
+    from repro.bench.counters import CounterTool
     from repro.bench.push_bench import push_trace_from_keys
+    from repro.bench.roofline_profiler import RooflineProfiler
+    from repro.kokkos.callbacks import (register_tool,
+                                        unregister_tool)
     from repro.kokkos.profiling import profiling_session
     from repro.machine.specs import get_platform
     from repro.mpi.distributed import DistributedSimulation
-    from repro.observability.callbacks import (register_tool,
-                                               unregister_tool)
-    from repro.observability.counters import CounterTool
     from repro.observability.metrics import default_registry
     from repro.observability.rank_profile import RankProfiler
-    from repro.observability.roofline_profiler import RooflineProfiler
     from repro.perfmodel.kernel_cost import push_kernel_cost
 
     if platform is None:

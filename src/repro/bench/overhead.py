@@ -176,12 +176,12 @@ def measure_native_telemetry_overhead(
     lane (no compiler, ineligible configuration) — there is no native
     channel to measure then.
     """
+    from repro.bench.counters import CounterTool
+    from repro.kokkos.callbacks import (register_tool,
+                                        unregister_tool)
     from repro.kokkos.profiling import profiling_session
     from repro.machine.specs import get_platform
     from repro.observability import native_telemetry
-    from repro.observability.callbacks import (register_tool,
-                                               unregister_tool)
-    from repro.observability.counters import CounterTool
     from repro.observability.tracer import ChromeTracer
 
     if steps <= 0:

@@ -83,7 +83,7 @@ def xy_plot(x: Sequence[float], y: Sequence[float], title: str = "",
 
 def roofline_profile_plot(profiler, title: str = "") -> str:
     """Roofline chart plus the per-kernel counter table for one
-    :class:`~repro.observability.roofline_profiler.RooflineProfiler`
+    :class:`~repro.bench.roofline_profiler.RooflineProfiler`
     (the terminal view of ``repro profile``)."""
     return profiler.ascii(title) + "\n\n" + profiler.table()
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.parallel import parallel_map
+from repro.bench.roofline_profiler import RooflineProfiler
 from repro.core.sorting import SortKind
 from repro.kokkos.profiling import profiling_session
 from repro.machine.roofline import RooflineModel, RooflinePoint
 from repro.machine.specs import PlatformSpec, cpu_platforms
-from repro.observability.roofline_profiler import RooflineProfiler
 from repro.perfmodel.kernel_cost import push_kernel_cost
 from repro.perfmodel.predict import Prediction, predict_time
 from repro.perfmodel.trace import AccessTrace
@@ -191,7 +191,7 @@ def fig8_roofline_points(platform: PlatformSpec,
     """Figure 8: roofline placements of the push per sort order.
 
     The placement logic lives in the profiler layer now
-    (:class:`~repro.observability.roofline_profiler.RooflineProfiler`);
+    (:class:`~repro.bench.roofline_profiler.RooflineProfiler`);
     this keeps the historical (model, points) return shape. Random
     order is excluded as in the paper's Figure 8.
     """

@@ -1,6 +1,6 @@
 """RAJAPerf-derived microkernels under the four strategies (Fig. 3).
 
-Each kernel is a :class:`~repro.core.strategies.StrategyKernel` with
+Each kernel is a :class:`~repro.bench.strategies.StrategyKernel` with
 *executable* implementations: the auto/guided paths are whole-array
 numpy (what a vectorizing compiler produces), the manual path drives
 :func:`repro.simd.packs.pack_loop` with explicit packs and masks, and
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.strategies import Strategy, StrategyKernel
+from repro.bench.strategies import Strategy, StrategyKernel
 from repro.machine.specs import PlatformSpec, cpu_platforms
 from repro.perfmodel.kernel_cost import (axpy_cost, pi_reduce_cost,
                                          planckian_cost)

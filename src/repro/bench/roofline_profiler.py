@@ -1,7 +1,7 @@
 """Fold counter-annotated kernels into roofline placements.
 
 This is the half of a vendor profiler that draws Figure 8: given the
-modeled counters of :mod:`repro.observability.counters`, each kernel
+modeled counters of :mod:`repro.bench.counters`, each kernel
 becomes one :class:`~repro.machine.roofline.RooflinePoint` against the
 platform's ceilings, with utilization and boundedness classification
 attached. It replaces the hand-wired roofline plumbing the bench layer
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bench.counters import (CounterTool, ModeledCounters,
+                                  counters_from_prediction)
 from repro.machine.roofline import RooflineModel, RooflinePoint
 from repro.machine.specs import PlatformSpec
-from repro.observability.counters import (CounterTool, ModeledCounters,
-                                          counters_from_prediction)
 
 __all__ = ["KernelProfileEntry", "RooflineProfiler"]
 

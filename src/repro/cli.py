@@ -70,7 +70,7 @@ def _run_deck_batch(args, count: int) -> int:
         deck = _deck_factory(args.deck, args.steps, args.seed + i)
         sim = deck.build()
         if getattr(args, "reference_step", False):
-            from repro.core.tuning import StepPlan
+            from repro.core.plan import StepPlan
             sim.step_plan = StepPlan.REFERENCE
         sims.append(sim)
     print(f"deck '{deck.name}' x{count} (seeds {args.seed}.."
@@ -211,8 +211,8 @@ def _run_deck_distributed(args) -> int:
 
 
 def cmd_run_deck(args) -> int:
+    from repro.kokkos.callbacks import register_tool, unregister_tool
     from repro.kokkos.profiling import kernel_timings, reset_kernel_timings
-    from repro.observability.callbacks import register_tool, unregister_tool
     from repro.observability.metrics import default_registry, set_detail
     from repro.observability.tracer import ChromeTracer
     from repro.vpic.diagnostics import EnergyDiagnostic, energy_report
@@ -232,7 +232,7 @@ def cmd_run_deck(args) -> int:
     deck = _deck_factory(args.deck, args.steps, args.seed)
     sim = deck.build()
     if getattr(args, "reference_step", False):
-        from repro.core.tuning import StepPlan
+        from repro.core.plan import StepPlan
         sim.step_plan = StepPlan.REFERENCE
     print(f"deck '{deck.name}': {sim.grid.n_cells} cells, "
           f"{sim.total_particles} particles, {deck.num_steps} steps")
@@ -271,8 +271,8 @@ def cmd_run_deck(args) -> int:
         tracer = ChromeTracer()
         register_tool(tracer)
     if profile_path:
+        from repro.bench.counters import CounterTool
         from repro.machine.specs import get_platform
-        from repro.observability.counters import CounterTool
         counter_tool = CounterTool(get_platform("A100"))
         register_tool(counter_tool)
     # An observed run that silently fell off the whole-step native
@@ -336,12 +336,12 @@ def cmd_run_deck(args) -> int:
         default_registry().save(metrics_path)
         print(f"metrics -> {metrics_path}")
     if profile_path:
+        from repro.bench.dashboard import (ProfileBundle,
+                                           baseline_deltas,
+                                           load_baseline,
+                                           save_dashboard)
         from repro.bench.push_bench import push_trace_from_keys
-        from repro.observability.dashboard import (ProfileBundle,
-                                                   baseline_deltas,
-                                                   load_baseline,
-                                                   save_dashboard)
-        from repro.observability.roofline_profiler import RooflineProfiler
+        from repro.bench.roofline_profiler import RooflineProfiler
         from repro.perfmodel.kernel_cost import push_kernel_cost
         cost = push_kernel_cost()
         for sp in sim.species:
@@ -371,9 +371,9 @@ def cmd_run_deck(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from repro.bench.dashboard import profile_deck, save_dashboard
     from repro.bench.plots import roofline_profile_plot
     from repro.machine.specs import get_platform
-    from repro.observability.dashboard import profile_deck, save_dashboard
 
     deck = _deck_factory(args.deck, args.steps, args.seed)
     platform = get_platform(args.platform)
@@ -395,9 +395,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.bench.overhead import measure_overhead
     from repro.kokkos.profiling import kernel_timings, reset_kernel_timings
     from repro.observability.metrics import default_registry, set_detail
-    from repro.observability.overhead import measure_overhead
     from repro.observability.tracer import tracing
 
     deck = _deck_factory(args.deck, args.steps, args.seed)
@@ -512,10 +512,10 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from repro.bench.overhead import (
+        measure_native_telemetry_overhead, measure_overhead)
     from repro.bench.runner import full_report
     from repro.observability.metrics import default_registry
-    from repro.observability.overhead import (
-        measure_native_telemetry_overhead, measure_overhead)
     from repro.perfmodel.memo import default_memo
     metrics_path = getattr(args, "metrics", None)
     if metrics_path:
@@ -563,7 +563,7 @@ def cmd_validate(args) -> int:
     sim = deck.build()
     lane = getattr(args, "lane", None)
     if lane is not None:
-        from repro.core.tuning import StepPlan
+        from repro.core.plan import StepPlan
         sim.step_plan = StepPlan[_LANE_PLANS[lane]]
     guard = SimulationGuard(policy=args.policy,
                             checkpoint_interval=args.checkpoint_interval)

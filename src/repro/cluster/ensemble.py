@@ -134,9 +134,3 @@ class EnsembleRunner:
                 index=i, seed=seed,
                 payload=self.extract(sim), steps=sim.step_count))
         return self.results
-
-    def payload_array(self) -> np.ndarray:
-        """Stack numeric payloads into one dataset array."""
-        if not self.results:
-            raise RuntimeError("no results yet — call run() first")
-        return np.stack([np.asarray(r.payload) for r in self.results])

@@ -16,18 +16,14 @@ problem size, pick
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 from repro._util import check_positive
+from repro.core.plan import SortPlan
 from repro.core.sorting import SortKind
 from repro.machine.specs import ISA, PlatformSpec, isa_lanes
 from repro.simd.autovec import Strategy
 from repro.simd.packs import simd_width_for
 
 __all__ = [
-    "SortPlan",
-    "StepPlan",
     "select_sort",
     "select_tile_size",
     "select_strategy",
@@ -38,59 +34,6 @@ __all__ = [
 #: interpolator coefficients + accumulator, single precision (§5.5's
 #: ">3.5M grid points in 256 MB" implies ~72 B/point).
 BYTES_PER_GRID_POINT = 72
-
-
-@dataclass(frozen=True)
-class SortPlan:
-    """Chosen ordering + parameters, with the reasoning recorded."""
-
-    kind: SortKind
-    tile_size: int
-    reason: str
-
-    def __str__(self) -> str:
-        extra = f", tile={self.tile_size}" if self.tile_size else ""
-        return f"{self.kind.value}{extra} ({self.reason})"
-
-
-#: Particles per tile in the fused push. A fixed constant — not
-#: derived from the host's core count or cache size — so runs are
-#: deterministic across machines (the checkpoint determinism
-#: contract). 8K float32 lanes keep every scratch buffer L2-resident
-#: on all Table-1 CPUs.
-STEP_TILE = 8192
-
-
-class StepPlan(Enum):
-    """The step lane a caller asks for (mirrors SortPlan's choice).
-
-    ``NATIVE_STEP``, the default, enters C once per timestep (Yee
-    solve, ghost handling, fused push, counting sort). ``NATIVE_PUSH``
-    keeps the step in Python with one native push per step on the step
-    team and the field solve and sort on the native kernels;
-    ``NUMPY_FUSED`` is the tiled zero-allocation numpy push and
-    ``NUMPY`` the kernel-by-kernel numpy step (both with bin-reduce
-    deposition); ``REFERENCE`` is the original kernel-by-kernel
-    sequence the equivalence tests compare against.
-
-    A request is not a promise: ``Simulation.lane()`` resolves it
-    against the deck, the attached tools and the build, once per step,
-    into the lane that actually runs — a deck the whole-step lane
-    cannot take degrades to the push lane, a missing compiler to
-    numpy, and ``Simulation.native_fallback_reason()`` says why.
-    Distributed ranks resolve the same request: the native requests
-    push natively on each rank, the threads backend fans ranks out
-    unless the request is ``REFERENCE``.
-    """
-
-    NATIVE_STEP = "native-step"
-    NATIVE_PUSH = "native-push"
-    NUMPY_FUSED = "numpy-fused"
-    NUMPY = "numpy"
-    REFERENCE = "reference"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def grid_fits_in_cache(platform: PlatformSpec, grid_points: int,

@@ -22,6 +22,9 @@ of the Kokkos 4.x surface that VPIC 2.0 uses:
 - :func:`~repro.kokkos.sort.sort_by_key` and
   :class:`~repro.kokkos.sort.BinSort`;
 - :mod:`~repro.kokkos.profiling` regions and kernel timers.
+- :mod:`~repro.kokkos.callbacks`, the Kokkos-Tools seam: the registry
+  the kernels dispatch into and the tools of :mod:`repro.observability`
+  attach to.
 
 Kernels receive numpy index *batches* rather than single indices: a
 batch is the set of iterations one execution grouping (thread chunk /

@@ -23,7 +23,7 @@ A *tool* is any object exposing a subset of the callback surface:
 Missing callbacks are simply skipped. With no tool registered, every
 dispatch site short-circuits on :func:`tools_active` — one boolean
 read, which is what keeps the instrumented-but-off overhead
-negligible (see :mod:`repro.observability.overhead`).
+negligible (see :mod:`repro.bench.overhead`).
 
 Tools also declare how they consume events. A tool whose class sets
 ``native_telemetry_ok = True`` can be fed *after the fact* from the

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.observability import callbacks as _tools
+from repro.kokkos import callbacks as _tools
 
 __all__ = [
     "KokkosRuntime",

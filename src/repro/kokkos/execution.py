@@ -19,13 +19,15 @@ following the HPC-Python guide's "vectorise the inner loop" rule.
 from __future__ import annotations
 
 import abc
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro._util import check_positive
-from repro.machine.specs import PlatformKind, PlatformSpec
-from repro.observability import callbacks as _tools
+from repro.kokkos import callbacks as _tools
+
+if TYPE_CHECKING:
+    from repro.machine.specs import PlatformSpec
 
 __all__ = [
     "ExecutionSpace",
@@ -218,6 +220,7 @@ def space_for_platform(platform: PlatformSpec) -> ExecutionSpace:
     CPUs get an :class:`OpenMP` space with one thread per core; NVIDIA
     GPUs a :class:`CudaSim`; AMD GPUs a :class:`HIPSim`.
     """
+    from repro.machine.specs import PlatformKind
     if platform.kind is PlatformKind.CPU:
         return OpenMP(platform.core_count, platform=platform)
     if platform.vendor == "NVIDIA":

@@ -6,7 +6,7 @@ observable in the reproduction: nested named regions and per-kernel
 wall-time accumulation.
 
 Every hook also dispatches into the pluggable tool registry
-(:mod:`repro.observability.callbacks`), the way ``Kokkos::Profiling``
+(:mod:`repro.kokkos.callbacks`), the way ``Kokkos::Profiling``
 forwards to loaded Kokkos-Tools libraries — so a tracer or counter
 tool sees every kernel begin/end and region push/pop without any
 kernel code changing. With no tool registered, dispatch is a single
@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.observability import callbacks as _tools
+from repro.kokkos import callbacks as _tools
 
 __all__ = [
     "push_region",
@@ -103,7 +103,7 @@ def record_kernel(label: str, kind: str = "kernel") -> Iterator[None]:
     *kind* names the dispatch pattern for attached tools
     (``parallel_for`` / ``parallel_reduce`` / ``parallel_scan`` /
     ``comm``; default plain ``kernel``) — see
-    :data:`repro.observability.callbacks.KERNEL_KINDS`.
+    :data:`repro.kokkos.callbacks.KERNEL_KINDS`.
     """
     key = _qualified(label)
     active = _tools.tools_active()

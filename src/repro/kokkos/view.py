@@ -92,16 +92,6 @@ class View:
                 data = np.asarray(data, order=want_order)
             self._data = data
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_array(cls, label: str, array: np.ndarray,
-                   layout: Layout = Layout.RIGHT,
-                   space: MemSpace = MemSpace.HOST) -> "View":
-        """Adopt *array* (copying only on layout mismatch)."""
-        return cls(label, array.shape, dtype=array.dtype, layout=layout,
-                   space=space, data=array)
-
     # -- basic protocol --------------------------------------------------------
 
     @property
@@ -125,17 +115,9 @@ class View:
     def size(self) -> int:
         return self._data.size
 
-    @property
-    def strides_elems(self) -> tuple[int, ...]:
-        """Strides in elements (for locality analysis)."""
-        return tuple(s // self._data.itemsize for s in self._data.strides)
-
     def extent(self, dim: int) -> int:
         """Kokkos-style per-dimension extent accessor."""
         return self._data.shape[dim]
-
-    def span_bytes(self) -> int:
-        return self._data.nbytes
 
     def __len__(self) -> int:
         return self._data.shape[0] if self._data.ndim else 0

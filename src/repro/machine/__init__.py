@@ -28,7 +28,7 @@ from repro.machine.specs import (
 )
 from repro.machine.cache import CacheConfig, CacheSim, CacheStats
 from repro.machine.memory import MemoryModel, stream_triad_time
-from repro.machine.coalescing import CoalescingModel, count_transactions
+from repro.machine.coalescing import count_transactions
 from repro.machine.atomics_model import AtomicContentionModel
 from repro.machine.roofline import RooflinePoint, RooflineModel
 
@@ -47,7 +47,6 @@ __all__ = [
     "CacheStats",
     "MemoryModel",
     "stream_triad_time",
-    "CoalescingModel",
     "count_transactions",
     "AtomicContentionModel",
     "RooflinePoint",

@@ -79,27 +79,3 @@ class AtomicContentionModel:
 
     def serialized_slots(self, keys: np.ndarray) -> int:
         return conflict_slots(keys, self.group_size)
-
-    def contention_time(self, keys: np.ndarray) -> float:
-        """Seconds of atomic serialization for scattering to *keys*.
-
-        Groups execute across the chip in parallel; the serialized
-        slots are spread over the platform's concurrent atomic units
-        (one per core-group). We charge ``slots x atomic_ns`` divided
-        by the available concurrency, with a floor of the critical
-        path of the most contended group.
-        """
-        keys = np.asarray(keys, dtype=np.int64).ravel()
-        if keys.size == 0:
-            return 0.0
-        slots = self.serialized_slots(keys)
-        p = self.platform
-        if p.is_gpu:
-            concurrency = max(1, p.core_count // p.warp_size)
-        else:
-            concurrency = p.core_count
-        base = slots * p.atomic_ns * 1e-9 / concurrency
-        # Critical path: a single hot address serialises globally.
-        counts = np.bincount(keys - keys.min())
-        critical = counts.max() * p.atomic_ns * 1e-9
-        return max(base, critical)

@@ -54,10 +54,6 @@ class CacheConfig:
     def n_sets(self) -> int:
         return self.capacity_bytes // (self.line_bytes * self.associativity)
 
-    @property
-    def n_lines(self) -> int:
-        return self.capacity_bytes // self.line_bytes
-
 
 @dataclass
 class CacheStats:
@@ -72,10 +68,6 @@ class CacheStats:
         if self.accesses == 0:
             return 0.0
         return self.hits / self.accesses
-
-    def miss_bytes(self, line_bytes: int) -> int:
-        """Traffic to the next memory level implied by the misses."""
-        return self.misses * line_bytes
 
 
 class CacheSim:
@@ -111,13 +103,6 @@ class CacheSim:
             raise ValueError(f"trace must be 1-D, got shape {addresses.shape}")
         lines = addresses // self.config.line_bytes
         return self.run_lines(lines)
-
-    def run_indices(self, indices: np.ndarray, elem_bytes: int,
-                    base: int = 0) -> CacheStats:
-        """Simulate an *element-index* trace (index * elem_bytes + base)."""
-        check_positive("elem_bytes", elem_bytes)
-        indices = np.asarray(indices, dtype=np.int64)
-        return self.run_addresses(indices * elem_bytes + base)
 
     def run_lines(self, lines: np.ndarray) -> CacheStats:
         """Simulate a trace of cache-line IDs."""

@@ -15,14 +15,11 @@ reduced to line IDs, and unique-per-row counts taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro._util import check_positive
-from repro.machine.specs import PlatformSpec
 
-__all__ = ["count_transactions", "CoalescingModel", "CoalescingStats"]
+__all__ = ["count_transactions"]
 
 
 def count_transactions(indices: np.ndarray, elem_bytes: int, warp_size: int,
@@ -52,61 +49,3 @@ def count_transactions(indices: np.ndarray, elem_bytes: int, warp_size: int,
     new_line = np.ones(per_warp.shape, dtype=bool)
     new_line[:, 1:] = per_warp[:, 1:] != per_warp[:, :-1]
     return int(new_line.sum())
-
-
-@dataclass
-class CoalescingStats:
-    """Transaction accounting for one SIMT gather or scatter."""
-
-    lanes: int
-    transactions: int
-    line_bytes: int
-
-    @property
-    def bytes_moved(self) -> int:
-        """DRAM-side traffic implied by the transactions."""
-        return self.transactions * self.line_bytes
-
-    @property
-    def efficiency(self) -> float:
-        """Ratio of ideal to actual transactions (1.0 = perfect).
-
-        Ideal is one transaction per ``line_bytes/elem`` lanes; we
-        report ``min_transactions / transactions`` computed from the
-        lane count assuming 4-byte elements unless overridden by the
-        caller via :class:`CoalescingModel`.
-        """
-        if self.transactions == 0:
-            return 1.0
-        min_tx = max(1, int(np.ceil(self.lanes * 4 / self.line_bytes)))
-        return min(1.0, min_tx / self.transactions)
-
-
-@dataclass(frozen=True)
-class CoalescingModel:
-    """Transaction counting bound to one GPU platform."""
-
-    platform: PlatformSpec
-
-    def __post_init__(self) -> None:
-        if not self.platform.is_gpu:
-            raise ValueError(
-                f"CoalescingModel requires a GPU platform, got {self.platform.name}"
-            )
-
-    def analyze(self, indices: np.ndarray, elem_bytes: int) -> CoalescingStats:
-        """Count transactions for a lane-indexed access pattern."""
-        p = self.platform
-        tx = count_transactions(indices, elem_bytes, p.warp_size, p.cache_line_bytes)
-        return CoalescingStats(
-            lanes=int(np.asarray(indices).size),
-            transactions=tx,
-            line_bytes=p.cache_line_bytes,
-        )
-
-    def transaction_time(self, transactions: int) -> float:
-        """Seconds for *transactions* line transactions at DRAM rate."""
-        if transactions < 0:
-            raise ValueError(f"transactions must be >= 0, got {transactions}")
-        nbytes = transactions * self.platform.cache_line_bytes
-        return nbytes / self.platform.stream_bw_bytes

@@ -87,13 +87,6 @@ class MemoryModel:
         t_random = nbytes / self.random_access_bytes_per_s
         return locality * t_stream + (1.0 - locality) * t_random
 
-    def effective_bandwidth(self, algorithmic_bytes: float,
-                            seconds: float) -> float:
-        """Paper-style effective bandwidth: useful bytes / runtime."""
-        check_nonnegative("algorithmic_bytes", algorithmic_bytes)
-        check_positive("seconds", seconds)
-        return algorithmic_bytes / seconds
-
 
 def stream_triad_time(platform: PlatformSpec, n_elements: int,
                       dtype_bytes: int = 8) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._util import check_nonnegative, check_positive
+from repro._util import check_nonnegative
 from repro.machine.specs import PlatformSpec
 
 __all__ = ["RooflinePoint", "RooflineModel"]
@@ -55,7 +55,7 @@ class RooflineModel:
     @property
     def ridge_point(self) -> float:
         """AI at which the kernel stops being bandwidth-bound."""
-        return self.peak_gflops / self.bandwidth_gbs
+        return self.platform.machine_balance
 
     def attainable_gflops(self, arithmetic_intensity: float) -> float:
         """Roofline ceiling at the given arithmetic intensity."""
@@ -76,15 +76,3 @@ class RooflineModel:
     def is_memory_bound(self, point: RooflinePoint) -> bool:
         """True when the kernel sits left of the ridge point."""
         return point.arithmetic_intensity < self.ridge_point
-
-    def point_from_counts(self, label: str, flops: float, dram_bytes: float,
-                          seconds: float) -> RooflinePoint:
-        """Build a point from raw flop/byte/time accounting."""
-        check_nonnegative("flops", flops)
-        check_positive("dram_bytes", dram_bytes)
-        check_positive("seconds", seconds)
-        return RooflinePoint(
-            label=label,
-            arithmetic_intensity=flops / dram_bytes,
-            gflops=flops / seconds / 1e9,
-        )

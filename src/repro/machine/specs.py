@@ -210,16 +210,6 @@ class PlatformSpec:
                 best = isa
         return best
 
-    def grid_points_in_llc(self, bytes_per_point: int = 72) -> int:
-        """How many grid points fit in the LLC.
-
-        VPIC interpolator + accumulator data is ~72 B/grid point in
-        single precision (18 floats); the paper's Section 5.5 notes
-        MI300A's 256 MB LLC fits >3.5 M points, consistent with this.
-        """
-        check_positive("bytes_per_point", bytes_per_point)
-        return self.llc_bytes // bytes_per_point
-
 
 def _cpu(**kw) -> PlatformSpec:
     kw.setdefault("kind", PlatformKind.CPU)

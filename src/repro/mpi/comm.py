@@ -208,16 +208,6 @@ class World:
                            f"{len(got)}/{self.size}")
         return got
 
-    # -- driver helpers ---------------------------------------------------------------
-
-    def run_phase(self, fn: Callable[["Communicator"], Any]) -> list[Any]:
-        """Run ``fn(comm)`` on every rank in order; returns results.
-
-        The standard BSP driver: ranks may isend inside *fn*; a
-        subsequent phase can irecv/wait everything posted here.
-        """
-        return [fn(self.comm(r)) for r in range(self.size)]
-
 
 class Communicator:
     """One rank's endpoint (mpi4py-flavoured surface)."""

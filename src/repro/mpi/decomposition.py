@@ -114,9 +114,3 @@ class CartDecomposition:
         cx, cy, cz = self.coords_of(rank)
         lx, ly, lz = self.local_shape
         return (cx * lx * dx, cy * ly * dy, cz * lz * dz)
-
-    def surface_cells(self, rank: int) -> int:
-        """Cells on the brick's six faces — the halo volume driving
-        communication in the scaling model."""
-        lx, ly, lz = self.local_shape
-        return 2 * (ly * lz + lx * lz + lx * ly)

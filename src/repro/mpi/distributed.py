@@ -31,13 +31,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.kokkos.atomics import accounting_enabled
+from repro.kokkos.callbacks import interposing_tools
 from repro.mpi.comm import World
 from repro.mpi.decomposition import CartDecomposition
 from repro.mpi.halo import exchange_ghost_cells, reduce_ghost_sums
 from repro.mpi.particle_exchange import migrate_particles
-from repro.observability.callbacks import interposing_tools
 from repro.observability.rank_profile import rank_activity, rank_scope
 from repro.vpic.boris import advance_positions, boris_push
 from repro.vpic.boundary import BoundaryKind
@@ -103,10 +103,12 @@ def rank_push(rs: RankState, lane: Lane) -> None:
     A native push is one :func:`~repro.vpic.native.push_simulation`
     call for every species on the rank's packed deck, on this thread,
     drained as ``Simulation.push_step`` drains it: each species' C-timed
-    seconds on ``push/<species>``, attributed to the rank, and no
-    ``native_push`` span (the rank profiler would count it twice). A
-    fused push is :func:`~repro.vpic.fastpath.fused_push_species` per
-    species (numpy) — positions and momenta bit-identical to the native push
+    seconds on ``push/<species>`` and the table build on
+    ``native_push/table`` (the whole C push phase), attributed to the
+    rank, and no ``native_push`` span (the rank profiler would count it
+    twice). A fused push is
+    :func:`~repro.vpic.fastpath.fused_push_species` per species
+    (numpy) — positions and momenta bit-identical to the native push
     and to the reference sequence, currents to 1 ulp (float64
     accumulation) — and any other lane the reference kernel sequence,
     each species under its ``push/<species>`` rank activity.
@@ -358,11 +360,6 @@ class DistributedSimulation:
             b += bi
         return e, b
 
-    def total_momentum(self) -> np.ndarray:
-        return sum((sp.momentum_total()
-                    for rs in self.ranks for sp in rs.species),
-                   start=np.zeros(3))
-
     # -- exchanges -----------------------------------------------------------------
 
     def _component_arrays(self, names) -> list[list[np.ndarray]]:
@@ -438,6 +435,12 @@ class DistributedSimulation:
             return list(self._pbackend.rank_lanes)
         lane = self.lane()
         return [(lane.label, lane.reason)] * self.n_ranks
+
+    def native_status(self) -> str:
+        """The native build's status line, for the flight recorder's
+        run header (:func:`~repro.vpic.native.native_status`)."""
+        from repro.vpic import native
+        return native.native_status()
 
     def native_fallback_reason(self) -> str | None:
         """Why this run is not on the whole-step native lane.

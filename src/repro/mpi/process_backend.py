@@ -474,7 +474,7 @@ class ProcessBackend:
         step = self._steps
         try:
             _pin_worker(rank)
-            from repro.observability.callbacks import clear_tools
+            from repro.kokkos.callbacks import clear_tools
             clear_tools()
             for other in self._conns:
                 try:

@@ -1,57 +1,40 @@
-"""Observability: tracing, metrics, and overhead accounting.
+"""Observability: tracing, metrics, and the run's flight record.
 
 The paper's evaluation lives and dies on *attribution* — splitting
 particle-push time from sort time from field-solve time and
 correlating it with particle disorder and communication volume
 (Figs. 4-10). VPIC 2.0 gets this from the Kokkos-Tools profiling
-interface; this subpackage is the reproduction's equivalent
-measurement substrate:
+interface; this subpackage is the reproduction's measurement core,
+the tools that attach to that interface:
 
-- :mod:`~repro.observability.callbacks` — a Kokkos-Tools-style
-  pluggable callback registry (``begin_parallel_for`` /
-  ``end_parallel_for``, ``begin_fence``, ``push_region`` /
-  ``pop_region``, ...). The kokkos layer dispatches into it, so tools
-  attach without touching kernel code.
-- :mod:`~repro.observability.tracer` — a tool turning those callbacks
+- :mod:`~repro.observability.tracer` — a tool turning the callbacks
   into timestamped spans in a bounded ring buffer, exported as
   Chrome-trace JSON (loadable in ``chrome://tracing`` / Perfetto).
 - :mod:`~repro.observability.metrics` — a registry of counters,
   gauges, and histograms (p50/p95/max) that the simulation loop, the
   sorter, the MPI substrate, and the bench harness report into, with
   JSON/CSV export.
-- :mod:`~repro.observability.overhead` — self-measurement of what the
-  instrumentation itself costs, on and off.
-- :mod:`~repro.observability.counters` — a callback tool annotating
-  kernels with *modeled* hardware counters (flops, DRAM bytes, cache
-  hit rate, coalescing, lane utilization, atomic conflicts) from the
-  performance-model stack — the nsight-compute stand-in.
-- :mod:`~repro.observability.roofline_profiler` — folds counters into
-  per-kernel roofline placements (Figure 8).
 - :mod:`~repro.observability.rank_profile` — one tracer lane per
   simulated MPI rank, merged Chrome trace, load-imbalance and
   halo-wait metrics (Figures 9-10).
-- :mod:`~repro.observability.dashboard` — self-contained HTML
-  performance report (``repro profile``).
+- :mod:`~repro.observability.flight` / ``timeseries`` / ``live`` /
+  ``watch`` — the per-step flight record, its live channel and the
+  terminal panel over it.
 
 Everything is **off by default**: with no tool registered the
 dispatch sites reduce to one boolean check, and the expensive
 derived metrics (energy drift, sort disorder) are gated behind
 :func:`~repro.observability.metrics.set_detail`.
 
-This module imports nothing from the rest of ``repro`` at import
-time — the kokkos layer imports *it*, so the dependency edge must
-stay one-way. The counter/roofline/dashboard modules *do* lean on the
-model stack, so they are deliberately not imported here — import them
-directly (``from repro.observability.counters import CounterTool``).
+Layering: the one ``repro`` package below this one that it imports is
+:mod:`repro.kokkos` (the callback registry,
+:mod:`repro.kokkos.callbacks`, and the kernel timers); the PIC code
+imports it, never the other way round. The views that lean on the
+platform model — modeled counters, roofline placement, the HTML
+dashboard and the overhead report — live in :mod:`repro.bench`
+(``counters``, ``roofline_profiler``, ``dashboard``, ``overhead``).
 """
 
-from repro.observability.callbacks import (
-    clear_tools,
-    register_tool,
-    registered_tools,
-    tools_active,
-    unregister_tool,
-)
 from repro.observability.events import CounterSeries, RingBuffer, SpanEvent
 from repro.observability.metrics import (
     Counter,
@@ -82,8 +65,6 @@ from repro.observability.tracer import ChromeTracer, tracing
 from repro.observability.watch import WatchView, watch_run
 
 __all__ = [
-    "register_tool", "unregister_tool", "registered_tools",
-    "tools_active", "clear_tools",
     "SpanEvent", "CounterSeries", "RingBuffer",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "default_registry", "set_detail", "detail_enabled",

@@ -36,11 +36,6 @@ class SpanEvent:
     def end_us(self) -> float:
         return self.start_us + self.dur_us
 
-    def encloses(self, other: "SpanEvent") -> bool:
-        """True if *other* nests strictly inside this span's interval."""
-        return (self.start_us <= other.start_us
-                and other.end_us <= self.end_us)
-
     def to_chrome(self) -> dict:
         """The Chrome trace-event dict for this span."""
         ev = {
@@ -55,16 +50,6 @@ class SpanEvent:
         if self.args:
             ev["args"] = self.args
         return ev
-
-    @classmethod
-    def from_chrome(cls, ev: dict) -> "SpanEvent":
-        """Inverse of :meth:`to_chrome` (round-trip for tests/tools)."""
-        if ev.get("ph") != "X":
-            raise ValueError(f"not a complete-span event: ph={ev.get('ph')!r}")
-        return cls(name=ev["name"], cat=ev.get("cat", ""),
-                   start_us=ev["ts"], dur_us=ev["dur"],
-                   pid=ev.get("pid", 0), tid=ev.get("tid", 0),
-                   args=ev.get("args") or None)
 
 
 @dataclass

@@ -264,9 +264,10 @@ class FlightRecorder:
                                      else "fallback")
             if reason is not None:
                 header["native_fallback"] = reason
+            status_fn = getattr(sim, "native_status", None)
             try:
-                from repro.vpic.native import native_status
-                header["native_status"] = native_status()
+                if callable(status_fn):
+                    header["native_status"] = status_fn()
                 threads_fn = getattr(sim, "native_push_threads", None)
                 threads = threads_fn() if callable(threads_fn) else None
                 if threads:

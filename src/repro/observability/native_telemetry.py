@@ -26,7 +26,8 @@ existing stack expects:
 
 The push-scope lane's one push call per step fills the same struct
 (push phase only); :func:`drain_push` puts its per-species seconds on
-the labels that lane has always used (``step/push/<species>``).
+the labels that lane has always used (``step/push/<species>``) and
+the table build on ``native_push/table``.
 
 The drain itself is timed (:func:`drain_stats`): the overhead guard
 in ``tests/test_native_telemetry.py`` and the ``report --metrics``
@@ -119,13 +120,20 @@ def drain_push(sim, res) -> None:
     """Drain one :func:`repro.vpic.native.push_simulation` payload —
     the push-scope lane's one C push per step: each species' measured
     push seconds onto the label that lane has always used,
-    ``push/<species>``; the push phase onto ``native/step_seconds``;
-    crossings and folds onto the native counters."""
+    ``push/<species>``, and the rest of the push phase (the field-table
+    build) onto ``native_push/table``, as :func:`drain_step` does, so
+    the labels sum to the phase; the push phase onto
+    ``native/step_seconds``; crossings and folds onto the native
+    counters."""
     t0 = time.perf_counter()
     reg = default_registry()
+    accounted = 0.0
     for sp, stats in zip(sim.species, res["species"]):
         if sp.n:
             add_kernel_time(f"push/{sp.name}", stats["seconds"])
+            accounted += stats["seconds"]
+    if res["push"] > accounted:
+        add_kernel_time("native_push/table", res["push"] - accounted)
     reg.histogram("native/step_seconds").observe(res["push"])
     _count(reg, res["counters"])
     _account(time.perf_counter() - t0)

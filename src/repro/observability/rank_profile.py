@@ -30,8 +30,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.observability.callbacks import (register_tool, tools_active,
-                                           unregister_tool)
+from repro.kokkos.callbacks import (register_tool, tools_active,
+                                    unregister_tool)
 from repro.observability.tracer import ChromeTracer
 
 __all__ = [
@@ -275,7 +275,8 @@ class RankProfiler:
 
     @staticmethod
     def _classify(name: str, cat: str) -> str:
-        if name.startswith("push/") or "/push/" in name:
+        if name.startswith("push/") or "/push/" in name \
+                or "native_push/" in name:
             return "push"
         if cat == "comm" or name.startswith("halo/"):
             return "comm"

@@ -1,7 +1,7 @@
 """Event tracer: callbacks -> spans -> Chrome-trace JSON.
 
 :class:`ChromeTracer` is a tool for the
-:mod:`~repro.observability.callbacks` registry. Every kernel launch,
+:mod:`~repro.kokkos.callbacks` registry. Every kernel launch,
 fence, and profiling region becomes a complete-span event
 (``ph: "X"``) with microsecond timestamps in a bounded ring buffer;
 :meth:`ChromeTracer.save` writes the Chrome trace-event JSON that
@@ -27,7 +27,7 @@ import threading
 import time
 from typing import Iterator
 
-from repro.observability.callbacks import register_tool, unregister_tool
+from repro.kokkos.callbacks import register_tool, unregister_tool
 from repro.observability.events import RingBuffer, SpanEvent
 
 __all__ = ["ChromeTracer", "tracing"]
@@ -176,9 +176,6 @@ class ChromeTracer:
     def spans(self) -> list[SpanEvent]:
         """Retained spans, oldest first."""
         return self.buffer.snapshot()
-
-    def span_names(self) -> set[str]:
-        return {s.name for s in self.buffer}
 
     def totals_by_name(self) -> dict[str, tuple[float, int]]:
         """``{name: (total seconds, span count)}`` over retained spans."""

@@ -75,10 +75,6 @@ class WatchView:
         elif ev == "run_end":
             self.end = event
 
-    def feed_all(self, events) -> None:
-        for event in events:
-            self.feed(event)
-
     # -- derived ------------------------------------------------------------
 
     @property

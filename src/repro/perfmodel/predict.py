@@ -75,10 +75,6 @@ class Prediction:
             return float("inf")
         return self.total_flops / db
 
-    @property
-    def ops_per_second(self) -> float:
-        return self.trace.n_ops / self.seconds
-
     def summary(self) -> str:
         strat = f", {self.strategy.value}" if self.strategy else ""
         return (f"{self.cost.name} on {self.platform.name}{strat}: "

@@ -107,10 +107,6 @@ class AccessTrace:
         effective-bandwidth metric (§5.4)."""
         return self.streamed_bytes + self.gather_bytes + self.scatter_bytes
 
-    @property
-    def gather_table_bytes(self) -> int:
-        return self.gather_table_entries * self.gather_elem_bytes
-
     def scaled(self, n_ops: int) -> "AccessTrace":
         """Same pattern, different logical op count (workload scaling)."""
         check_positive("n_ops", n_ops)

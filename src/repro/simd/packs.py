@@ -246,12 +246,6 @@ class Pack:
     def reduce_add(self):
         return self.lanes.sum()
 
-    def reduce_min(self):
-        return self.lanes.min()
-
-    def reduce_max(self):
-        return self.lanes.max()
-
     # -- comparisons / blending -------------------------------------------------
 
     def __lt__(self, other) -> Mask:
@@ -265,10 +259,6 @@ class Pack:
 
     def __ge__(self, other) -> Mask:
         return Mask(self.lanes >= self._lift(other))
-
-    def eq(self, other) -> Mask:
-        """Lane equality (named method: ``__eq__`` stays identity-free)."""
-        return Mask(self.lanes == self._lift(other))
 
     @staticmethod
     def where(mask: Mask, a: "Pack", b: "Pack") -> "Pack":

@@ -245,7 +245,3 @@ class Deck:
 
     def to_json(self, indent: int | None = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Deck":
-        return cls.from_dict(json.loads(text))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.tuning import STEP_TILE
+from repro.core.plan import STEP_TILE
 from repro.kokkos.atomics import segment_add
 from repro.vpic.fields import FieldArrays
 from repro.vpic.scratch import ScratchArena

@@ -88,25 +88,6 @@ class Grid:
         _, sy, sz = self.shape
         return (np.asarray(ix) * sy + np.asarray(iy)) * sz + np.asarray(iz)
 
-    def voxel_coords(self, v):
-        """Inverse of :meth:`voxel`."""
-        _, sy, sz = self.shape
-        v = np.asarray(v)
-        iz = v % sz
-        iy = (v // sz) % sy
-        ix = v // (sy * sz)
-        return ix, iy, iz
-
-    def interior_voxels(self) -> np.ndarray:
-        """Flat voxel indices of all interior cells, C order."""
-        ix, iy, iz = np.meshgrid(
-            np.arange(1, self.nx + 1),
-            np.arange(1, self.ny + 1),
-            np.arange(1, self.nz + 1),
-            indexing="ij",
-        )
-        return self.voxel(ix, iy, iz).ravel()
-
     def cell_of_position(self, x, y, z):
         """(ix, iy, iz) ghost-inclusive cell coords of positions.
 

@@ -25,10 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.sorting import SortKind
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.kokkos.atomics import accounting_enabled
 from repro.kokkos.profiling import profiling_region, record_kernel
-from repro.observability.callbacks import interposing_tools, tools_active
+from repro.kokkos.callbacks import interposing_tools, tools_active
 from repro.observability.metrics import default_registry, detail_enabled
 from repro.vpic.absorbing import AbsorbingFieldSolver
 from repro.vpic.boundary import BoundaryKind, apply_particle_boundaries
@@ -194,7 +194,7 @@ class Simulation:
     field_boundary: FieldBoundaryKind = FieldBoundaryKind.PERIODIC
     deposition: DepositionKind = DepositionKind.CIC
     sort_step: SortStep = field(default_factory=SortStep)
-    #: The lane the step asks for (see repro.core.tuning.StepPlan): the
+    #: The lane the step asks for (see repro.core.plan.StepPlan): the
     #: whole-step native lane by default; :meth:`lane` resolves it into
     #: the lane that actually runs, every step.
     step_plan: StepPlan = StepPlan.NATIVE_STEP
@@ -387,7 +387,8 @@ class Simulation:
         given) is native, every species goes in one
         :func:`~repro.vpic.native.push_simulation` call under a
         ``native_push`` kernel span; its C-measured seconds per species
-        are drained onto the ``push/<species>`` labels. Otherwise each
+        are drained onto the ``push/<species>`` labels, the table build
+        onto ``native_push/table``. Otherwise each
         species takes the fused numpy CIC lane.
         """
         if lane is None:
@@ -414,6 +415,12 @@ class Simulation:
             return None
         from repro.vpic import native
         return native.step_team_size(self)
+
+    def native_status(self) -> str:
+        """The native build's status line, for the flight recorder's
+        run header (:func:`~repro.vpic.native.native_status`)."""
+        from repro.vpic import native
+        return native.native_status()
 
     def native_fallback_reason(self) -> "str | None":
         """Why the whole-step native lane will *not* run — or ``None``

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.plan import SortPlan
 from repro.core.sorting import (SortKind, disorder_fraction, random_order,
                                 strided_keys, tiled_strided_keys)
-from repro.core.tuning import SortPlan
 from repro.observability.metrics import default_registry, detail_enabled
 from repro.vpic.species import Species
 

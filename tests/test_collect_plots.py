@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench.collect import capture_push_trace, what_if
 from repro.bench.plots import bar_chart, roofline_plot, xy_plot
 from repro.machine.roofline import RooflineModel, RooflinePoint
 from repro.machine.specs import get_platform
-from repro.perfmodel.collect import capture_push_trace, what_if
 from repro.vpic.workloads import uniform_plasma_deck
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from repro.bench.rajaperf import (axpy_kernel, pi_reduce_kernel,
                                   planckian_kernel)
+from repro.bench.strategies import (Strategy, StrategyKernel,
+                                    available_strategies, run_strategy)
 from repro.core.sorting import SortKind
-from repro.core.strategies import (Strategy, StrategyKernel,
-                                   available_strategies, run_strategy)
 from repro.core.tuning import (grid_fits_in_cache, select_sort,
                                select_strategy, select_tile_size)
 from repro.machine.specs import get_platform

@@ -7,27 +7,27 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench.counters import (CounterTool,
+                                  clear_counter_cache,
+                                  counter_cache_stats,
+                                  counters_from_prediction,
+                                  model_counters)
 from repro.bench.push_bench import push_trace_from_keys
+from repro.bench.roofline_profiler import RooflineProfiler
 from repro.cli import main
 from repro.cluster.scaling import (ScalingPoint, imbalance_adjusted,
                                    speedups, strong_scaling)
 from repro.cluster.systems import get_system
+from repro.kokkos.callbacks import (clear_tools, register_tool,
+                                    tools_active, unregister_tool)
 from repro.kokkos.profiling import (add_kernel_time, profiling_session,
                                     record_kernel, reset_kernel_timings)
 from repro.machine.specs import get_platform
-from repro.observability.callbacks import (clear_tools, register_tool,
-                                           tools_active, unregister_tool)
-from repro.observability.counters import (CounterTool,
-                                          clear_counter_cache,
-                                          counter_cache_stats,
-                                          counters_from_prediction,
-                                          model_counters)
 from repro.observability.events import SpanEvent
 from repro.observability.metrics import default_registry
 from repro.observability.rank_profile import (RankProfiler, current_rank,
                                               rank_activity,
                                               rank_profiling, rank_scope)
-from repro.observability.roofline_profiler import RooflineProfiler
 from repro.perfmodel.kernel_cost import push_kernel_cost
 from repro.perfmodel.predict import predict_time
 from repro.simd.autovec import Strategy
@@ -240,7 +240,7 @@ class TestRankProfiler:
     def test_one_lane_per_rank_plus_collective(self):
         with rank_profiling(2) as profiler:
             self._spans(profiler)
-        lanes = {t.process_name: t.span_names()
+        lanes = {t.process_name: {s.name for s in t.spans()}
                  for t in profiler.tracers()}
         assert set(lanes) == {"rank 0", "rank 1", "collective"}
         assert "push/sp0" in lanes["rank 0"]
@@ -285,14 +285,14 @@ class TestRankProfiler:
                 with rank_scope(1):
                     add_kernel_time("push/sp1", 0.25)
         assert profiler.report().push_seconds == pytest.approx((0.0, 0.25))
-        assert "push/sp1" in profiler.rank_tracers[1].span_names()
+        assert "push/sp1" in {s.name for s in profiler.rank_tracers[1].spans()}
 
     def test_out_of_range_rank_lands_in_collective(self):
         with rank_profiling(1) as profiler:
             with profiling_session():
                 with rank_activity(7, "stray"):
                     pass
-        assert "stray" in profiler.collective.span_names()
+        assert "stray" in {s.name for s in profiler.collective.spans()}
 
     def test_rejects_nonpositive_ranks(self):
         with pytest.raises(ValueError):
@@ -313,7 +313,7 @@ class TestDistributedProfiling:
             assert report.push_seconds[r] > 0
             assert report.comm_seconds[r] > 0   # halo waits attributed
             assert report.field_seconds[r] > 0
-        names0 = profiler.rank_tracers[0].span_names()
+        names0 = {s.name for s in profiler.rank_tracers[0].spans()}
         assert any(n.startswith("push/") for n in names0)
         assert "halo/wait" in names0
 
@@ -352,7 +352,7 @@ class TestImbalanceAdjusted:
 class TestDashboard:
     @pytest.fixture(scope="class")
     def bundle(self):
-        from repro.observability.dashboard import profile_deck
+        from repro.bench.dashboard import profile_deck
         from repro.vpic.workloads import uniform_plasma_deck
         clear_tools()
         deck = uniform_plasma_deck(nx=8, ny=8, nz=8, ppc=4, num_steps=2)
@@ -376,8 +376,8 @@ class TestDashboard:
             c.flops / c.dram_bytes, rel=0, abs=0)
 
     def test_html_is_self_contained(self, bundle, tmp_path):
-        from repro.observability.dashboard import (render_dashboard,
-                                                   save_dashboard)
+        from repro.bench.dashboard import (render_dashboard,
+                                           save_dashboard)
         html_doc = render_dashboard(bundle)
         assert html_doc.startswith("<!DOCTYPE html>")
         assert "http://" not in html_doc and "https://" not in html_doc
@@ -405,7 +405,7 @@ class TestDashboard:
         sits beside them in a rank's ``other`` bucket (threads backend,
         where the rank's spans share its lane), so busy time and the
         halo wait fraction count each second of the push once."""
-        from repro.observability.dashboard import profile_deck
+        from repro.bench.dashboard import profile_deck
         from repro.vpic import native
         from repro.vpic.workloads import make_deck
         if not native.native_available():
@@ -420,8 +420,34 @@ class TestDashboard:
             assert not [name for kind, name in kinds
                         if kind == "other" and "native_push" in name]
 
+    def test_rank_push_counts_the_whole_native_push_phase(self,
+                                                          monkeypatch):
+        """Each rank's ``push`` seconds hold at least the whole C push
+        phase it drained (``res["push"]``: the species' pushes and the
+        field-table build), not only the per-species seconds."""
+        from repro.bench.dashboard import profile_deck
+        from repro.vpic import native
+        from repro.vpic.workloads import make_deck
+        if not native.native_available():
+            pytest.skip("needs the compiled kernels")
+        drained = [0.0, 0.0]
+        push_simulation = native.push_simulation
+
+        def spy(rank_state):
+            res = push_simulation(rank_state)
+            drained[rank_state.rank] += res["push"]
+            return res
+
+        monkeypatch.setattr(native, "push_simulation", spy)
+        bundle = profile_deck(make_deck("uniform", steps=4),
+                              get_platform("A100"), n_ranks=2)
+        push = bundle.rank_report.push_seconds
+        assert all(d > 0 for d in drained)
+        for rank in range(2):
+            assert push[rank] >= drained[rank] * (1 - 1e-6)
+
     def test_strips_field_init_for_distributed_run(self):
-        from repro.observability.dashboard import profile_deck
+        from repro.bench.dashboard import profile_deck
         from repro.vpic.workloads import two_stream_deck
         deck = two_stream_deck(nx=16, ppc=4, num_steps=2)
         bundle = profile_deck(deck, get_platform("A100"), n_ranks=2)
@@ -430,7 +456,7 @@ class TestDashboard:
             set(bundle.roofline.entries)
 
     def test_baseline_deltas_normalized_per_step(self):
-        from repro.observability.dashboard import baseline_deltas
+        from repro.bench.dashboard import baseline_deltas
         baseline = {"source": "perfbench-abc-seed0.json · observed",
                     "seconds_per_step": {"push": 0.1, "sort": 0.5}}
         deltas = baseline_deltas({"push/electron": 0.3}, 2, baseline)

@@ -59,15 +59,10 @@ class TestEnsembleRunner:
         runner = EnsembleRunner(factory, extract, base_seed=100)
         results = runner.run(3)
         assert [r.seed for r in results] == [100, 101, 102]
-        data = runner.payload_array()
+        data = np.stack([r.payload for r in results])
         assert data.shape == (3, 8)
         # different seeds -> different loadings
         assert not np.array_equal(data[0], data[1])
-
-    def test_payload_before_run_rejected(self):
-        runner = EnsembleRunner(lambda s: None, lambda s: None)
-        with pytest.raises(RuntimeError):
-            runner.payload_array()
 
     def test_scalar_payloads(self):
         def factory(seed):
@@ -77,8 +72,8 @@ class TestEnsembleRunner:
         runner = EnsembleRunner(
             factory, lambda sim: sum(sp.kinetic_energy()
                                      for sp in sim.species))
-        runner.run(2)
-        assert runner.payload_array().shape == (2,)
+        results = runner.run(2)
+        assert np.asarray([r.payload for r in results]).shape == (2,)
 
 
 class TestHarrisSheet:

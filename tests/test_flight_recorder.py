@@ -529,8 +529,8 @@ def test_bench_history_against_real_repo():
 
 
 def test_baseline_deltas_carry_sources(tmp_path):
+    from repro.bench.dashboard import baseline_deltas
     from repro.bench.history import phase_baseline
-    from repro.observability.dashboard import baseline_deltas
     _write_envelope(tmp_path, "perfbench-abc-seed0.json",
                     "2026-02-01T00:00:00+0000", push_s=0.4)
     baseline = phase_baseline("uniform_plasma", str(tmp_path))
@@ -552,8 +552,8 @@ def test_baseline_deltas_carry_sources(tmp_path):
 
 def test_dashboard_regression_panel_reads_envelopes(tmp_path, monkeypatch):
     from repro.bench import history
-    from repro.observability.dashboard import (profile_deck,
-                                               render_dashboard)
+    from repro.bench.dashboard import (profile_deck,
+                                       render_dashboard)
     monkeypatch.setattr(history, "default_dir", lambda: str(tmp_path))
     deck = uniform_plasma_deck(nx=8, ny=8, nz=8, ppc=2, num_steps=2)
     bundle = profile_deck(deck, n_ranks=2)

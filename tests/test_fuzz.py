@@ -2,11 +2,13 @@
 corpus round-trip, and the lane bit-identity audit on the degenerate
 shapes the fuzzer likes to produce."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.sorting import SortKind
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.fuzz import (CorpusEntry, DeckGenerator, failure_key,
                         load_corpus, minimize, random_deck,
                         replay_entry, run_deck, save_entry)
@@ -38,7 +40,7 @@ class TestGenerator:
         # Property test over the generator's output space: decks are
         # plain data, so JSON round-trips must be identity.
         for _, deck in DeckGenerator(seed=5).decks(60):
-            clone = Deck.from_json(deck.to_json())
+            clone = Deck.from_dict(json.loads(deck.to_json()))
             assert clone == deck
             assert clone.to_json() == deck.to_json()
 

@@ -49,8 +49,8 @@ class TestKernelTimers:
     def test_measured_time_counts_its_launches(self):
         """A native call that advanced k steps credits k launches; a
         registered tool still sees one event for it."""
-        from repro.observability.callbacks import (register_tool,
-                                                   unregister_tool)
+        from repro.kokkos.callbacks import (register_tool,
+                                            unregister_tool)
 
         class Events:
             native_telemetry_ok = True

@@ -3,7 +3,7 @@ the lane a step reports is the lane that ran.
 
 ``Simulation.lane()`` (``repro.vpic.simulation.resolve_lane``) is the
 one place the lane is decided. These tests pin its answer on every zoo
-deck for every :class:`~repro.core.tuning.StepPlan`, and check it
+deck for every :class:`~repro.core.plan.StepPlan`, and check it
 against what actually ran: which ``step_lane/*`` counter moved, which
 C entry was called, and what ``native_fallback_reason()`` said. The
 distributed half checks the same on ranks: a rank counts
@@ -17,7 +17,7 @@ import multiprocessing
 
 import pytest
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.kokkos.atomics import collect_atomics
 from repro.mpi.distributed import DistributedSimulation
 from repro.observability.metrics import default_registry

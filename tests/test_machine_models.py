@@ -7,7 +7,7 @@ from repro.machine.atomics_model import AtomicContentionModel, conflict_slots
 from repro.machine.cache import (CacheConfig, CacheSim,
                                  reuse_previous_positions,
                                  stack_distance_hit_rate)
-from repro.machine.coalescing import CoalescingModel, count_transactions
+from repro.machine.coalescing import count_transactions
 from repro.machine.memory import MemoryModel, stream_triad_time
 from repro.machine.roofline import RooflineModel, RooflinePoint
 from repro.machine.specs import get_platform
@@ -18,7 +18,6 @@ class TestCacheConfig:
         c = CacheConfig(capacity_bytes=64 * 1024, line_bytes=64,
                         associativity=8)
         assert c.n_sets == 128
-        assert c.n_lines == 1024
 
     def test_rejects_nondivisible(self):
         with pytest.raises(ValueError):
@@ -47,11 +46,6 @@ class TestCacheSim:
         assert stats.misses == 100
         assert stats.hits == 4900
 
-    def test_indices_helper(self):
-        sim = CacheSim(CacheConfig(4096, 64, 4), sample_sets=16)
-        stats = sim.run_indices(np.zeros(100, dtype=np.int64), 8)
-        assert stats.accesses == 100
-
     def test_empty_trace(self):
         sim = CacheSim(CacheConfig(4096, 64, 4))
         assert sim.run_lines(np.zeros(0, dtype=np.int64)).accesses == 0
@@ -60,10 +54,6 @@ class TestCacheSim:
         sim = CacheSim(CacheConfig(4096, 64, 4))
         with pytest.raises(ValueError):
             sim.run_addresses(np.zeros((2, 2), dtype=np.int64))
-
-    def test_miss_bytes(self):
-        from repro.machine.cache import CacheStats
-        assert CacheStats(10, 4, 6).miss_bytes(64) == 384
 
 
 class TestReusePrev:
@@ -126,10 +116,6 @@ class TestMemoryModel:
         t = stream_triad_time(p, 1_000_000_000)
         assert t == pytest.approx(24e9 / 424e9, rel=1e-6)
 
-    def test_effective_bandwidth(self):
-        m = MemoryModel(get_platform("A100"))
-        assert m.effective_bandwidth(1e9, 1.0) == pytest.approx(1e9)
-
 
 class TestCoalescing:
     def test_fully_coalesced(self):
@@ -154,24 +140,6 @@ class TestCoalescing:
     def test_empty(self):
         assert count_transactions(np.zeros(0, dtype=np.int64), 4, 32, 32) == 0
 
-    def test_model_requires_gpu(self):
-        with pytest.raises(ValueError):
-            CoalescingModel(get_platform("Grace"))
-
-    def test_model_analyze(self):
-        m = CoalescingModel(get_platform("A100"))
-        stats = m.analyze(np.arange(64), 4)
-        assert stats.transactions == 8
-        assert stats.bytes_moved == 8 * 32
-        assert stats.efficiency == 1.0
-
-    def test_transaction_time(self):
-        m = CoalescingModel(get_platform("A100"))
-        assert m.transaction_time(0) == 0.0
-        assert m.transaction_time(1000) > 0
-        with pytest.raises(ValueError):
-            m.transaction_time(-1)
-
 
 class TestConflictSlots:
     def test_all_distinct_one_slot_per_group(self):
@@ -194,12 +162,6 @@ class TestConflictSlots:
         assert gpu.group_size == 64
         cpu = AtomicContentionModel(get_platform("Platinum 8480"))
         assert cpu.group_size == 16
-
-    def test_contention_time_scales(self):
-        m = AtomicContentionModel(get_platform("A100"))
-        hot = np.zeros(10_000, dtype=np.int64)
-        cold = np.arange(10_000, dtype=np.int64)
-        assert m.contention_time(hot) > m.contention_time(cold)
 
 
 class TestRoofline:
@@ -226,12 +188,6 @@ class TestRoofline:
         m = RooflineModel(get_platform("H100"))
         p = RooflinePoint("x", 3.58, 669.0)
         assert m.utilization(p) == pytest.approx(0.01)
-
-    def test_point_from_counts(self):
-        m = RooflineModel(get_platform("A100"))
-        p = m.point_from_counts("k", flops=1e9, dram_bytes=5e8, seconds=0.1)
-        assert p.arithmetic_intensity == pytest.approx(2.0)
-        assert p.gflops == pytest.approx(10.0)
 
     def test_ceiling_fraction(self):
         m = RooflineModel(get_platform("A100"))

@@ -67,7 +67,8 @@ class TestDerived:
 
     def test_grid_points_in_llc_matches_paper(self):
         # §5.5: MI300A's 256 MB fits "more than 3.5 million" points.
-        assert get_platform("MI300A (GPU)").grid_points_in_llc() > 3_500_000
+        from repro.core.tuning import grid_fits_in_cache
+        assert grid_fits_in_cache(get_platform("MI300A (GPU)"), 3_500_000)
 
     def test_best_isa(self):
         spr = get_platform("Platinum 8480")

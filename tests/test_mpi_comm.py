@@ -116,11 +116,6 @@ class TestCollectives:
         with pytest.raises(ValueError):
             allreduce(World(2), [1, 2], op="xor")
 
-    def test_run_phase(self):
-        w = World(3)
-        results = w.run_phase(lambda c: c.rank * 10)
-        assert results == [0, 10, 20]
-
 
 class TestBalancedDims:
     @pytest.mark.parametrize("n,expect", [
@@ -174,10 +169,6 @@ class TestCartDecomposition:
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             CartDecomposition(10, 8, 8, (4, 2, 1))
-
-    def test_surface_cells(self):
-        d = CartDecomposition(8, 8, 8, (2, 2, 2))
-        assert d.surface_cells(0) == 6 * 16
 
     def test_bad_rank(self):
         d = CartDecomposition(8, 8, 8, (2, 2, 2))

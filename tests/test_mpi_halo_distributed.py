@@ -186,7 +186,9 @@ class TestDistributedSimulation:
         deck = uniform_plasma_deck(nx=8, ny=8, nz=8, ppc=4, uth=0.05)
         dsim = DistributedSimulation(deck, 2)
         dsim.run(5)
-        p = dsim.total_momentum()
+        p = sum((sp.momentum_total()
+                 for rs in dsim.ranks for sp in rs.species),
+                start=np.zeros(3))
         assert np.linalg.norm(p) / dsim.total_particles() < 0.01
 
     def test_messages_logged(self):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro.vpic.simulation as simulation
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.kokkos.atomics import collect_atomics
 from repro.validate.checks import ContinuityCheck, default_checks
 from repro.validate.guard import SimulationGuard

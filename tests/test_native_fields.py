@@ -14,8 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.plan import StepPlan
 from repro.core.sorting import SortKind
-from repro.core.tuning import StepPlan
 from repro.observability.metrics import default_registry, set_detail
 from repro.vpic import native
 from repro.vpic.absorbing import AbsorbingFieldSolver

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.vpic import native, workloads
 from repro.vpic.simulation import Simulation
 from repro.vpic.species import Species
@@ -307,7 +307,8 @@ def test_run_deck_names_the_push_scope_threads(tmp_path, capsys):
     assert len(note) == 1
     assert note[0].endswith("fields and sort on native kernels; " + threads)
     view = WatchView()
-    view.feed_all(read_events(run_dir))
+    for event in read_events(run_dir):
+        view.feed(event)
     assert view.header["native_threads"] == n
     assert any(line.startswith("native lane   fallback")
                and line.endswith(threads)

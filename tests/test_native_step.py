@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.vpic import native, workloads
 from repro.vpic.native import (field_advance_b, field_advance_e,
                                native_available, native_build_key,
@@ -137,10 +137,10 @@ def test_native_step_bit_identical_with_telemetry_attached(factory):
     telemetry channel reads counters the C step fills anyway, so
     every particle and field array must stay bit-identical — the
     observe-without-perturbing contract of ISSUE 8."""
+    from repro.bench.counters import CounterTool
+    from repro.kokkos.callbacks import (register_tool,
+                                        unregister_tool)
     from repro.machine.specs import get_platform
-    from repro.observability.callbacks import (register_tool,
-                                               unregister_tool)
-    from repro.observability.counters import CounterTool
     from repro.observability.metrics import set_detail
     from repro.observability.timeseries import TimeSeriesRecorder
     from repro.observability.tracer import ChromeTracer
@@ -172,7 +172,7 @@ def test_default_plan_counts_every_step_on_native_step_lane():
     longer selecting the step scope) shows as steps counted under
     another ``step_lane/*`` or as a fallback reason, not as a slower
     clock."""
-    from repro.observability.dashboard import lane_occupancy
+    from repro.bench.dashboard import lane_occupancy
     from repro.observability.metrics import default_registry
 
     default_registry().reset()

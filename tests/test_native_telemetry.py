@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.vpic import workloads
 from repro.vpic.native import (native_available, native_status,
                                step_team_size)
@@ -53,11 +53,11 @@ class _InterposingDummy:
 @pytest.fixture
 def telemetry_stack():
     """Tracer + CounterTool + detail metrics, unregistered on exit."""
+    from repro.bench.counters import CounterTool
+    from repro.kokkos.callbacks import (register_tool,
+                                        unregister_tool)
     from repro.kokkos.profiling import profiling_session
     from repro.machine.specs import get_platform
-    from repro.observability.callbacks import (register_tool,
-                                               unregister_tool)
-    from repro.observability.counters import CounterTool
     from repro.observability.metrics import set_detail
     from repro.observability.tracer import ChromeTracer
 
@@ -151,8 +151,8 @@ def test_push_scope_lane_telemetry(telemetry_stack):
 def test_interposing_tool_demotes_with_named_reason():
     """An unknown tool (no native_telemetry_ok marker) demotes the
     whole-step lane, and native_fallback_reason() names its class."""
-    from repro.observability.callbacks import (register_tool,
-                                               unregister_tool)
+    from repro.kokkos.callbacks import (register_tool,
+                                        unregister_tool)
 
     sim = workloads.uniform_plasma_deck(seed=1).build()
     assert sim.native_fallback_reason() is None
@@ -228,8 +228,8 @@ def test_run_header_carries_native_lane_state(tmp_path,
     """The flight-recorder run header states which lane the run will
     take — 'step' with a compatible stack, 'fallback' plus the
     reason once an interposing tool appears."""
-    from repro.observability.callbacks import (register_tool,
-                                               unregister_tool)
+    from repro.kokkos.callbacks import (register_tool,
+                                        unregister_tool)
     from repro.observability.flight import FlightRecorder, read_events
 
     sim = workloads.uniform_plasma_deck(seed=1).build()

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.vpic import native
 from repro.vpic.deck import FieldBoundaryKind, SpeciesConfig
 from repro.vpic.fields import FieldArrays

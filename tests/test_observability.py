@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bench.overhead import measure_overhead
 from repro.cli import main
 from repro.core.sorting import disorder_fraction
 from repro.kokkos import parallel_for, parallel_reduce
+from repro.kokkos.callbacks import (clear_tools, register_tool,
+                                    registered_tools, tools_active,
+                                    unregister_tool)
 from repro.kokkos.core import fence
 from repro.kokkos.policy import RangePolicy
 from repro.kokkos.profiling import (kernel_timings, pop_region,
@@ -18,14 +22,10 @@ from repro.kokkos.profiling import (kernel_timings, pop_region,
                                     push_region, record_kernel,
                                     region_stack, reset_kernel_timings)
 from repro.mpi.comm import MessageLog, World
-from repro.observability.callbacks import (clear_tools, register_tool,
-                                           registered_tools, tools_active,
-                                           unregister_tool)
 from repro.observability.events import RingBuffer, SpanEvent
 from repro.observability.metrics import (Histogram, MetricsRegistry,
                                          default_registry, detail_enabled,
                                          set_detail)
-from repro.observability.overhead import measure_overhead
 from repro.observability.tracer import ChromeTracer, tracing
 from repro.vpic.simulation import Simulation
 from repro.vpic.workloads import two_stream_deck, uniform_plasma_deck
@@ -107,16 +107,18 @@ class TestCallbackRegistry:
         fence("sync")
 
 
+def _encloses(outer, inner) -> bool:
+    """True if *inner* nests inside *outer*'s interval."""
+    return outer.start_us <= inner.start_us and inner.end_us <= outer.end_us
+
+
 class TestSpanEvents:
     def test_chrome_round_trip(self):
         span = SpanEvent(name="push", cat="kernel", start_us=10.0,
                          dur_us=5.0, pid=1, tid=2, args={"n": 3})
-        again = SpanEvent.from_chrome(span.to_chrome())
-        assert again == span
-
-    def test_from_chrome_rejects_other_phases(self):
-        with pytest.raises(ValueError):
-            SpanEvent.from_chrome({"ph": "B", "name": "x", "ts": 0})
+        assert span.to_chrome() == {
+            "name": "push", "cat": "kernel", "ph": "X", "ts": 10.0,
+            "dur": 5.0, "pid": 1, "tid": 2, "args": {"n": 3}}
 
     def test_region_span_encloses_kernel_span(self):
         tracer = ChromeTracer()
@@ -125,8 +127,8 @@ class TestSpanEvents:
             with record_kernel("inner"):
                 pass
         by_name = {s.name: s for s in tracer.spans()}
-        assert by_name["outer"].encloses(by_name["outer/inner"])
-        assert not by_name["outer/inner"].encloses(by_name["outer"])
+        assert _encloses(by_name["outer"], by_name["outer/inner"])
+        assert not _encloses(by_name["outer/inner"], by_name["outer"])
 
 
 class TestChromeTracer:
@@ -151,7 +153,7 @@ class TestChromeTracer:
             with record_kernel("k"):
                 pass
         assert not tools_active()
-        assert tracer.span_names() == {"k"}
+        assert {s.name for s in tracer.spans()} == {"k"}
 
     def test_saved_json_is_valid_chrome_trace(self, tmp_path):
         with tracing() as tracer:
@@ -202,7 +204,7 @@ class TestChromeTracer:
         assert doc["otherData"]["retained_events"] == 2
         assert doc["otherData"]["dropped_events"] == 3
         # the *tail* of the run is retained
-        assert tracer.span_names() == {"k3", "k4"}
+        assert {s.name for s in tracer.spans()} == {"k3", "k4"}
 
     def test_ring_eviction_with_nested_regions_keeps_totals_sane(self):
         """Evicting early spans while outer regions are still open
@@ -231,7 +233,7 @@ class TestChromeTracer:
         assert outer and outer[0].dur_us >= 0
         for s in retained:
             if s.name != "outer":
-                assert outer[0].encloses(s)
+                assert _encloses(outer[0], s)
 
 
 class TestMetrics:

@@ -122,7 +122,8 @@ _CACHE_CONFIGS = [
 def test_simulate_matches_reference_on_random_traces(config, seed):
     rng = np.random.default_rng(seed)
     sim = CacheSim(config, sample_sets=config.n_sets)
-    lines = rng.integers(0, 6 * config.n_lines, size=4000)
+    lines = rng.integers(0, 6 * (config.capacity_bytes // config.line_bytes),
+                         size=4000)
     sets = lines % config.n_sets
     assert sim._simulate(lines, sets) == sim._simulate_reference(lines, sets)
 
@@ -130,7 +131,7 @@ def test_simulate_matches_reference_on_random_traces(config, seed):
 @pytest.mark.parametrize("config", _CACHE_CONFIGS)
 def test_simulate_matches_reference_on_structured_traces(config):
     sim = CacheSim(config, sample_sets=config.n_sets)
-    n_lines = config.n_lines
+    n_lines = config.capacity_bytes // config.line_bytes
     traces = [
         np.sort(np.random.default_rng(0).integers(0, n_lines, 3000)),
         np.tile(np.arange(2 * n_lines), 3),        # capacity-thrashing scan

@@ -24,11 +24,6 @@ class TestAccessTrace:
         t = gather_scatter_trace(keys, 10, atomic=False)
         assert t.scatter_bytes == 80
 
-    def test_table_bytes(self):
-        t = gather_scatter_trace(np.arange(10, dtype=np.int64), 10,
-                                 elem_bytes=4)
-        assert t.gather_table_bytes == 40
-
     def test_out_of_range_indices_rejected(self):
         with pytest.raises(ValueError, match="range"):
             AccessTrace(n_ops=4, gather_indices=np.array([0, 5]),

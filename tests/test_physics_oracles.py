@@ -22,14 +22,15 @@ Rows:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.mpi.distributed import DistributedSimulation
-from repro.vpic.deck import Deck
+from repro.vpic.deck import Deck, DepositionKind
 from repro.vpic.workloads import uniform_plasma_deck
 
 _EB = ("ex", "ey", "ez", "bx", "by", "bz")
@@ -172,8 +173,24 @@ def test_vacuum_wave_distributed_equals_single(backend, overlap, plan):
             dsim.close()
 
 
-@pytest.mark.parametrize("plan", list(StepPlan), ids=str)
-def test_cold_langmuir_oscillates_at_the_plasma_frequency(plan):
+#: Esirkepov's current lands on the Yee edges (J_x at i+1/2) while the
+#: gather reads every field array as cell-cornered: the half-cell offset
+#: leaves each particle a self-force, and this cold plasma goes unstable
+#: (field energy 1e-5 -> 1 in 120 steps on every lane). Averaging the
+#: Esirkepov current to the nodes holds ω_p; until the deposit and the
+#: gather agree, the row is a strict xfail that names the defect.
+_ESIRKEPOV_SELF_FORCE = pytest.mark.xfail(
+    strict=True, reason="Esirkepov current is edge-centred, the gather "
+    "cell-cornered: cold-plasma self-force instability")
+
+
+@pytest.mark.parametrize("plan, deposition", [
+    *(pytest.param(plan, DepositionKind.CIC, id=str(plan))
+      for plan in StepPlan),
+    *(pytest.param(plan, DepositionKind.ESIRKEPOV, id=f"esirkepov-{plan}",
+                   marks=_ESIRKEPOV_SELF_FORCE)
+      for plan in StepPlan)])
+def test_cold_langmuir_oscillates_at_the_plasma_frequency(plan, deposition):
     """A cold electron plasma over a neutralizing background, kicked
     with ux = 1e-3·sin(2πx/L), oscillates at ω_p whatever the
     wavelength; the field energy, quadratic in E, at 2ω. Leapfrog
@@ -186,9 +203,13 @@ def test_cold_langmuir_oscillates_at_the_plasma_frequency(plan):
     percent of the theory value, and 2 % leaves room for the grid's
     aliasing shift at this resolution. The leapfrog correction itself
     (0.3 % here) is inside the tolerance: the row checks the plasma
-    frequency, not the integrator.
+    frequency, not the integrator. Both depositions must hold it: the
+    charge-conserving Esirkepov current drives the same E (see
+    ``_ESIRKEPOV_SELF_FORCE`` for why it does not yet).
     """
-    deck = uniform_plasma_deck(nx=32, ny=4, nz=4, ppc=8, uth=0.0)
+    deck = dataclasses.replace(
+        uniform_plasma_deck(nx=32, ny=4, nz=4, ppc=8, uth=0.0),
+        deposition=deposition)
     sim = deck.build()
     sim.step_plan = plan
     g = sim.grid

@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.plan import StepPlan
 from repro.core.sorting import SortKind
-from repro.core.tuning import StepPlan
 from repro.kokkos.profiling import kernel_timings, profiling_session
 from repro.observability.metrics import default_registry, set_detail
 from repro.vpic import native, simulation, workloads
@@ -325,9 +325,9 @@ def test_observed_or_demoted_runs_step_one_call_at_a_time(case, calls):
 
 @pytest.mark.parametrize("tool", ["tracer", "counters"])
 def test_registered_tools_keep_one_call_per_step(tool, calls):
+    from repro.bench.counters import CounterTool
+    from repro.kokkos.callbacks import register_tool, unregister_tool
     from repro.machine.specs import get_platform
-    from repro.observability.callbacks import register_tool, unregister_tool
-    from repro.observability.counters import CounterTool
     from repro.observability.tracer import ChromeTracer
 
     t = (ChromeTracer() if tool == "tracer"
@@ -371,7 +371,7 @@ def test_step_many_under_detail_steps_each_deck():
 def test_step_many_with_tracer_steps_each_deck():
     """A registered ChromeTracer: one ``step`` region and one span per
     phase per deck step, not one for the whole batch."""
-    from repro.observability.callbacks import register_tool, unregister_tool
+    from repro.kokkos.callbacks import register_tool, unregister_tool
     from repro.observability.tracer import ChromeTracer
 
     tracer = register_tool(ChromeTracer())

@@ -6,7 +6,7 @@ mismatch and the moving-window ghost-slab recycle)."""
 import numpy as np
 import pytest
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.validate.checks import default_checks
 from repro.validate.guard import SimulationGuard
 from repro.vpic.grid import Grid

@@ -87,8 +87,6 @@ class TestArithmetic:
     def test_reductions(self):
         a = Pack(np.array([1.0, 2.0, 3.0]))
         assert a.reduce_add() == 6.0
-        assert a.reduce_min() == 1.0
-        assert a.reduce_max() == 3.0
 
 
 class TestMasks:
@@ -96,7 +94,6 @@ class TestMasks:
         a = Pack(np.array([1.0, 5.0]))
         assert np.array_equal((a < 3).bits, [True, False])
         assert np.array_equal((a >= 5).bits, [False, True])
-        assert np.array_equal(a.eq(1.0).bits, [True, False])
 
     def test_boolean_algebra(self):
         m1 = Mask(np.array([True, False]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.vpic.simulation import Simulation
 from repro.vpic.workloads import two_stream_deck, uniform_plasma_deck
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.tuning import StepPlan
+from repro.core.plan import StepPlan
 from repro.kokkos.atomics import (AtomicCounters, collect_atomics,
                                   segment_add)
+from repro.kokkos.callbacks import register_tool, unregister_tool
 from repro.mpi.distributed import DistributedSimulation
-from repro.observability.callbacks import register_tool, unregister_tool
 from repro.vpic import workloads
 from repro.vpic.native import native_available
 from repro.vpic.scratch import ScratchArena

@@ -20,8 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.plan import StepPlan
 from repro.core.sorting import SortKind
-from repro.core.tuning import StepPlan
 from repro.mpi.distributed import DistributedSimulation
 from repro.observability.metrics import default_registry
 from repro.validate import (ContinuityCheck, DivBCheck, EnergyDriftCheck,

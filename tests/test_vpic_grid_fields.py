@@ -26,7 +26,7 @@ class TestGrid:
         g = Grid(3, 4, 5)
         for coords in [(0, 0, 0), (2, 3, 4), (4, 5, 6)]:
             v = g.voxel(*coords)
-            assert g.voxel_coords(v) == coords
+            assert np.unravel_index(v, g.shape) == coords
 
     def test_voxel_vectorized(self):
         g = Grid(3, 4, 5)
@@ -34,17 +34,10 @@ class TestGrid:
         iy = np.array([2, 3])
         iz = np.array([4, 5])
         v = g.voxel(ix, iy, iz)
-        rx, ry, rz = g.voxel_coords(v)
+        rx, ry, rz = np.unravel_index(v, g.shape)
         assert np.array_equal(rx, ix)
         assert np.array_equal(ry, iy)
         assert np.array_equal(rz, iz)
-
-    def test_interior_voxels_count(self):
-        g = Grid(3, 3, 3)
-        inter = g.interior_voxels()
-        assert inter.size == 27
-        ix, iy, iz = g.voxel_coords(inter)
-        assert ix.min() >= 1 and ix.max() <= 3
 
     def test_cell_of_position_interior(self):
         g = Grid(4, 4, 4, dx=0.5, dy=0.5, dz=0.5)

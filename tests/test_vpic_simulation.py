@@ -135,7 +135,7 @@ class TestSortStep:
         assert np.array_equal(sp.live("voxel"), vox_orig[perm])
 
     def test_from_plan(self):
-        from repro.core.tuning import SortPlan
+        from repro.core.plan import SortPlan
         plan = SortPlan(SortKind.NONE, 0, "cache resident")
         s = SortStep.from_plan(plan)
         assert s.interval == 0
@@ -155,7 +155,7 @@ class TestNativeFallbackReason:
     def test_each_fused_lane_gate_is_named(self, small_deck):
         import dataclasses
 
-        from repro.core.tuning import StepPlan
+        from repro.core.plan import StepPlan
         from repro.vpic.boundary import BoundaryKind
         from repro.vpic.fields import FieldArrays
         from repro.vpic.grid import Grid
